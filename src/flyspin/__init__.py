@@ -8,6 +8,7 @@ from .protocol import (
     ChainReport,
     EOResource,
     ParityOutcome,
+    ParityTree,
     PumpState,
     PumpTrajectory,
     chain_report,
@@ -17,6 +18,7 @@ from .protocol import (
     parity_projection_branches,
     parity_success_output,
     parity_success_probability,
+    parity_tree,
     pump_probabilities,
     pump_step,
     pump_until,
@@ -37,13 +39,12 @@ from .qcore import (
     partial_trace,
     tensor_dm,
 )
-from .rng import make_rng, trial_rng
+from .rng import trial_rng
 from .scattering import (
     BELL_GATE,
     SWAP_GATE,
     ForwardScatterParams,
     FullScatterParams,
-    GatePreset,
     forward_unitary,
     full_scatter,
     herald_transmission,

@@ -32,11 +32,11 @@ from .channels import NoiseParams
 from .metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from .protocol import (
     ChainConfig,
-    _parity_round,
-    _plus_plus,
+    ParityTree,
     chain_report,
     generate_resource,
     parity_success_output,
+    parity_tree,
     pump_until,
 )
 from .rng import trial_rng
@@ -98,23 +98,22 @@ class ExperimentConfig:
 
 
 def _parse_angle(text: str, flag: str) -> tuple[float, Optional[tuple[float, ...]]]:
-    """Angle spec in pi units: a single value or a START:STOP:STEPS grid."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{flag}: grid must be START:STOP:STEPS, got {text!r}")
-        try:
-            start, stop = float(parts[0]) * math.pi, float(parts[1]) * math.pi
-            steps = int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"{flag}: cannot parse grid {text!r}") from exc
-        if steps < 2:
-            raise ConfigError(f"{flag}: grid needs at least 2 steps, got {steps}")
-        return start, tuple(float(v) for v in np.linspace(start, stop, steps))
+    """Angle spec in pi units: a single finite value or a START:STOP:STEPS grid."""
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"{flag}: grid must be START:STOP:STEPS, got {text!r}")
     try:
-        return float(text) * math.pi, None
+        ends = [float(part) * math.pi for part in parts[:2]]
+        steps = int(parts[2]) if len(parts) == 3 else None
     except ValueError as exc:
         raise ConfigError(f"{flag}: cannot parse angle {text!r}") from exc
+    if not all(math.isfinite(v) for v in ends):
+        raise ConfigError(f"{flag}: angles must be finite, got {text!r}")
+    if steps is None:
+        return ends[0], None
+    if steps < 2:
+        raise ConfigError(f"{flag}: grid needs at least 2 steps, got {steps}")
+    return ends[0], tuple(float(v) for v in np.linspace(ends[0], ends[1], steps))
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -246,27 +245,9 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
 
 
 def _sample_success_flags(resource, trials: int, seed: int) -> list[bool]:
-    """Born-sample two-round attempts from the exact branch tree."""
-    first_round = _parity_round(_plus_plus(), resource.rho)
-    probs1 = np.array([max(p, 0.0) for _, p, _ in first_round])
-    probs1 = probs1 / probs1.sum()
-    second: dict[int, tuple[np.ndarray, list]] = {}
-    for idx, (_, _, anc1) in enumerate(first_round):
-        if anc1 is None:
-            continue
-        options = _parity_round(anc1, resource.rho)
-        probs2 = np.array([max(p, 0.0) for _, p, _ in options])
-        second[idx] = (probs2 / probs2.sum(), options)
-    flags = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        i1 = int(rng.choice(4, p=probs1))
-        o1 = first_round[i1][0]
-        probs2, options = second[i1]
-        i2 = int(rng.choice(4, p=probs2))
-        o2 = options[i2][0]
-        flags.append(o2 == (1 - o1[0], 1 - o1[1]))
-    return flags
+    """Born-sample two-round attempts from the exact branch tree, one stream per trial."""
+    tree = parity_tree(resource)
+    return [ParityTree.is_success(*tree.sample(trial_rng(seed, t))) for t in range(trials)]
 
 
 def cmd_eo_run(cfg: ExperimentConfig) -> int:

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .channels import NoiseParams, dephasing, imperfect_init, relaxation
 from .qcore import (
     DensityMatrix,
+    MeasurementBranch,
     PAULI_X,
     Projector,
     apply_channel,
@@ -61,7 +62,7 @@ from .qcore import (
     partial_trace,
     tensor_dm,
 )
-from .rng import make_rng
+from .rng import trial_rng
 from .scattering import ForwardScatterParams, forward_unitary
 
 _SEPARABLE_ATOL = 1e-12
@@ -82,11 +83,6 @@ _ROUND_PROJECTORS = tuple(
               @ embed_operator(np.diag([1.0 if i == o2 else 0.0 for i in range(2)]), (3,), 4))
     for o1, o2 in _ROUND_OUTCOMES
 )
-
-
-def _plus_plus() -> DensityMatrix:
-    vec = np.full(4, 0.5, dtype=complex)
-    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 @dataclass(frozen=True)
@@ -183,35 +179,124 @@ class ParityOutcome:
     probability: float
 
 
-def _parity_round(
-    ancillas: DensityMatrix, resource_rho: DensityMatrix
-) -> list[tuple[Syndrome, float, Optional[DensityMatrix]]]:
-    """Consume one resource; returns (outcome pair, probability, ancilla state)."""
+_Round = tuple[MeasurementBranch, ...]
+
+
+def _parity_round(ancillas: DensityMatrix, resource_rho: DensityMatrix) -> _Round:
+    """Consume one resource; (probability, ancilla state) per outcome pair."""
     joint = tensor_dm(ancillas, resource_rho)
     joint = apply_unitary(joint, CNOT, (0, 2))
     joint = apply_unitary(joint, CNOT, (1, 3))
-    branches = measure(joint, _ROUND_PROJECTORS)
-    out = []
-    for outcome, branch in zip(_ROUND_OUTCOMES, branches):
-        post = partial_trace(branch.state, (0, 1)) if branch.state is not None else None
-        out.append((outcome, branch.probability, post))
-    return out
+    return tuple(
+        MeasurementBranch(p, None if post is None else partial_trace(post, (0, 1)))
+        for p, post in measure(joint, _ROUND_PROJECTORS)
+    )
 
 
-def _is_success(first: Syndrome, second: Syndrome) -> bool:
-    return second == (1 - first[0], 1 - first[1])
+def _born(branches: _Round) -> np.ndarray:
+    probs = np.array([b.probability if b.state is not None else 0.0 for b in branches])
+    return probs / probs.sum()
 
 
-def _correction_for(first: Syndrome) -> Optional[str]:
+def _index(syndrome: Syndrome) -> int:
+    if syndrome not in _ROUND_OUTCOMES:
+        raise ValueError(f"unknown syndrome {syndrome}")
+    return _ROUND_OUTCOMES.index(syndrome)
+
+
+@dataclass(frozen=True)
+class ParityTree:
+    """Exact two-round branch tree of one parity projection attempt.
+
+    ``first[i]`` is the round-one branch for outcome pair
+    ``_ROUND_OUTCOMES[i]`` and ``second[i]`` its four round-two branches,
+    empty when the round-one branch fell below the zero-probability cut.
+    ``draw1`` and ``draw2[i]`` are the matching Born vectors, normalized once
+    over the kept branches, so a cut branch is never drawn.
+    ``truncated_mass`` is the total probability of the leaves cut off at
+    ``ZERO_PROBABILITY_ATOL``; with the kept leaves it sums to one.
+    """
+
+    first: _Round
+    second: tuple[_Round, ...]
+    draw1: np.ndarray
+    draw2: tuple[Optional[np.ndarray], ...]
+    truncated_mass: float
+
+    @staticmethod
+    def is_success(first: Syndrome, second: Syndrome) -> bool:
+        """Success is heralded when round two reports the complement of round one."""
+        return second == (1 - first[0], 1 - first[1])
+
+    def leaves(self) -> Iterator[tuple[Syndrome, Syndrome, float, DensityMatrix]]:
+        """Kept leaves as (first outcome, second outcome, probability, ancilla state)."""
+        for first, b1, branches in zip(_ROUND_OUTCOMES, self.first, self.second):
+            for second, b2 in zip(_ROUND_OUTCOMES, branches):
+                if b2.state is not None:
+                    yield first, second, b1.probability * b2.probability, b2.state
+
+    def leaf(self, first: Syndrome, second: Syndrome) -> tuple[float, DensityMatrix]:
+        """Probability and ancilla state of one leaf; unknown or cut leaves raise."""
+        i = _index(first)
+        if not self.second[i]:
+            raise ValueError(f"forced syndrome {first} has zero probability")
+        b2 = self.second[i][_index(second)]
+        if b2.state is None:
+            raise ValueError(f"forced syndrome {second} has zero probability")
+        return self.first[i].probability * b2.probability, b2.state
+
+    def sample(self, rng: np.random.Generator) -> tuple[Syndrome, Syndrome]:
+        """Born-draw one leaf with two ``rng.choice`` calls."""
+        i = int(rng.choice(4, p=self.draw1))
+        return _ROUND_OUTCOMES[i], _ROUND_OUTCOMES[int(rng.choice(4, p=self.draw2[i]))]
+
+
+def _ancillas(ancillas: DensityMatrix | None) -> DensityMatrix:
+    if ancillas is None:
+        vec = np.full(4, 0.5, dtype=complex)  # |++>
+        return DensityMatrix(np.outer(vec, vec.conj()))
+    if ancillas.n != 2:
+        raise ValueError("ancilla register must hold exactly two qubits")
+    return ancillas
+
+
+def parity_tree(
+    resource: EOResource,
+    ancillas: DensityMatrix | None = None,
+    resource2: EOResource | None = None,
+) -> ParityTree:
+    """Exact two-round branch tree on the given ancillas (default |++>).
+
+    ``resource`` feeds round one and ``resource2`` (default the same) round two.
+    """
+    anc = _ancillas(ancillas)
+    rho2 = (resource2 if resource2 is not None else resource).rho
+    first = _parity_round(anc, resource.rho)
+    second = tuple(_parity_round(b.state, rho2) if b.state is not None else () for b in first)
+    truncated = sum(b.probability for b in first if b.state is None) + sum(
+        b1.probability * b2.probability
+        for b1, branches in zip(first, second) for b2 in branches if b2.state is None
+    )
+    draw2 = tuple(_born(branches) if branches else None for branches in second)
+    return ParityTree(
+        first=first, second=second, draw1=_born(first), draw2=draw2, truncated_mass=truncated
+    )
+
+
+def _outcome(first: Syndrome, second: Syndrome, prob: float, anc: DensityMatrix) -> ParityOutcome:
+    success = ParityTree.is_success(first, second)
     # odd outcome parity in round one means the even-parity projector was
     # heralded; flipping ancilla a1 maps it onto the odd projection
-    return "x_on_a1" if (first[0] + first[1]) % 2 == 1 else None
-
-
-def _apply_correction(state: DensityMatrix, correction: Optional[str]) -> DensityMatrix:
-    if correction is None:
-        return state
-    return apply_unitary(state, PAULI_X, (0,))
+    correction = "x_on_a1" if success and (first[0] + first[1]) % 2 == 1 else None
+    if correction:
+        anc = apply_unitary(anc, PAULI_X, (0,))
+    return ParityOutcome(
+        succeeded=success,
+        syndrome=(first, second),
+        post_state=anc if success else None,
+        correction=correction,
+        probability=prob,
+    )
 
 
 def parity_projection_branches(
@@ -221,35 +306,12 @@ def parity_projection_branches(
 ) -> list[ParityOutcome]:
     """Exact enumeration of all two-round syndrome branches.
 
-    Zero-probability subtrees are dropped; the returned probabilities sum
-    to one up to that truncated (zero) mass. Success branches carry the
+    Leaves below the zero-probability cut are left out; their total
+    probability is ``parity_tree(...).truncated_mass``, and the returned
+    probabilities plus that mass sum to one. Success branches carry the
     corrected post state.
     """
-    anc = ancillas if ancillas is not None else _plus_plus()
-    if anc.n != 2:
-        raise ValueError("ancilla register must hold exactly two qubits")
-    rho1 = resource.rho
-    rho2 = (resource2 if resource2 is not None else resource).rho
-    branches: list[ParityOutcome] = []
-    for first, p1, anc1 in _parity_round(anc, rho1):
-        if anc1 is None:
-            continue
-        for second, p2, anc2 in _parity_round(anc1, rho2):
-            if anc2 is None:
-                continue
-            success = _is_success(first, second)
-            correction = _correction_for(first) if success else None
-            post = _apply_correction(anc2, correction) if success else None
-            branches.append(
-                ParityOutcome(
-                    succeeded=success,
-                    syndrome=(first, second),
-                    post_state=post,
-                    correction=correction,
-                    probability=p1 * p2,
-                )
-            )
-    return branches
+    return [_outcome(*leaf) for leaf in parity_tree(resource, ancillas, resource2).leaves()]
 
 
 def parity_success_probability(
@@ -259,7 +321,9 @@ def parity_success_probability(
 ) -> float:
     """Total probability of the success syndrome, by exact enumeration."""
     return sum(
-        b.probability for b in parity_projection_branches(resource, ancillas, resource2) if b.succeeded
+        prob
+        for first, second, prob, _ in parity_tree(resource, ancillas, resource2).leaves()
+        if ParityTree.is_success(first, second)
     )
 
 
@@ -295,37 +359,12 @@ def two_round_parity_projection(
     both rounds (used for deterministic branch inspection). Supplier
     exceptions propagate unchanged.
     """
-    anc = ancillas if ancillas is not None else _plus_plus()
-    if anc.n != 2:
-        raise ValueError("ancilla register must hold exactly two qubits")
+    anc = _ancillas(ancillas)
     if forced_syndromes is None and rng is None:
         raise ValueError("provide an rng to sample outcomes or force both syndromes")
-
-    def pick(options, index):
-        if forced_syndromes is not None:
-            wanted = forced_syndromes[index]
-            for outcome, prob, post in options:
-                if outcome == wanted:
-                    if post is None:
-                        raise ValueError(f"forced syndrome {wanted} has zero probability")
-                    return outcome, prob, post
-            raise ValueError(f"unknown syndrome {wanted}")
-        probs = np.array([prob if post is not None else 0.0 for _, prob, post in options])
-        choice = int(rng.choice(len(options), p=probs / probs.sum()))
-        return options[choice]
-
-    first, p1, anc1 = pick(_parity_round(anc, make_resource().rho), 0)
-    second, p2, anc2 = pick(_parity_round(anc1, make_resource().rho), 1)
-    success = _is_success(first, second)
-    correction = _correction_for(first) if success else None
-    post = _apply_correction(anc2, correction) if success else None
-    return ParityOutcome(
-        succeeded=success,
-        syndrome=(first, second),
-        post_state=post,
-        correction=correction,
-        probability=p1 * p2,
-    )
+    tree = parity_tree(make_resource(), anc, make_resource())
+    first, second = forced_syndromes if forced_syndromes is not None else tree.sample(rng)
+    return _outcome(first, second, *tree.leaf(first, second))
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +426,16 @@ def pump_probabilities(stored_fidelity: float, fresh_fidelity: float) -> tuple[f
 def pump_step(
     stored: PumpState,
     fresh_fidelity: float,
-    syndrome: str | None = None,
-    rng: np.random.Generator | None = None,
+    syndrome: str,
 ) -> PumpState:
-    """One pump round; the pair is retained for either syndrome.
+    """One pump round with the given syndrome ("even" or "odd").
 
-    The syndrome may be forced ("even"/"odd") or Born-sampled from ``rng``.
-    Forcing a syndrome whose probability vanishes raises.
+    The pair is retained for either syndrome; a syndrome whose probability
+    vanishes raises.
     """
     if not (0.0 <= fresh_fidelity <= 1.0):
         raise ValueError(f"fresh fidelity must lie in [0, 1], got {fresh_fidelity}")
     p_even, p_odd = pump_probabilities(stored.fidelity, fresh_fidelity)
-    if syndrome is None:
-        if rng is None:
-            raise ValueError("need either a forced syndrome or an rng to sample one")
-        syndrome = "even" if rng.random() < p_even else "odd"
     if syndrome == "even":
         if p_even <= 0.0:
             raise ValueError("even syndrome has zero probability for these fidelities")
@@ -433,7 +467,7 @@ def pump_until(
     if max_rounds < 0:
         raise ValueError("max_rounds cannot be negative")
     if isinstance(rng, (int, np.integer)):
-        rng = make_rng(int(rng))
+        rng = trial_rng(int(rng), 0)
     fresh = fresh_pair_fidelity(eps_z)
     state = PumpState(fidelity=fresh, round=0)
     records = [PumpRecord(round=0, syndrome="init", fidelity=state.fidelity)]

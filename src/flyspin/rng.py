@@ -30,11 +30,6 @@ def _check_u64(name: str, value: int) -> int:
     return v
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Master stream for a given 64-bit seed (equivalent to trial 0)."""
-    return trial_rng(seed, 0)
-
-
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent stream for one trial, keyed by (master_seed, trial_index)."""
     key = np.array(

@@ -76,23 +76,10 @@ class FullScatterParams:
                 raise ValueError(f"{label} amplitudes not normalized: |t|^2+|r|^2 = {total}")
 
 
-@dataclass(frozen=True)
-class GatePreset:
-    name: str
-    params: ForwardScatterParams
-
-    def __post_init__(self) -> None:
-        required = {"BELL_GATE": math.pi / 4.0, "SWAP_GATE": math.pi / 2.0}
-        if self.name not in required:
-            raise ValueError(f"unknown preset name {self.name!r}")
-        if abs(self.params.theta - required[self.name]) > 1e-12:
-            raise ValueError(f"{self.name} requires theta = {required[self.name]}")
-
-
 #: half-way mixing angle; one pass entangles the flying and static spins maximally
-BELL_GATE = GatePreset("BELL_GATE", ForwardScatterParams(math.pi / 4.0))
+BELL_GATE = ForwardScatterParams(math.pi / 4.0)
 #: full exchange; one pass swaps the flying and static spins up to phases
-SWAP_GATE = GatePreset("SWAP_GATE", ForwardScatterParams(math.pi / 2.0))
+SWAP_GATE = ForwardScatterParams(math.pi / 2.0)
 
 
 def forward_unitary(p: ForwardScatterParams) -> np.ndarray:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from flyspin.cli import main
@@ -70,6 +72,22 @@ def test_seeded_commands_are_byte_identical(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_seeded_outputs_match_pinned_values(tmp_path):
+    # outputs recorded from an earlier version; a mismatch means seeded runs drifted
+    out = tmp_path / "pump.csv"
+    assert run("pump-sim", "--eps-z", "0.089", "--trials", "200", "--seed", "777",
+               "--max-rounds", "200", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e4b4ce72d1902643e6f7d1759721bc4a2f40ad336ad546bc0dc6cd5dc82c400e"
+    )
+    assert sum(line.endswith(",0") for line in read(out).splitlines()) == 28
+    out = tmp_path / "eo.csv"
+    assert run("eo-run", "--eps-z", "0.089", "--trials", "2000", "--seed", "42",
+               "--out", str(out)) == 0
+    values = dict(line.split(",") for line in read(out).strip().splitlines()[1:])
+    assert values["success_prob_mc"] == "0.51549999999999996"
+
+
 def test_eo_run_reports_exact_values(tmp_path):
     out = tmp_path / "eo.csv"
     assert run("eo-run", "--theta1", "0.25", "--theta2", "0.5", "--out", str(out)) == 0
@@ -126,9 +144,13 @@ def test_eo_run_degenerate_angles(tmp_path):
     assert math.isnan(float(values["success_fidelity_psi_plus"]))
 
 
-def test_runtime_error_exits_two():
-    # parses as a float but fails the finiteness check inside the simulation
-    assert run("eo-run", "--theta1", "nan") == 2
+def test_runtime_error_exits_two(monkeypatch):
+    # a numerical failure inside the simulation, past the config boundary
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr("flyspin.cli.generate_resource", singular)
+    assert run("eo-run") == 2
 
 
 def test_pump_sim_all_nonconverged_exits_three(tmp_path):
@@ -185,6 +207,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert run("sweep-concurrence", "--theta1", "0.3") == 1  # sweeps need a grid
     assert run("eo-run", "--theta1", "0:1:5") == 1  # single runs need one angle
     assert run("eo-run", "--theta1", "bogus") == 1
+    assert run("eo-run", "--theta1", "nan") == 1  # non-finite angles
+    assert run("eo-run", "--theta1", "inf") == 1
+    assert run("sweep-concurrence", "--theta1", "0:nan:3") == 1
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense_key = 3\n")
     assert run("eo-run", "--config", str(cfg)) == 1

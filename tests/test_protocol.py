@@ -16,13 +16,14 @@ from flyspin.protocol import (
     parity_projection_branches,
     parity_success_output,
     parity_success_probability,
+    parity_tree,
     pump_probabilities,
     pump_step,
     pump_until,
     two_round_parity_projection,
 )
 from flyspin.qcore import ket
-from flyspin.rng import make_rng
+from flyspin.rng import trial_rng
 from flyspin.scattering import ForwardScatterParams
 
 from helpers import closed_form_resource, pump_round_oracle, random_density
@@ -129,6 +130,16 @@ def test_branch_probabilities_sum_to_one():
         t1, t2 = rng.uniform(0.2, math.pi - 0.2, 2)
         branches = parity_projection_branches(generate_resource(t1, t2))
         assert abs(sum(b.probability for b in branches) - 1.0) < 1e-10
+
+
+def test_truncated_mass_closes_the_branch_sum():
+    # at theta1 = 3e-7 the success leaves (P1 P2 / 2 = 1.8e-13) fall below the
+    # zero-probability cut; the tree reports their mass instead of dropping it
+    res = generate_resource(3e-7, math.pi / 2.0)
+    tree = parity_tree(res)
+    kept = sum(b.probability for b in parity_projection_branches(res))
+    assert tree.truncated_mass == pytest.approx(res.p1 * res.p2 / 2.0, rel=1e-9)
+    assert abs(kept + tree.truncated_mass - 1.0) < 1e-15
 
 
 def test_success_probability_formula_100_random():
@@ -244,7 +255,7 @@ def test_degenerate_resource_never_succeeds():
 def test_sampled_projection_is_deterministic_per_seed():
     res = generate_resource(OPT1, OPT2, NoiseParams(eps_z=0.05))
     runs = [
-        two_round_parity_projection(lambda: res, rng=make_rng(99)).syndrome for _ in range(3)
+        two_round_parity_projection(lambda: res, rng=trial_rng(99, 0)).syndrome for _ in range(3)
     ]
     assert runs[0] == runs[1] == runs[2]
 
@@ -352,14 +363,14 @@ def test_forced_impossible_syndrome_raises():
 
 
 def test_pump_until_converges_at_round_zero_without_noise():
-    traj = pump_until(0.0, 1.0 - 1e-4, 100, make_rng(1))
+    traj = pump_until(0.0, 1.0 - 1e-4, 100, trial_rng(1, 0))
     assert traj.converged
     assert traj.rounds_to_target == 0
     assert traj.pairs_consumed == 1
 
 
 def test_pump_until_trajectory_structure():
-    traj = pump_until(0.089, 1.0 - 1e-4, 200, make_rng(7))
+    traj = pump_until(0.089, 1.0 - 1e-4, 200, trial_rng(7, 0))
     assert traj.records[0].syndrome == "init"
     assert traj.records[0].fidelity == pytest.approx(fresh_pair_fidelity(0.089))
     rounds = [r.round for r in traj.records]
@@ -367,12 +378,12 @@ def test_pump_until_trajectory_structure():
     if traj.converged:
         assert traj.records[-1].fidelity >= traj.target_fidelity
     # same seed reruns identically
-    again = pump_until(0.089, 1.0 - 1e-4, 200, make_rng(7))
+    again = pump_until(0.089, 1.0 - 1e-4, 200, trial_rng(7, 0))
     assert [r.fidelity for r in again.records] == [r.fidelity for r in traj.records]
 
 
 def test_pump_until_marks_nonconvergence():
-    traj = pump_until(0.4, 1.0 - 1e-9, 3, make_rng(2))
+    traj = pump_until(0.4, 1.0 - 1e-9, 3, trial_rng(2, 0))
     assert not traj.converged
     assert traj.rounds_to_target is None
     assert traj.records[-1].round == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flyspin.rng import make_rng, trial_rng
+from flyspin.rng import trial_rng
 
 # frozen regression vectors for the documented Philox keying; a change here
 # would silently break every seeded experiment
@@ -28,10 +28,6 @@ def test_documented_vectors():
     assert _draw(trial_rng(42, 1)) == VECTOR_SEED42_TRIAL1
 
 
-def test_make_rng_is_trial_zero():
-    assert _draw(make_rng(42)) == VECTOR_SEED42_TRIAL0
-
-
 def test_streams_are_stateless_and_reproducible():
     a = trial_rng(7, 3).random(16)
     b = trial_rng(7, 3).random(16)
@@ -52,6 +48,6 @@ def test_trial_order_does_not_matter():
 
 def test_seed_bounds():
     with pytest.raises(ValueError, match="64-bit"):
-        make_rng(2**64)
+        trial_rng(2**64, 0)
     with pytest.raises(ValueError, match="64-bit"):
         trial_rng(1, -1)

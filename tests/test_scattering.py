@@ -11,7 +11,6 @@ from flyspin.scattering import (
     SWAP_GATE,
     ForwardScatterParams,
     FullScatterParams,
-    GatePreset,
     forward_unitary,
     full_scatter,
     herald_transmission,
@@ -86,12 +85,8 @@ def test_angles_reduced_mod_two_pi():
 
 
 def test_presets():
-    assert BELL_GATE.params.theta == pytest.approx(math.pi / 4.0)
-    assert SWAP_GATE.params.theta == pytest.approx(math.pi / 2.0)
-    with pytest.raises(ValueError, match="requires theta"):
-        GatePreset("BELL_GATE", ForwardScatterParams(0.3))
-    with pytest.raises(ValueError, match="unknown preset"):
-        GatePreset("OTHER", ForwardScatterParams(0.3))
+    assert BELL_GATE.theta == pytest.approx(math.pi / 4.0)
+    assert SWAP_GATE.theta == pytest.approx(math.pi / 2.0)
 
 
 def test_full_scatter_params_validation():
