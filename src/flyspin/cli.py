@@ -76,19 +76,19 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def angle(self, key: str) -> float:
-        value, grid = _parse_angle(getattr(self, key), key)
-        if grid is not None:
+        start, _, steps = _parse_angle(getattr(self, key), key)
+        if steps is not None:
             raise ConfigError(f"{key}: {self.command} expects a single angle, not a grid")
-        return value
+        return start
 
     def grid(self, key: str, default_steps: int = 41) -> tuple[float, ...]:
         spec = getattr(self, key)
-        _, grid = _parse_angle(spec, key)
-        if grid is not None:
-            return grid
-        if spec == _DEFAULT_ANGLES[key]:  # nothing given, sweep the full range
-            return tuple(float(v) for v in np.linspace(0.0, math.pi, default_steps))
-        raise ConfigError(f"{key}: sweeps need a START:STOP:STEPS grid, got {spec!r}")
+        start, stop, steps = _parse_angle(spec, key)
+        if steps is None:
+            if spec != _DEFAULT_ANGLES[key]:
+                raise ConfigError(f"{key}: sweeps need a START:STOP:STEPS grid, got {spec!r}")
+            start, stop, steps = 0.0, math.pi, default_steps  # nothing given, sweep the full range
+        return tuple(float(v) for v in np.linspace(start, stop, steps))
 
     def noise(self) -> NoiseParams:
         try:
@@ -97,8 +97,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _parse_angle(text: str, flag: str) -> tuple[float, Optional[tuple[float, ...]]]:
-    """Angle spec in pi units: a single finite value or a START:STOP:STEPS grid."""
+def _parse_angle(text: str, flag: str) -> tuple[float, float, Optional[int]]:
+    """Angle spec in pi units as (START, STOP, STEPS) in radians.
+
+    A single finite value gives (value, value, None); a START:STOP:STEPS grid
+    needs finite ends and at least 2 steps. The grid itself is not built here.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ConfigError(f"{flag}: grid must be START:STOP:STEPS, got {text!r}")
@@ -109,11 +113,9 @@ def _parse_angle(text: str, flag: str) -> tuple[float, Optional[tuple[float, ...
         raise ConfigError(f"{flag}: cannot parse angle {text!r}") from exc
     if not all(math.isfinite(v) for v in ends):
         raise ConfigError(f"{flag}: angles must be finite, got {text!r}")
-    if steps is None:
-        return ends[0], None
-    if steps < 2:
+    if steps is not None and steps < 2:
         raise ConfigError(f"{flag}: grid needs at least 2 steps, got {steps}")
-    return ends[0], tuple(float(v) for v in np.linspace(ends[0], ends[1], steps))
+    return ends[0], ends[-1], steps
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -176,7 +178,7 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             continue
         try:
             if key in ("theta1", "theta2"):
-                _parse_angle(value, key)  # validate early
+                _parse_angle(value, key)  # validate early; grids are built on use
                 setattr(cfg, key, value)
             elif key in _INT_KEYS:
                 setattr(cfg, key, int(value))
@@ -245,8 +247,11 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
 
 
 def _sample_success_flags(resource, trials: int, seed: int) -> list[bool]:
-    """Born-sample two-round attempts from the exact branch tree, one stream per trial."""
-    tree = parity_tree(resource)
+    """Born-sample two-round attempts from the exact branch tree, one stream per trial.
+
+    ``resource`` is an ``EOResource`` or the ``ParityTree`` already built from it.
+    """
+    tree = resource if isinstance(resource, ParityTree) else parity_tree(resource)
     return [ParityTree.is_success(*tree.sample(trial_rng(seed, t))) for t in range(trials)]
 
 
@@ -254,7 +259,8 @@ def cmd_eo_run(cfg: ExperimentConfig) -> int:
     """One entanglement operation: exact statistics plus optional sampling."""
     noise = cfg.noise()
     res = generate_resource(cfg.angle("theta1"), cfg.angle("theta2"), noise)
-    p_success, success_state = parity_success_output(res)
+    tree = parity_tree(res)
+    p_success, success_state = parity_success_output(tree)
     metrics: list[tuple[str, float]] = [
         ("theta1", cfg.angle("theta1")),
         ("theta2", cfg.angle("theta2")),
@@ -268,7 +274,7 @@ def cmd_eo_run(cfg: ExperimentConfig) -> int:
         value = bell_fidelity(success_state, label) if success_state is not None else math.nan
         metrics.append((f"success_fidelity_{label.value}", value))
     if cfg.trials > 0:
-        flags = _sample_success_flags(res, cfg.trials, cfg.seed)
+        flags = _sample_success_flags(tree, cfg.trials, cfg.seed)
         estimate, se = success_stats(flags)
         metrics.append(("success_prob_mc", estimate))
         metrics.append(("success_prob_mc_se", se))
@@ -292,12 +298,10 @@ def cmd_pump_sim(cfg: ExperimentConfig) -> int:
     for t in range(cfg.trials):
         traj = pump_until(cfg.eps_z, cfg.target_fidelity, cfg.max_rounds, trial_rng(cfg.seed, t))
         if traj.converged:
-            rounds = traj.rounds_to_target
-            rounds_converged.append(rounds)
+            rounds_converged.append(traj.rounds)
         else:
-            rounds = traj.records[-1].round
             non_converged += 1
-        rows.append(f"{t},{rounds},{traj.pairs_consumed},{int(traj.converged)}")
+        rows.append(f"{t},{traj.rounds},{traj.pairs_consumed},{int(traj.converged)}")
     out = cfg.out or "pump_sim.csv"
     _write_text(out, "\n".join(rows) + "\n")
     _echo_config(cfg, out)
@@ -369,10 +373,29 @@ _COMMANDS = {
 }
 
 
+_ANGLE_FLAGS = ("--theta1", "--theta2")
+
+
+def _join_angle_values(argv: list[str]) -> list[str]:
+    """Write "--theta1 VALUE" as "--theta1=VALUE" when VALUE starts with "-".
+
+    argparse would otherwise take a value such as -0.5:0.5:3 or -inf for a
+    flag and reject the angle flag as missing its argument.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        dash_value = arg.startswith("-") and not arg.startswith("--")
+        if dash_value and joined and joined[-1] in _ANGLE_FLAGS:
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_angle_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits on bad flags or --help; map failures onto the config-error code
         return 0 if exc.code in (0, None) else 1

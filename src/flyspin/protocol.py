@@ -36,14 +36,20 @@ gives success probability P1 P2 / 2 at any angles.
 Entanglement pumping consumes a stream of such heralded pairs to purify
 one stored pair. Syndrome "even" (probability F f + (1-F)(1-f)) updates
 the stored fidelity to F f / p_even, syndrome "odd" to
-F(1-f) / (F(1-f) + (1-F)f); both branches keep the pair, so the stored
-fidelity performs an upward-biased random walk.
+F(1-f) / (F(1-f) + (1-F)f); both branches keep the pair. Each update
+multiplies the odds F/(1-F) by r = f/(1-f) or by 1/r, so the stored odds
+are always r^k for an integer k that starts at 1: the stored fidelity
+performs a random walk on this lattice, biased upward above F = 1/2.
+``pump_step`` is the one-round Bayesian update; ``pump_until`` walks the
+integer k directly, so the stored pair never underflows to an absorbing
+F = 0 however far below 1/2 it drifts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -328,17 +334,23 @@ def parity_success_probability(
 
 
 def parity_success_output(
-    resource: EOResource,
+    resource: EOResource | ParityTree,
     ancillas: DensityMatrix | None = None,
     resource2: EOResource | None = None,
 ) -> tuple[float, Optional[DensityMatrix]]:
     """Success probability and the success-conditioned ancilla state.
 
-    The state pools every success branch weighted by its probability, with
+    ``resource`` may also be a tree already built by ``parity_tree``, which
+    is read as is (``ancillas`` and ``resource2`` are then ignored). The
+    state pools every success branch weighted by its probability, with
     recorded corrections applied. Returns ``None`` for the state when the
     success probability vanishes (degenerate resources).
     """
-    branches = [b for b in parity_projection_branches(resource, ancillas, resource2) if b.succeeded]
+    tree = resource
+    if not isinstance(tree, ParityTree):
+        tree = parity_tree(resource, ancillas, resource2)
+    outcomes = [_outcome(*leaf) for leaf in tree.leaves()]
+    branches = [b for b in outcomes if b.succeeded]
     total = sum(b.probability for b in branches)
     if total <= _SEPARABLE_ATOL:
         return 0.0, None
@@ -394,22 +406,43 @@ class PumpRecord:
 
 @dataclass(frozen=True)
 class PumpTrajectory:
-    """Full (round, syndrome, fidelity) record of one pumping run."""
+    """Syndrome record of one pumping run.
+
+    ``syndromes`` holds one byte per pump round: 1 for an even syndrome,
+    which moves the stored pair one lattice site up, 0 for an odd one.
+    """
 
     eps_z: float
     target_fidelity: float
-    records: tuple[PumpRecord, ...]
+    syndromes: bytes
     converged: bool
+
+    @property
+    def rounds(self) -> int:
+        """Pump rounds performed, whether or not the target was reached."""
+        return len(self.syndromes)
 
     @property
     def rounds_to_target(self) -> Optional[int]:
         """Pump rounds performed before reaching the target (None if never)."""
-        return self.records[-1].round if self.converged else None
+        return self.rounds if self.converged else None
 
     @property
     def pairs_consumed(self) -> int:
         """Fresh heralded pairs used, counting the initial stored pair."""
-        return self.records[-1].round + 1
+        return self.rounds + 1
+
+    @property
+    def records(self) -> tuple[PumpRecord, ...]:
+        """(round, syndrome, stored fidelity) per round; round 0 is the fresh pair."""
+        fresh = fresh_pair_fidelity(self.eps_z)
+        fidelities = [fresh]
+        if self.syndromes:
+            steps = np.frombuffer(self.syndromes, dtype=np.uint8).astype(np.int64) * 2 - 1
+            sites = np.concatenate(([1], 1 + np.cumsum(steps)))
+            fidelities = _lattice_fidelity(sites, fresh).tolist()
+        names = ("init", *("even" if s else "odd" for s in self.syndromes))
+        return tuple(PumpRecord(i, name, f) for i, (name, f) in enumerate(zip(names, fidelities)))
 
 
 def fresh_pair_fidelity(eps_z: float) -> float:
@@ -449,6 +482,39 @@ def pump_step(
     return PumpState(fidelity=min(new_f, 1.0), round=stored.round + 1)
 
 
+def _lattice_fidelity(k: np.ndarray, fresh: float) -> np.ndarray:
+    """Stored fidelity r^k / (1 + r^k) at lattice sites k, with r = fresh / (1 - fresh).
+
+    Evaluated as 1 / (1 + exp(-k ln r)), which saturates at 0 and 1 instead
+    of overflowing; site k = 1 is the fresh pair itself and gives ``fresh``
+    exactly. Needs 0 < fresh < 1.
+    """
+    with np.errstate(over="ignore"):
+        fid = 1.0 / (1.0 + np.exp(-k * math.log(fresh / (1.0 - fresh))))
+    return np.where(k == 1, fresh, fid)
+
+
+@lru_cache(maxsize=4)
+def _pump_lattice(fresh: float, target: float, max_rounds: int) -> tuple[tuple[float, ...], int]:
+    """Even-syndrome probability per lattice site and the index of the target site.
+
+    Index i holds site k = i + 1 - max_rounds: index ``max_rounds`` is the
+    starting site k = 1, and the table covers every site a walk of
+    ``max_rounds`` rounds can reach, k in [1 - max_rounds, max_rounds + 1].
+    The target index is that of the lowest site whose fidelity reaches
+    ``target``, or the table length when none does.
+    """
+    fid = _lattice_fidelity(np.arange(1 - max_rounds, max_rounds + 2), fresh)
+    p_even, _ = pump_probabilities(fid, fresh)
+    return tuple(p_even.tolist()), int(np.searchsorted(fid, target))
+
+
+# most walks converge within about ten rounds, so the first block of
+# uniforms is small; later blocks bound the memory of long walks
+_FIRST_BLOCK = 16
+_BLOCK = 1024
+
+
 def pump_until(
     eps_z: float,
     target_fidelity: float,
@@ -458,29 +524,51 @@ def pump_until(
     """Pump a stored pair with fresh pairs of fixed fidelity until the target.
 
     Starts from one fresh pair (round 0), then repeatedly consumes fresh
-    pairs of the same fidelity, sampling syndromes by their Born
+    pairs of the same fidelity f, sampling each syndrome by its Born
     probability from the given generator (or from a seed). Stops at the
     target or after ``max_rounds`` rounds, whichever comes first.
+
+    The walk runs on the integer log-odds lattice: the stored odds
+    F / (1 - F) are always r^k with r = f / (1 - f), k starts at 1, and an
+    even (odd) syndrome adds (subtracts) one. The syndrome probabilities
+    come from a table over the reachable sites and the walk stops at the
+    lowest site whose fidelity reaches the target, so the stored pair never
+    underflows. Round i is even when the i-th uniform of ``rng`` falls
+    below the even-syndrome probability; the uniforms are drawn in blocks,
+    so the state of ``rng`` afterwards is unspecified.
     """
     if not (0.0 <= target_fidelity < 1.0):
         raise ValueError(f"target fidelity must lie in [0, 1), got {target_fidelity}")
     if max_rounds < 0:
         raise ValueError("max_rounds cannot be negative")
+    fresh = fresh_pair_fidelity(eps_z)
+    if not (0.0 <= fresh <= 1.0):
+        raise ValueError(f"fresh fidelity must lie in [0, 1], got {fresh}")
     if isinstance(rng, (int, np.integer)):
         rng = trial_rng(int(rng), 0)
-    fresh = fresh_pair_fidelity(eps_z)
-    state = PumpState(fidelity=fresh, round=0)
-    records = [PumpRecord(round=0, syndrome="init", fidelity=state.fidelity)]
-    while state.fidelity < target_fidelity and state.round < max_rounds:
-        p_even, _ = pump_probabilities(state.fidelity, fresh)
-        syndrome = "even" if rng.random() < p_even else "odd"
-        state = pump_step(state, fresh, syndrome)
-        records.append(PumpRecord(round=state.round, syndrome=syndrome, fidelity=state.fidelity))
+    syndromes = bytearray()
+    converged = fresh >= target_fidelity
+    if not converged and max_rounds > 0:
+        # fresh >= 1/2 for every eps_z, so the fidelity grows with the site
+        p_even, stop = _pump_lattice(fresh, target_fidelity, max_rounds)
+        site, block, append = max_rounds, _FIRST_BLOCK, syndromes.append
+        while site < stop and len(syndromes) < max_rounds:
+            for u in rng.random(min(block, max_rounds - len(syndromes))).tolist():
+                if u < p_even[site]:
+                    site += 1
+                    append(1)
+                    if site == stop:
+                        break
+                else:
+                    site -= 1
+                    append(0)
+            block = _BLOCK
+        converged = site == stop
     return PumpTrajectory(
         eps_z=float(eps_z),
         target_fidelity=float(target_fidelity),
-        records=tuple(records),
-        converged=state.fidelity >= target_fidelity,
+        syndromes=bytes(syndromes),
+        converged=converged,
     )
 
 

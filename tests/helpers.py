@@ -1,9 +1,11 @@
 """Shared test utilities and independent oracles.
 
 The oracles here are built directly from first principles (closed-form
-amplitudes, explicit four-qubit circuits) and never call the code paths
-they are used to check.
+amplitudes, explicit four-qubit circuits, the exact pumping chain) and
+never call the code paths they are used to check.
 """
+
+import math
 
 import numpy as np
 
@@ -110,3 +112,44 @@ def pump_round_oracle(stored_fidelity: float, fresh_fidelity: float):
         fid = float(np.real(PSI_PLUS_VEC.conj() @ corrected.mat @ PSI_PLUS_VEC))
         result[parity] = (prob, fid)
     return result
+
+
+def pump_exact(eps_z: float, target: float, max_rounds: int) -> dict:
+    """Exact law of the pumping walk, as a birth-death chain on integer log-odds.
+
+    Fresh pairs have fidelity f = 1 - 2 eps_z (1 - eps_z). The stored odds
+    F/(1-F) stay r^k with r = f/(1-f) and k starting at 1; an even syndrome,
+    of probability p_up(k) = (r^(k+1) + 1) / ((1 + r^k)(1 + r)), moves k up
+    and an odd one moves it down. The distribution over k is pushed through
+    one transfer step per round, with an absorbing barrier at k_target, the
+    lowest k whose fidelity reaches ``target``. Needs 0 < eps_z < 1/2 and a
+    target above the fresh fidelity.
+
+    Returns ``k_target``, ``hitting`` (entry n is the probability of first
+    reaching the target at round n, n = 0..max_rounds), ``mean_rounds`` and
+    ``var_rounds`` given convergence, and ``p_not_converged``, the mass
+    still below the target after ``max_rounds`` rounds.
+    """
+    f = 1.0 - 2.0 * eps_z * (1.0 - eps_z)
+    r = f / (1.0 - f)
+    k_target = math.ceil(math.log(target / (1.0 - target)) / math.log(r))
+    hitting = np.zeros(max_rounds + 1)
+    # transient sites k = -max_rounds .. k_target - 1; the walk cannot leave the bottom in time
+    k = np.arange(-max_rounds, k_target)
+    rk = r ** k.astype(float)
+    p_up = (r * rk + 1.0) / ((1.0 + rk) * (1.0 + r))
+    prob = (k == 1).astype(float)
+    for n in range(1, max_rounds + 1):
+        up, down = prob * p_up, prob * (1.0 - p_up)
+        hitting[n] = up[-1]
+        prob = np.concatenate(([0.0], up[:-1])) + np.concatenate((down[1:], [0.0]))
+    rounds = np.arange(max_rounds + 1)
+    converged = hitting.sum()
+    mean = float(rounds @ hitting / converged)
+    return {
+        "k_target": k_target,
+        "hitting": hitting,
+        "mean_rounds": mean,
+        "var_rounds": float((rounds - mean) ** 2 @ hitting / converged),
+        "p_not_converged": float(prob.sum()),
+    }

@@ -81,6 +81,14 @@ def test_seeded_outputs_match_pinned_values(tmp_path):
         "e4b4ce72d1902643e6f7d1759721bc4a2f40ad336ad546bc0dc6cd5dc82c400e"
     )
     assert sum(line.endswith(",0") for line in read(out).splitlines()) == 28
+    # 1000 rounds reach the sites where the float recursion underflowed to an
+    # absorbing F = 0; all 44 unconverged walks ended there in that version
+    assert run("pump-sim", "--eps-z", "0.089", "--trials", "300", "--seed", "777",
+               "--max-rounds", "1000", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ec82d04652f29d69958473b1a21dcd5d4fd7990c6d8bdefb8dc8df591783ffd4"
+    )
+    assert sum(line.endswith(",0") for line in read(out).splitlines()) == 44
     out = tmp_path / "eo.csv"
     assert run("eo-run", "--eps-z", "0.089", "--trials", "2000", "--seed", "42",
                "--out", str(out)) == 0
@@ -214,6 +222,28 @@ def test_config_errors_exit_one(tmp_path, capsys):
     cfg.write_text("nonsense_key = 3\n")
     assert run("eo-run", "--config", str(cfg)) == 1
     assert run("eo-run", "--config", str(tmp_path / "missing.cfg")) == 1
+
+
+def test_angle_values_may_start_with_minus(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    for grid in ("-0.5:0.5:3", "-1e-3:0.5:3"):
+        assert run("sweep-concurrence", "--theta1", grid, "--theta2", "0:0.5:2",
+                   "--out", str(out)) == 0
+        assert len(read(out).strip().splitlines()) == 1 + 3 * 2
+    assert run("eo-run", "--theta1", "-0.25", "--out", str(tmp_path / "eo.csv")) == 0
+    capsys.readouterr()
+    assert run("eo-run", "--theta1", "-inf") == 1
+    assert "angles must be finite" in capsys.readouterr().err
+
+
+def test_single_angle_check_builds_no_grid(monkeypatch, capsys):
+    # validating a grid spec must not allocate the grid (STEPS may be huge)
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built during validation")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    assert run("eo-run", "--theta1", "0:1:5") == 1
+    assert "expects a single angle" in capsys.readouterr().err
 
 
 def test_unwritable_output_path(tmp_path):

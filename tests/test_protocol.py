@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from flyspin.channels import NoiseParams
 from flyspin.metrics import BellLabel, bell_fidelity, bell_state, concurrence
 from flyspin.protocol import (
     ChainConfig,
+    PumpRecord,
     PumpState,
     chain_report,
     chain_selective_eo,
@@ -26,7 +28,7 @@ from flyspin.qcore import ket
 from flyspin.rng import trial_rng
 from flyspin.scattering import ForwardScatterParams
 
-from helpers import closed_form_resource, pump_round_oracle, random_density
+from helpers import closed_form_resource, pump_exact, pump_round_oracle, random_density
 
 OPT1, OPT2 = math.pi / 4.0, math.pi / 2.0
 
@@ -387,6 +389,63 @@ def test_pump_until_marks_nonconvergence():
     assert not traj.converged
     assert traj.rounds_to_target is None
     assert traj.records[-1].round == 3
+
+
+def test_pump_until_input_checks_and_edge_walks():
+    for eps_z in (-0.1, 1.5, math.nan):  # fresh fidelity outside [0, 1]
+        with pytest.raises(ValueError, match="fresh fidelity"):
+            pump_until(eps_z, 0.9, 10, 0)
+    with pytest.raises(ValueError, match="target fidelity"):
+        pump_until(0.089, 1.0, 10, 0)
+    with pytest.raises(ValueError, match="max_rounds"):
+        pump_until(0.089, 0.9, -1, 0)
+    idle = pump_until(0.089, 0.9999, 0, 0)
+    assert not idle.converged and idle.rounds == 0 and len(idle.records) == 1
+    # r = 1: every syndrome leaves the stored fidelity at 1/2
+    flat = pump_until(0.5, 0.9, 50, trial_rng(3, 0))
+    assert not flat.converged and flat.rounds == 50
+    assert {r.fidelity for r in flat.records} == {0.5}
+
+
+def test_pump_records_replay_pump_step():
+    # the lattice fidelities agree with the one-round Bayesian update, also
+    # deep below F = 1/2 where the float recursion underflows to 0
+    fresh = fresh_pair_fidelity(0.089)
+    kinds = set()
+    for t in range(20):
+        traj = pump_until(0.089, 1.0 - 1e-4, 1000, trial_rng(777, t))
+        kinds.add(traj.converged)
+        assert traj.records[0] == PumpRecord(0, "init", fresh)
+        state = PumpState(fresh)
+        for rec in traj.records[1:]:
+            state = pump_step(state, fresh, rec.syndrome)
+            assert rec.round == state.round
+            assert abs(rec.fidelity - state.fidelity) < 1e-12
+        assert (traj.records[-1].fidelity >= traj.target_fidelity) == traj.converged
+    assert kinds == {True, False}
+
+
+def test_pump_until_matches_exact_chain():
+    eps_z, target, max_rounds, n = 0.089, 1.0 - 1e-4, 1000, 10_000
+    exact = pump_exact(eps_z, target, max_rounds)
+    assert exact["k_target"] == 6
+    assert abs(exact["hitting"].sum() + exact["p_not_converged"] - 1.0) < 1e-12
+    assert exact["p_not_converged"] == pytest.approx(0.1621140, abs=1e-7)
+    assert exact["mean_rounds"] == pytest.approx(7.399909, abs=1e-6)
+    rounds = []
+    for t in range(n):
+        traj = pump_until(eps_z, target, max_rounds, trial_rng(90210, t))
+        if traj.converged:
+            rounds.append(traj.rounds_to_target)
+        else:
+            assert traj.rounds == max_rounds
+    p = exact["p_not_converged"]
+    z_unconverged = ((n - len(rounds)) / n - p) / math.sqrt(p * (1.0 - p) / n)
+    z_mean = (statistics.fmean(rounds) - exact["mean_rounds"]) / math.sqrt(
+        exact["var_rounds"] / len(rounds)
+    )
+    assert abs(z_unconverged) < 5.0
+    assert abs(z_mean) < 5.0
 
 
 # --- chain transit ---------------------------------------------------------------
