@@ -33,7 +33,6 @@ from .qcore import (
     apply_channel,
     apply_unitary,
     embed_operator,
-    embed_unitary,
     ket,
     measure,
     partial_trace,

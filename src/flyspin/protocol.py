@@ -83,10 +83,9 @@ Syndrome = tuple[int, int]
 
 _ROUND_OUTCOMES: tuple[Syndrome, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# projectors measuring qubits (2, 3) of the 4-qubit (a1, a2, s1, s2) register
+# projectors on the resource qubits (s1, s2), measured at (2, 3) of the (a1, a2, s1, s2) register
 _ROUND_PROJECTORS = tuple(
-    Projector(embed_operator(np.diag([1.0 if i == o1 else 0.0 for i in range(2)]), (2,), 4)
-              @ embed_operator(np.diag([1.0 if i == o2 else 0.0 for i in range(2)]), (3,), 4))
+    Projector(np.diag([1.0 if i == 2 * o1 + o2 else 0.0 for i in range(4)]))
     for o1, o2 in _ROUND_OUTCOMES
 )
 
@@ -130,8 +129,6 @@ def generate_resource(
     theta2: float,
     noise: NoiseParams | None = None,
     *,
-    theta1_prime: float = 0.0,
-    theta2_prime: float = 0.0,
     static_eps_z: float = 0.0,
 ) -> EOResource:
     """Simulate one flying-qubit transit and return the static-pair resource.
@@ -148,7 +145,7 @@ def generate_resource(
             raise ValueError(f"{name} must be finite, got {val}")
     noise = noise if noise is not None else NoiseParams()
     rho = tensor_dm(imperfect_init(noise.eps_init), ket("dd").density())
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(theta1, theta1_prime)), (0, 1))
+    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(theta1)), (0, 1))
     if noise.eps_z > 0.0:
         rho = apply_channel(rho, dephasing(noise.eps_z), (0,))
     if static_eps_z > 0.0:
@@ -157,7 +154,7 @@ def generate_resource(
         rho = apply_channel(rho, ch, (2,))
     if noise.eps_relax > 0.0:
         rho = apply_channel(rho, relaxation(noise.eps_relax), (0,))
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(theta2, theta2_prime)), (0, 2))
+    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(theta2)), (0, 2))
     reduced = partial_trace(rho, (1, 2))
     p1 = 2.0 * math.cos(theta1) ** 2 * math.sin(theta2) ** 2
     p2 = 2.0 * math.sin(theta1) ** 2
@@ -195,7 +192,7 @@ def _parity_round(ancillas: DensityMatrix, resource_rho: DensityMatrix) -> _Roun
     joint = apply_unitary(joint, CNOT, (1, 3))
     return tuple(
         MeasurementBranch(p, None if post is None else partial_trace(post, (0, 1)))
-        for p, post in measure(joint, _ROUND_PROJECTORS)
+        for p, post in measure(joint, _ROUND_PROJECTORS, (2, 3))
     )
 
 
@@ -581,14 +578,13 @@ class ChainConfig:
     """Chain of static qubits with the gate pair applied at one target pair.
 
     Spectator passes are spin preserving: the flying qubit crosses them as
-    the identity up to the configured transmission phase.
+    the identity.
     """
 
     n_static: int
     target_pair: int
     gate1: ForwardScatterParams
     gate2: ForwardScatterParams
-    spectator_phase: float = 0.0
 
     def __post_init__(self) -> None:
         if not (2 <= self.n_static <= 5):
@@ -625,7 +621,7 @@ def _simulate_chain(cfg: ChainConfig) -> tuple[DensityMatrix, float, float]:
     rho = ket(spins).density()
     mag = _magnetization_operator(n)
     mag_before = rho.expectation(mag)
-    spectator = ForwardScatterParams(0.0, cfg.spectator_phase)
+    spectator = ForwardScatterParams(0.0)
     for j in range(cfg.n_static):
         if j == cfg.target_pair:
             gate = cfg.gate1
@@ -651,7 +647,7 @@ def chain_selective_eo(cfg: ChainConfig) -> EOResource:
 
     The reduced state on the target pair matches ``generate_resource`` for
     the same gate angles regardless of the chain length, since every
-    spectator pass is the identity up to a phase.
+    spectator pass is the identity.
     """
     statics, _, _ = _simulate_chain(cfg)
     return _chain_resource(cfg, statics)

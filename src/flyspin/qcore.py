@@ -7,6 +7,9 @@ Conventions used by the whole package:
   "udd" therefore sits at basis index 0b011 = 3.
 * Registers hold at most ``MAX_QUBITS`` qubits, so every matrix is a
   small dense array (at most 64 x 64).
+* Every operator is a local k-qubit matrix plus ``targets`` (axis j acts on
+  ``targets[j]``), put on the register by one tensor contraction; a unitary
+  is applied as a one-operator channel, and ``measure`` takes targets too.
 
 All values are immutable after construction and every operation is a pure
 function returning a new value, so states can be shared freely between
@@ -25,7 +28,6 @@ MAX_QUBITS = 6
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 NORM_ATOL = 1e-12
-UNITARITY_ATOL = 1e-12
 COMPLETENESS_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 ZERO_PROBABILITY_ATOL = 1e-12
@@ -154,6 +156,16 @@ def _check_targets(targets: Sequence[int], k: int, n: int) -> tuple[int, ...]:
     return t
 
 
+def _on_targets(op: np.ndarray, m: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """``op @ m``, the k-qubit ``op`` acting on the row qubits ``targets`` of 2^n x 2^n ``m``."""
+    k, n = len(targets), m.shape[0].bit_length() - 1
+    # bring the target row axes of the (2,)*2n tensor to the front, contract, move them back
+    perm = targets + tuple(q for q in range(2 * n) if q not in targets)
+    front = m.reshape((2,) * (2 * n)).transpose(perm).reshape(2**k, -1)
+    back = [perm.index(q) for q in range(2 * n)]
+    return (op @ front).reshape((2,) * (2 * n)).transpose(back).reshape(m.shape)
+
+
 def embed_operator(op, targets: Sequence[int], n: int) -> np.ndarray:
     """Lift a k-qubit matrix to the full n-qubit register.
 
@@ -165,29 +177,12 @@ def embed_operator(op, targets: Sequence[int], n: int) -> np.ndarray:
     if m.shape != (2**k, 2**k):
         raise ValueError(f"operator must be square, got shape {m.shape}")
     targets = _check_targets(targets, k, n)
-    full = np.kron(m, np.eye(2 ** (n - k), dtype=complex))
-    perm = list(targets) + [q for q in range(n) if q not in targets]
-    inv = np.argsort(perm)
-    tens = full.reshape([2] * (2 * n))
-    tens = tens.transpose(list(inv) + [n + int(i) for i in inv])
-    return np.ascontiguousarray(tens.reshape(2**n, 2**n))
-
-
-def embed_unitary(u, targets: Sequence[int], n: int) -> np.ndarray:
-    """Embed a k-qubit unitary on the given targets of an n-qubit register."""
-    m = np.asarray(u, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {m.shape}")
-    dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if dev > UNITARITY_ATOL:
-        raise ValueError(f"matrix is not unitary within {UNITARITY_ATOL} (deviation {dev:.3e})")
-    return embed_operator(m, targets, n)
+    return _on_targets(m, np.eye(2**n, dtype=complex), targets)
 
 
 def apply_unitary(state: DensityMatrix, u, targets: Sequence[int]) -> DensityMatrix:
     """Conjugate the state by a unitary acting on the given qubits."""
-    full = embed_unitary(u, targets, state.n)
-    return DensityMatrix(full @ state.mat @ full.conj().T)
+    return apply_channel(state, KrausChannel([u]), targets)
 
 
 def partial_trace(state: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -216,11 +211,11 @@ class KrausChannel:
         ops = tuple(np.array(k, dtype=complex) for k in operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        self._k = _qubit_count(dim, "Kraus operator")
+        dim = ops[0].shape[0] if ops[0].ndim == 2 else -1
         for k in ops:
             if k.shape != (dim, dim):
                 raise ValueError("all Kraus operators must share one square shape")
+        self._k = _qubit_count(dim, "Kraus operator")
         total = sum(k.conj().T @ k for k in ops)
         if np.max(np.abs(total - np.eye(dim))) > COMPLETENESS_ATOL:
             raise ValueError("Kraus operators do not satisfy completeness within 1e-12")
@@ -237,10 +232,11 @@ class KrausChannel:
 
 def apply_channel(state: DensityMatrix, channel: KrausChannel, targets: Sequence[int]) -> DensityMatrix:
     """Apply a Kraus channel to the given qubits of the state."""
+    t = _check_targets(targets, channel.n, state.n)
     out = np.zeros_like(state.mat)
     for k in channel.operators:
-        full = embed_operator(k, targets, state.n)
-        out = out + full @ state.mat @ full.conj().T
+        # K rho K^dagger = (conj(K) (K rho)^T)^T
+        out = out + _on_targets(k.conj(), _on_targets(k, state.mat, t).T, t).T
     return DensityMatrix(out)
 
 
@@ -274,30 +270,35 @@ class MeasurementBranch(NamedTuple):
     state: Optional[DensityMatrix]
 
 
-def measure(state: DensityMatrix, projectors: Sequence[Projector]) -> list[MeasurementBranch]:
-    """Projective measurement over a complete orthogonal projector set.
+def measure(
+    state: DensityMatrix, projectors: Sequence[Projector], targets: Sequence[int]
+) -> list[MeasurementBranch]:
+    """Projective measurement of the qubits ``targets`` over a complete orthogonal set.
 
-    Returns Born probabilities and renormalized post-measurement states in
-    the order the projectors were given. Branches whose probability falls
-    below 1e-12 are flagged with ``state=None`` instead of being divided
-    by a vanishing norm.
+    The k-qubit projectors must sum to the 2^k identity. Returns Born
+    probabilities and renormalized whole-register post-measurement states
+    in the order the projectors were given. Branches whose probability
+    falls below 1e-12 are flagged with ``state=None`` instead of being
+    divided by a vanishing norm.
     """
     projs = list(projectors)
     if not projs:
         raise ValueError("projector set is empty")
-    dim = 2**state.n
+    k = projs[0].n
     for p in projs:
-        if p.n != state.n:
-            raise ValueError(f"projector acts on {p.n} qubits, state has {state.n}")
+        if p.n != k:
+            raise ValueError(f"projectors act on {p.n} and {k} qubits; one set needs one size")
+    t = _check_targets(targets, k, state.n)
     total = sum(p.mat for p in projs)
-    if np.max(np.abs(total - np.eye(dim))) > COMPLETENESS_ATOL:
+    if np.max(np.abs(total - np.eye(2**k))) > COMPLETENESS_ATOL:
         raise ValueError("projectors do not sum to the identity within 1e-12")
     branches = []
     for p in projs:
-        prob = float(np.real(np.trace(p.mat @ state.mat)))
+        p_rho = _on_targets(p.mat, state.mat, t)
+        prob = float(np.real(np.trace(p_rho)))
         if prob <= ZERO_PROBABILITY_ATOL:
             branches.append(MeasurementBranch(max(prob, 0.0), None))
         else:
-            post = p.mat @ state.mat @ p.mat / prob
+            post = _on_targets(p.mat.conj(), p_rho.T, t).T / prob
             branches.append(MeasurementBranch(prob, DensityMatrix(post)))
     return branches

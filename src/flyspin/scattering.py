@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, measure, partial_trace, Projector, embed_operator
+from .qcore import DensityMatrix, measure, partial_trace, Projector
 
 _TWO_PI = 2.0 * math.pi
 
@@ -126,9 +126,8 @@ def herald_transmission(state: DensityMatrix) -> tuple[float, DensityMatrix | No
     if n < 2:
         raise ValueError("state has no spin content besides the direction mode")
     spin_qubits = tuple(range(n - 1))
-    proj_t = Projector(embed_operator(np.diag([1.0, 0.0]), (n - 1,), n))
-    proj_r = Projector(embed_operator(np.diag([0.0, 1.0]), (n - 1,), n))
-    transmitted, _ = measure(state, [proj_t, proj_r])
+    projs = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
+    transmitted, _ = measure(state, projs, (n - 1,))
     if transmitted.state is None:
         return transmitted.probability, None
     return transmitted.probability, partial_trace(transmitted.state, spin_qubits)

@@ -13,7 +13,6 @@ from flyspin.qcore import (
     DensityMatrix,
     Projector,
     apply_unitary,
-    embed_operator,
     measure,
     partial_trace,
 )
@@ -27,6 +26,31 @@ CNOT_MAT = np.array(
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 _MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def dense_embed(op, targets, n: int) -> np.ndarray:
+    """Reference lift of a k-qubit matrix to n qubits, entry by entry.
+
+    full[i, j] = op[sub(i), sub(j)] when i and j agree on every qubit not
+    in ``targets`` and 0 otherwise; sub(i) reads the bits of i at
+    ``targets`` (targets[0] most significant) and qubit 0 is the most
+    significant bit of a basis index.
+    """
+    op = np.asarray(op, dtype=complex)
+
+    def bit(i, q):
+        return (i >> (n - 1 - q)) & 1
+
+    def sub(i):
+        return sum(bit(i, q) << (len(targets) - 1 - j) for j, q in enumerate(targets))
+
+    rest_mask = sum(1 << (n - 1 - q) for q in range(n) if q not in targets)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(2**n):
+        for j in range(2**n):
+            if i & rest_mask == j & rest_mask:
+                full[i, j] = op[sub(i), sub(j)]
+    return full
 
 
 def random_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,10 +119,8 @@ def pump_round_oracle(stored_fidelity: float, fresh_fidelity: float):
     projs = []
     for va in (_PLUS, _MINUS):
         for vb in (_PLUS, _MINUS):
-            pa = embed_operator(np.outer(va, va.conj()), (2,), 4)
-            pb = embed_operator(np.outer(vb, vb.conj()), (3,), 4)
-            projs.append(Projector(pa @ pb))
-    branches = measure(rho, projs)
+            projs.append(Projector(np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj()))))
+    branches = measure(rho, projs, (2, 3))
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     result = {}
     for parity, idxs in (("even", (0, 3)), ("odd", (1, 2))):

@@ -15,7 +15,6 @@ from flyspin.qcore import (
     apply_channel,
     apply_unitary,
     embed_operator,
-    embed_unitary,
     ket,
     measure,
     partial_trace,
@@ -23,18 +22,18 @@ from flyspin.qcore import (
 )
 from flyspin.scattering import ForwardScatterParams, forward_unitary
 
-from helpers import random_density, random_unitary
+from helpers import dense_embed, random_density, random_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 def test_embed_identity_is_identity():
-    assert_allclose(embed_unitary(np.eye(2), (0,), 3), np.eye(8), atol=1e-15)
+    assert_allclose(embed_operator(np.eye(2), (0,), 3), np.eye(8), atol=1e-15)
 
 
 def test_embed_z_on_qubit1_of_two():
     # qubit 0 is the most significant bit, so Z on qubit 1 alternates fastest
-    assert_allclose(embed_unitary(PAULI_Z, (1,), 2), np.diag([1, -1, 1, -1]), atol=1e-15)
+    assert_allclose(embed_operator(PAULI_Z, (1,), 2), np.diag([1, -1, 1, -1]), atol=1e-15)
 
 
 def test_embed_swap_permutes_basis_ket():
@@ -44,15 +43,22 @@ def test_embed_swap_permutes_basis_ket():
 
 
 def test_embed_rejects_nonunitary():
-    with pytest.raises(ValueError, match="unitary"):
-        embed_unitary(np.array([[1, 0], [0, 2]]), (0,), 2)
+    # a unitary is a one-operator Kraus channel, so its check is completeness
+    with pytest.raises(ValueError, match="completeness"):
+        apply_unitary(ket("uu").density(), np.array([[1, 0], [0, 2]]), (0,))
+    with pytest.raises(ValueError, match="square"):
+        apply_unitary(ket("u").density(), 1.0, (0,))
 
 
 def test_embed_rejects_bad_targets():
     with pytest.raises(ValueError, match="duplicate"):
-        embed_unitary(SWAP, (1, 1), 3)
+        embed_operator(SWAP, (1, 1), 3)
     with pytest.raises(ValueError, match="range"):
-        embed_unitary(PAULI_X, (3,), 2)
+        embed_operator(PAULI_X, (3,), 2)
+    with pytest.raises(ValueError, match="duplicate"):
+        apply_unitary(ket("udd").density(), SWAP, (1, 1))
+    with pytest.raises(ValueError, match="range"):
+        apply_unitary(ket("ud").density(), PAULI_X, (3,))
 
 
 def test_embed_times_inverse_is_identity():
@@ -61,8 +67,8 @@ def test_embed_times_inverse_is_identity():
         for _ in range(25):
             u = random_unitary(k, rng)
             targets = tuple(rng.permutation(4)[:k])
-            full = embed_unitary(u, targets, 4)
-            inv = embed_unitary(u.conj().T, targets, 4)
+            full = embed_operator(u, targets, 4)
+            inv = embed_operator(u.conj().T, targets, 4)
             assert np.max(np.abs(full @ inv - np.eye(16))) < 1e-10
 
 
@@ -170,7 +176,7 @@ def test_incomplete_kraus_set_rejected():
 
 def test_measure_up_state():
     projs = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
-    up, down = measure(ket("u").density(), projs)
+    up, down = measure(ket("u").density(), projs, (0,))
     assert up.probability == pytest.approx(1.0, abs=1e-12)
     assert_allclose(up.state.mat, np.diag([1.0, 0.0]), atol=1e-12)
     assert down.probability == pytest.approx(0.0, abs=1e-12)
@@ -179,7 +185,7 @@ def test_measure_up_state():
 
 def test_measure_maximally_mixed():
     projs = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
-    branches = measure(DensityMatrix(np.eye(2) / 2), projs)
+    branches = measure(DensityMatrix(np.eye(2) / 2), projs, (0,))
     for branch, expected in zip(branches, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))):
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
         assert_allclose(branch.state.mat, expected, atol=1e-12)
@@ -187,7 +193,13 @@ def test_measure_maximally_mixed():
 
 def test_measure_incomplete_set_raises():
     with pytest.raises(ValueError, match="identity"):
-        measure(ket("u").density(), [Projector(np.diag([1.0, 0.0]))])
+        measure(ket("u").density(), [Projector(np.diag([1.0, 0.0]))], (0,))
+    mixed = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0, 1.0, 1.0]))]
+    with pytest.raises(ValueError, match="one size"):
+        measure(ket("uu").density(), mixed, (0,))
+    halves = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
+    with pytest.raises(ValueError, match="targets given"):
+        measure(ket("uu").density(), halves, (0, 1))
 
 
 def test_measure_probabilities_sum_to_one_random():
@@ -196,8 +208,38 @@ def test_measure_probabilities_sum_to_one_random():
         rho = random_density(2, rng)
         u = random_unitary(2, rng)
         projs = [Projector(np.outer(u[:, i], u[:, i].conj())) for i in range(4)]
-        total = sum(b.probability for b in measure(rho, projs))
+        total = sum(b.probability for b in measure(rho, projs, (1, 0)))
         assert abs(total - 1.0) < 1e-10
+
+
+def test_local_operators_match_dense_reference():
+    # n = MAX_QUBITS, unsorted non-adjacent targets, complex operators
+    rng = np.random.default_rng(12)
+    rho = random_density(6, rng)
+    for targets in ((2,), (4, 1), (5, 0, 3)):
+        k = len(targets)
+        d = 2**k
+        u = random_unitary(k, rng)
+        full_u = dense_embed(u, targets, 6)
+        assert_allclose(embed_operator(u, targets, 6), full_u, atol=1e-12)
+        expected = full_u @ rho.mat @ full_u.conj().T
+        assert_allclose(apply_unitary(rho, u, targets).mat, expected, atol=1e-12)
+        # two complex Kraus operators: the blocks of a random isometry
+        iso = random_unitary(k + 1, rng)[:, :d]
+        kraus = [iso[:d], iso[d:]]
+        fulls = [dense_embed(kk, targets, 6) for kk in kraus]
+        expected = sum(f @ rho.mat @ f.conj().T for f in fulls)
+        assert_allclose(apply_channel(rho, KrausChannel(kraus), targets).mat, expected, atol=1e-12)
+        # complex rank-one projectors onto the columns of a random unitary
+        v = random_unitary(k, rng)
+        projs = [np.outer(v[:, i], v[:, i].conj()) for i in range(d)]
+        branches = measure(rho, [Projector(p) for p in projs], targets)
+        for p, branch in zip(projs, branches):
+            full_p = dense_embed(p, targets, 6)
+            post = full_p @ rho.mat @ full_p
+            prob = np.trace(post).real
+            assert abs(branch.probability - prob) < 1e-12
+            assert_allclose(branch.state.mat, post / prob, atol=1e-12)
 
 
 def test_operations_preserve_trace_and_hermiticity():
