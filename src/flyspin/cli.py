@@ -19,6 +19,7 @@ error, 3 non-convergence (pump-sim only).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import statistics
 import sys
@@ -135,7 +136,9 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse gives a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="flyspin",
         description="Spin-chain entanglement-operation simulator",
@@ -229,16 +232,19 @@ def _echo_config(cfg: ExperimentConfig, out_path: str) -> None:
 
 
 def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
-    """Concurrence surface over the (theta1, theta2) grid, theta1-major order."""
+    """Concurrence surface over the (theta1, theta2) grid, theta1-major order.
+
+    Each theta1 row, one CSV line per theta2, is simulated as one stack.
+    """
     grid1 = cfg.grid("theta1")
-    grid2 = cfg.grid("theta2")
+    grid2 = np.array(cfg.grid("theta2"))
     noise = cfg.noise()
     rows = [_SWEEP_HEADER]
     for t1 in grid1:
-        for t2 in grid2:
-            res = generate_resource(t1, t2, noise)
-            c = concurrence(res.rho)
-            rows.append(",".join(_fmt(v) for v in (t1, t2, c, res.p1, res.p2, res.herald_prob)))
+        res = generate_resource(np.full(grid2.shape, t1), grid2, noise)
+        columns = (grid2, concurrence(res.rho), res.p1, res.p2)
+        for t2, c, p1, p2 in zip(*(col.tolist() for col in columns)):
+            rows.append(",".join(_fmt(v) for v in (t1, t2, c, p1, p2, res.herald_prob)))
     out = cfg.out or "sweep.csv"
     _write_text(out, "\n".join(rows) + "\n")
     _echo_config(cfg, out)
@@ -331,6 +337,9 @@ def cmd_pump_sim(cfg: ExperimentConfig) -> int:
 
 def cmd_chain_demo(cfg: ExperimentConfig) -> int:
     """Selective operation on a chain; spectator and conservation diagnostics."""
+    noisy = [key for key in ("eps_init", "eps_z", "eps_relax") if getattr(cfg, key) != 0.0]
+    if noisy:
+        raise ConfigError(f"{', '.join(noisy)}: chain-demo simulates a noiseless chain; set to 0")
     try:
         chain = ChainConfig(
             n_static=cfg.chain_size,

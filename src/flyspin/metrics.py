@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PAULI_Y, DensityMatrix, PureState
+from .qcore import PAULI_Y, DensityMatrix, PureState, _per_state
 
 _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
 _EIG_CLAMP = 1e-12
@@ -42,26 +42,28 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         raise ValueError(f"expected a two-qubit state, got {rho.n} qubits")
 
 
-def concurrence(rho: DensityMatrix) -> float:
+def concurrence(rho: DensityMatrix):
     """Wootters concurrence of a two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) with the l_i the decreasingly sorted
     square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y). The
     eigenvalues are computed through the Hermitian-equivalent form
     sqrt(rho) rho_tilde sqrt(rho), which shares the spectrum of the
-    non-Hermitian product but avoids complex spectral noise.
+    non-Hermitian product but avoids complex spectral noise. A single
+    state gives a float, a stack of states an array of the stack's shape
+    (one stacked ``eigh`` and one stacked ``eigvalsh``).
     """
     _require_two_qubits(rho)
     m = rho.mat
     rho_tilde = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
+    sqrt_rho = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     lam = np.linalg.eigvalsh(sqrt_rho @ rho_tilde @ sqrt_rho)
     lam = np.where(lam < _EIG_CLAMP, 0.0, lam)
-    lam = np.sqrt(lam)[::-1]
-    c = float(lam[0] - lam[1] - lam[2] - lam[3])
-    return min(max(c, 0.0), 1.0)
+    lam = np.sqrt(lam)[..., ::-1]
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return _per_state(np.minimum(np.maximum(c, 0.0), 1.0))
 
 
 def bell_fidelity(rho: DensityMatrix, label: BellLabel) -> float:

@@ -67,6 +67,8 @@ from .qcore import (
     measure,
     partial_trace,
     tensor_dm,
+    _per_state,
+    _require,
 )
 from .rng import trial_rng
 from .scattering import ForwardScatterParams, forward_unitary
@@ -92,21 +94,27 @@ _ROUND_PROJECTORS = tuple(
 
 @dataclass(frozen=True)
 class EOResource:
-    """Two-static-qubit resource state with its generation parameters."""
+    """Two-static-qubit resource state with its generation parameters.
+
+    ``rho`` may hold a stack of resources; ``p1``, ``p2`` and ``theta2`` are
+    then arrays of the stack's shape, and the range checks cover every entry.
+    """
 
     rho: DensityMatrix
-    p1: float
-    p2: float
-    theta2: float
+    p1: float | np.ndarray
+    p2: float | np.ndarray
+    theta2: float | np.ndarray
     herald_prob: float = 1.0
 
     def __post_init__(self) -> None:
         if self.rho.n != 2:
             raise ValueError("resource state must live on two qubits")
-        if not (-1e-12 <= self.p1 <= 2.0 + 1e-12 and -1e-12 <= self.p2 <= 2.0 + 1e-12):
-            raise ValueError(f"weights out of range: P1={self.p1}, P2={self.p2}")
-        if self.p1 / 2.0 + self.p2 / 2.0 > 1.0 + 1e-12:
-            raise ValueError(f"P1/2 + P2/2 exceeds 1: P1={self.p1}, P2={self.p2}")
+        p1, p2 = np.asarray(self.p1), np.asarray(self.p2)
+        if not p1.shape == p2.shape == self.rho.mat.shape[:-2]:
+            raise ValueError(f"P1 {p1.shape}, P2 {p2.shape} and rho stacks differ")
+        in_range = (-1e-12 <= p1) & (p1 <= 2.0 + 1e-12) & (-1e-12 <= p2) & (p2 <= 2.0 + 1e-12)
+        _require(in_range, "weights out of range: P1={}, P2={}", p1, p2)
+        _require(p1 / 2.0 + p2 / 2.0 <= 1.0 + 1e-12, "P1/2 + P2/2 exceeds 1: P1={}, P2={}", p1, p2)
 
     @property
     def is_separable(self) -> bool:
@@ -120,45 +128,49 @@ class EOResource:
         carries relative to |du>, so that at the optimal working point the
         state aligns with (|du> + |ud>)/sqrt(2).
         """
-        corr = np.diag([np.exp(-1j * self.theta2), 1.0])
+        corr = np.zeros(np.shape(self.theta2) + (2, 2), dtype=complex)
+        corr[..., 0, 0] = np.exp(-1j * np.asarray(self.theta2))
+        corr[..., 1, 1] = 1.0
         return apply_unitary(self.rho, corr, (0,))
 
 
 def generate_resource(
-    theta1: float,
-    theta2: float,
+    theta1: float | np.ndarray,
+    theta2: float | np.ndarray,
     noise: NoiseParams | None = None,
-    *,
-    static_eps_z: float = 0.0,
 ) -> EOResource:
     """Simulate one flying-qubit transit and return the static-pair resource.
 
     The register (flying, s1, s2) starts as init(eps_init) x |dd>, the first
     gate acts on (flying, s1), dephasing and then relaxation act on the
     flying qubit while it is between the static qubits, the second gate acts
-    on (flying, s2), and the flying qubit is traced out. ``static_eps_z``
-    optionally dephases the static qubits during the same window (off by
-    default).
+    on (flying, s2), and the flying qubit is traced out.
+
+    The angles may be arrays of one shape: every transit then runs in one
+    stacked pass, and the resource holds a stack of states of that shape.
     """
-    for name, val in (("theta1", theta1), ("theta2", theta2)):
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be finite, got {val}")
+    t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
+    if t1.shape != t2.shape:
+        raise ValueError(f"theta1 and theta2 must share one shape, got {t1.shape} and {t2.shape}")
+    for name, val in (("theta1", t1), ("theta2", t2)):
+        _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
     noise = noise if noise is not None else NoiseParams()
     rho = tensor_dm(imperfect_init(noise.eps_init), ket("dd").density())
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(theta1)), (0, 1))
+    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(t1)), (0, 1))
     if noise.eps_z > 0.0:
         rho = apply_channel(rho, dephasing(noise.eps_z), (0,))
-    if static_eps_z > 0.0:
-        ch = dephasing(static_eps_z)
-        rho = apply_channel(rho, ch, (1,))
-        rho = apply_channel(rho, ch, (2,))
     if noise.eps_relax > 0.0:
         rho = apply_channel(rho, relaxation(noise.eps_relax), (0,))
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(theta2)), (0, 2))
+    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(t2)), (0, 2))
     reduced = partial_trace(rho, (1, 2))
-    p1 = 2.0 * math.cos(theta1) ** 2 * math.sin(theta2) ** 2
-    p2 = 2.0 * math.sin(theta1) ** 2
-    return EOResource(rho=reduced, p1=p1, p2=p2, theta2=float(theta2), herald_prob=1.0)
+    # the closed-form weights come from Python's math, point by point:
+    # np.cos(x) ** 2 on an array differs from math.cos(x) ** 2 in the last bit for some x
+    angles = list(zip(t1.ravel().tolist(), t2.ravel().tolist()))
+    p1 = np.reshape([2.0 * math.cos(a) ** 2 * math.sin(b) ** 2 for a, b in angles], t1.shape)
+    p2 = np.reshape([2.0 * math.sin(a) ** 2 for a, _ in angles], t1.shape)
+    return EOResource(
+        rho=reduced, p1=_per_state(p1), p2=_per_state(p2), theta2=_per_state(t2), herald_prob=1.0
+    )
 
 
 # ---------------------------------------------------------------------------

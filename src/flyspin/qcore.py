@@ -10,6 +10,12 @@ Conventions used by the whole package:
 * Every operator is a local k-qubit matrix plus ``targets`` (axis j acts on
   ``targets[j]``), put on the register by one tensor contraction; a unitary
   is applied as a one-operator channel, and ``measure`` takes targets too.
+* Density matrices, Kraus operators and the operations on them take a
+  stack of matrices, shape ``(..., d, d)``, in the manner of numpy's
+  ``matmul`` and ``eigvalsh``: the leading axes broadcast, and a single
+  state is a stack of shape ``()``. Every validation runs on every state
+  of a stack and an error names the first failing stack index.
+  ``measure`` takes a single state only.
 
 All values are immutable after construction and every operation is a pure
 function returning a new value, so states can be shared freely between
@@ -51,6 +57,25 @@ def _qubit_count(dim: int, what: str) -> int:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _require(ok, message: str, *values) -> None:
+    """Raise ``ValueError`` unless ``ok`` holds at every stack index.
+
+    ``message`` is formatted with each of ``values`` taken at the first
+    failing index, and a stacked check names that index.
+    """
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    idx = tuple(int(i) for i in np.argwhere(~ok)[0])
+    text = message.format(*(np.asarray(v)[idx] for v in values))
+    raise ValueError(text + (f" at stack index {idx}" if idx else ""))
+
+
+def _per_state(x: np.ndarray):
+    """A per-state value: a Python float for a single state, else an array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 class PureState:
@@ -98,23 +123,24 @@ def ket(spins: str) -> PureState:
 class DensityMatrix:
     """Trace-one positive Hermitian operator on an n-qubit register.
 
-    Construction validates Hermiticity and unit trace to 1e-12 and rejects
-    eigenvalues below -1e-10; violations raise instead of being clipped.
+    ``mat`` is a stack of 2^n x 2^n matrices, shape ``(..., d, d)``; a single
+    state has stack shape ``()``. Construction validates every state of the
+    stack: Hermiticity and unit trace to 1e-12, and no eigenvalue below
+    -1e-10 (one stacked ``eigvalsh``). Violations raise, naming the first
+    failing stack index, instead of being clipped.
     """
 
     def __init__(self, mat) -> None:
         m = np.array(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        self._n = _qubit_count(m.shape[0], "density matrix")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1 beyond {TRACE_ATOL}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {lo} below {EIGENVALUE_FLOOR}")
+        self._n = _qubit_count(m.shape[-1], "density matrix")
+        herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        _require(herm <= HERMITICITY_ATOL, "density matrix is not Hermitian within 1e-12")
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        _require(np.abs(tr - 1.0) <= TRACE_ATOL, "density matrix trace {} differs from 1 beyond 1e-12", tr)
+        lo = np.linalg.eigvalsh(m)[..., 0]
+        _require(lo >= EIGENVALUE_FLOOR, "density matrix has eigenvalue {} below -1e-10", lo)
         self._mat = _frozen(m)
 
     @property
@@ -125,23 +151,30 @@ class DensityMatrix:
     def n(self) -> int:
         return self._n
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self._mat @ self._mat)))
+    def purity(self):
+        """tr(rho^2): a float for a single state, an array over a stack."""
+        return _per_state(np.real(np.trace(self._mat @ self._mat, axis1=-2, axis2=-1)))
 
-    def expectation(self, op) -> float:
-        """Expectation value of a Hermitian observable."""
-        val = complex(np.trace(np.asarray(op, dtype=complex) @ self._mat))
-        return float(val.real)
+    def expectation(self, op):
+        """Expectation value of a Hermitian observable, per state of the stack."""
+        val = np.trace(np.asarray(op, dtype=complex) @ self._mat, axis1=-2, axis2=-1)
+        return _per_state(np.real(val))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(n={self._n})"
 
 
 def tensor_dm(*parts: DensityMatrix) -> DensityMatrix:
-    """Tensor product of density matrices, first argument most significant."""
+    """Tensor product of density matrices, first argument most significant.
+
+    The stack axes of the parts broadcast.
+    """
     out = np.array([[1.0 + 0.0j]])
     for p in parts:
-        out = np.kron(out, p.mat)
+        # np.kron of the last two axes: entry (i k, j l) is out[i, j] * p[k, l]
+        prod = out[..., :, None, :, None] * p.mat[..., None, :, None, :]
+        d = out.shape[-1] * p.mat.shape[-1]
+        out = prod.reshape(prod.shape[:-4] + (d, d))
     return DensityMatrix(out)
 
 
@@ -157,13 +190,25 @@ def _check_targets(targets: Sequence[int], k: int, n: int) -> tuple[int, ...]:
 
 
 def _on_targets(op: np.ndarray, m: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """``op @ m``, the k-qubit ``op`` acting on the row qubits ``targets`` of 2^n x 2^n ``m``."""
-    k, n = len(targets), m.shape[0].bit_length() - 1
+    """``op @ m``, the k-qubit ``op`` acting on the row qubits ``targets`` of 2^n x 2^n ``m``.
+
+    ``op`` and ``m`` are stacks whose leading axes broadcast; they stay in
+    front of the ``(2,)*2n`` tensor.
+    """
+    k, n, stack = len(targets), m.shape[-1].bit_length() - 1, m.shape[:-2]
     # bring the target row axes of the (2,)*2n tensor to the front, contract, move them back
     perm = targets + tuple(q for q in range(2 * n) if q not in targets)
-    front = m.reshape((2,) * (2 * n)).transpose(perm).reshape(2**k, -1)
-    back = [perm.index(q) for q in range(2 * n)]
-    return (op @ front).reshape((2,) * (2 * n)).transpose(back).reshape(m.shape)
+    back = tuple(perm.index(q) for q in range(2 * n))
+    front = m.reshape(stack + (2,) * (2 * n)).transpose(_behind(len(stack), perm))
+    out = op @ front.reshape(stack + (2**k, -1))
+    stack = out.shape[:-2]
+    out = out.reshape(stack + (2,) * (2 * n)).transpose(_behind(len(stack), back))
+    return out.reshape(stack + m.shape[-2:])
+
+
+def _behind(lead: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """``perm`` of the trailing axes, with ``lead`` stack axes kept in front."""
+    return tuple(range(lead)) + tuple(lead + q for q in perm)
 
 
 def embed_operator(op, targets: Sequence[int], n: int) -> np.ndarray:
@@ -181,14 +226,14 @@ def embed_operator(op, targets: Sequence[int], n: int) -> np.ndarray:
 
 
 def apply_unitary(state: DensityMatrix, u, targets: Sequence[int]) -> DensityMatrix:
-    """Conjugate the state by a unitary acting on the given qubits."""
+    """Conjugate the state by a unitary, or a stack of them, acting on the given qubits."""
     return apply_channel(state, KrausChannel([u]), targets)
 
 
 def partial_trace(state: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every qubit not listed in ``keep``.
 
-    Qubit j of the reduced state corresponds to ``keep[j]``.
+    Qubit j of the reduced state corresponds to ``keep[j]``; stack axes are kept.
     """
     n = state.n
     wanted = tuple(keep)
@@ -199,26 +244,32 @@ def partial_trace(state: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     row = [letters[q] for q in range(n)]
     col = [letters[q].upper() if q in kept else letters[q] for q in range(n)]
     sub_out = "".join(row[q] for q in kept) + "".join(col[q] for q in kept)
-    tens = state.mat.reshape([2] * (2 * n))
-    red = np.einsum("".join(row) + "".join(col) + "->" + sub_out, tens)
-    return DensityMatrix(red.reshape(2 ** len(kept), 2 ** len(kept)))
+    stack = state.mat.shape[:-2]
+    tens = state.mat.reshape(stack + (2,) * (2 * n))
+    red = np.einsum("..." + "".join(row) + "".join(col) + "->..." + sub_out, tens)
+    return DensityMatrix(red.reshape(stack + (2 ** len(kept),) * 2))
 
 
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators.
+
+    Each operator may carry leading stack axes, one channel per stack
+    index (for example one gate per grid point); the stacks broadcast.
+    Completeness is checked once for the whole stack.
+    """
 
     def __init__(self, operators) -> None:
         ops = tuple(np.array(k, dtype=complex) for k in operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0] if ops[0].ndim == 2 else -1
+        dim = ops[0].shape[-1] if ops[0].ndim >= 2 else -1
         for k in ops:
-            if k.shape != (dim, dim):
+            if k.shape[-2:] != (dim, dim):
                 raise ValueError("all Kraus operators must share one square shape")
         self._k = _qubit_count(dim, "Kraus operator")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(dim))) > COMPLETENESS_ATOL:
-            raise ValueError("Kraus operators do not satisfy completeness within 1e-12")
+        total = sum(k.conj().swapaxes(-1, -2) @ k for k in ops)
+        err = np.max(np.abs(total - np.eye(dim)), axis=(-2, -1))
+        _require(err <= COMPLETENESS_ATOL, "Kraus operators do not satisfy completeness within 1e-12")
         self._ops = tuple(_frozen(k) for k in ops)
 
     @property
@@ -231,12 +282,16 @@ class KrausChannel:
 
 
 def apply_channel(state: DensityMatrix, channel: KrausChannel, targets: Sequence[int]) -> DensityMatrix:
-    """Apply a Kraus channel to the given qubits of the state."""
+    """Apply a Kraus channel to the given qubits of the state.
+
+    The stack axes of the state and of the Kraus operators broadcast.
+    """
     t = _check_targets(targets, channel.n, state.n)
     out = np.zeros_like(state.mat)
     for k in channel.operators:
-        # K rho K^dagger = (conj(K) (K rho)^T)^T
-        out = out + _on_targets(k.conj(), _on_targets(k, state.mat, t).T, t).T
+        # K rho K^dagger = (conj(K) (K rho)^T)^T, ^T swapping the last two axes
+        k_rho = _on_targets(k, state.mat, t).swapaxes(-1, -2)
+        out = out + _on_targets(k.conj(), k_rho, t).swapaxes(-1, -2)
     return DensityMatrix(out)
 
 
@@ -279,8 +334,10 @@ def measure(
     probabilities and renormalized whole-register post-measurement states
     in the order the projectors were given. Branches whose probability
     falls below 1e-12 are flagged with ``state=None`` instead of being
-    divided by a vanishing norm.
+    divided by a vanishing norm. ``state`` must be a single state.
     """
+    if state.mat.ndim != 2:
+        raise ValueError(f"measure takes a single state, got a stack of shape {state.mat.shape[:-2]}")
     projs = list(projectors)
     if not projs:
         raise ValueError("projector set is empty")

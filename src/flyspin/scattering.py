@@ -25,13 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, measure, partial_trace, Projector
+from .qcore import DensityMatrix, measure, partial_trace, Projector, _per_state, _require
 
 _TWO_PI = 2.0 * math.pi
-
-#: direction-mode levels appended by full_scatter
-TRANSMITTED = 0
-REFLECTED = 1
 
 # projectors onto the singlet and triplet sectors of two spins
 _SINGLET = np.zeros((4, 4), dtype=complex)
@@ -42,17 +38,20 @@ _TRIPLET = np.eye(4, dtype=complex) - _SINGLET
 
 @dataclass(frozen=True)
 class ForwardScatterParams:
-    """Phase pair of the forward-scattering gate, reduced mod 2*pi."""
+    """Phase pair of the forward-scattering gate, reduced mod 2*pi.
 
-    theta: float
-    theta_prime: float = 0.0
+    Either phase may be an array, one gate per stack index; a scalar phase
+    is stored as a Python float.
+    """
+
+    theta: float | np.ndarray
+    theta_prime: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         for name in ("theta", "theta_prime"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val}")
-            object.__setattr__(self, name, float(val) % _TWO_PI)
+            val = np.asarray(getattr(self, name), dtype=float)
+            _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
+            object.__setattr__(self, name, _per_state(val % _TWO_PI))
 
     @classmethod
     def from_phase_shifts(cls, theta_s: float, theta_t: float) -> "ForwardScatterParams":
@@ -83,20 +82,19 @@ SWAP_GATE = ForwardScatterParams(math.pi / 2.0)
 
 
 def forward_unitary(p: ForwardScatterParams) -> np.ndarray:
-    """4x4 unitary on (flying, static) for the reflection-free regime."""
-    c = math.cos(p.theta)
-    s = math.sin(p.theta)
+    """4x4 unitary on (flying, static) for the reflection-free regime.
+
+    Array phases give a stack of unitaries, shape ``(..., 4, 4)``.
+    """
+    c = np.cos(p.theta)
+    s = np.sin(p.theta)
     ph = np.exp(1j * p.theta_prime)
     ph_par = np.exp(1j * (p.theta + p.theta_prime))
-    return np.array(
-        [
-            [ph_par, 0.0, 0.0, 0.0],
-            [0.0, ph * c, 1j * ph * s, 0.0],
-            [0.0, 1j * ph * s, ph * c, 0.0],
-            [0.0, 0.0, 0.0, ph_par],
-        ],
-        dtype=complex,
-    )
+    u = np.zeros(np.broadcast(c, ph).shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 3, 3] = ph_par
+    u[..., 1, 1] = u[..., 2, 2] = ph * c
+    u[..., 1, 2] = u[..., 2, 1] = 1j * ph * s
+    return u
 
 
 def full_scatter(spin_state: DensityMatrix, p: FullScatterParams) -> DensityMatrix:

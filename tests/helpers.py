@@ -74,7 +74,7 @@ def random_pure_density(n_qubits: int, rng: np.random.Generator) -> DensityMatri
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def closed_form_resource(theta1, theta2, eps_init=0.0, eps_z=0.0) -> np.ndarray:
+def closed_form_resource(theta1, theta2, eps_init=0.0, eps_z=0.0, eps_relax=0.0) -> np.ndarray:
     """Static-pair state after one transit, from the traced transit amplitudes.
 
     The transit leaves amplitude a = cos(t1)cos(t2) on the flying-up branch
@@ -83,19 +83,32 @@ def closed_form_resource(theta1, theta2, eps_init=0.0, eps_z=0.0) -> np.ndarray:
     flying qubit keeps the b/c coherence and adds |a|^2 to the separable
     weight. Imperfect initialization sends the whole eps branch to |dd>;
     inter-gate dephasing flips the sign of b with probability eps_z
-    (equivalently, conjugates by Z on the first static qubit).
+    (equivalently, conjugates by Z on the first static qubit). Inter-gate
+    relaxation sends the flying qubit's up branch (amplitude cos(t1)) down
+    with probability eps_relax: a and b shrink by sqrt(1 - eps_relax) and
+    the decayed weight eps_relax cos^2(t1) lands on |dd>.
     """
-    a = np.cos(theta1) * np.cos(theta2)
-    b = 1j * np.cos(theta1) * np.sin(theta2)
+    keep = np.sqrt(1.0 - eps_relax)
+    a = np.cos(theta1) * np.cos(theta2) * keep
+    b = 1j * np.cos(theta1) * np.sin(theta2) * keep
     c = 1j * np.exp(1j * theta2) * np.sin(theta1)
     chi = np.array([0.0, c, b, 0.0], dtype=complex)  # basis uu, ud, du, dd
     chi_err = np.array([0.0, c, -b, 0.0], dtype=complex)
     rho = (1.0 - eps_init) * (
         (1.0 - eps_z) * np.outer(chi, chi.conj()) + eps_z * np.outer(chi_err, chi_err.conj())
     )
-    sep = (1.0 - eps_init) * abs(a) ** 2 + eps_init
+    sep = (1.0 - eps_init) * (abs(a) ** 2 + eps_relax * np.cos(theta1) ** 2) + eps_init
     rho[3, 3] += sep
     return rho
+
+
+def closed_form_concurrence(theta1, theta2, eps_init=0.0, eps_z=0.0, eps_relax=0.0) -> float:
+    """Concurrence of ``closed_form_resource``.
+
+    The state has no |uu> weight and only the |ud>-|du> coherence, so the
+    Wootters formula reduces to C = 2 |rho[ud, du]|.
+    """
+    return 2.0 * abs(closed_form_resource(theta1, theta2, eps_init, eps_z, eps_relax)[1, 2])
 
 
 def pump_round_oracle(stored_fidelity: float, fresh_fidelity: float):

@@ -1,12 +1,20 @@
 import hashlib
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flyspin
 from flyspin.cli import main
 from flyspin.metrics import concurrence
 from flyspin.protocol import generate_resource
+
+from helpers import closed_form_concurrence
 
 
 def run(*argv):
@@ -60,6 +68,47 @@ def test_sweep_reread_recomputes_concurrence(tmp_path):
     for line in read(out).strip().splitlines()[1:]:
         t1, t2, c, *_ = (float(x) for x in line.split(","))
         assert abs(concurrence(generate_resource(t1, t2).rho) - c) < 1e-10
+
+
+def test_sweep_noise_boundaries_match_closed_form(tmp_path):
+    # each eps at exactly 0 and at 1, in every combination
+    out = tmp_path / "sweep.csv"
+    for eps_init, eps_z, eps_relax in itertools.product((0.0, 1.0), repeat=3):
+        assert run("sweep-concurrence", "--theta1", "0.1:0.4:3", "--theta2", "0.2:0.8:3",
+                   "--eps-init", str(eps_init), "--eps-z", str(eps_z),
+                   "--eps-relax", str(eps_relax), "--out", str(out)) == 0
+        lines = read(out).strip().splitlines()[1:]
+        assert len(lines) == 9
+        for line in lines:
+            t1, t2, c, *_ = (float(x) for x in line.split(","))
+            assert abs(c - closed_form_concurrence(t1, t2, eps_init, eps_z, eps_relax)) < 1e-12
+
+
+def test_main_twice_in_one_process_matches_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process: a second command parses into a
+    # fresh namespace (chain-demo would reject the eo-run's eps_z otherwise)
+    commands = [
+        ["eo-run", "--eps-z", "0.089", "--trials", "50", "--seed", "9", "--out", "eo.csv"],
+        ["chain-demo", "--chain-size", "3", "--target-pair", "1", "--out", "chain.txt"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    src = str(Path(flyspin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys; from flyspin.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = {}
+    for argv in commands:
+        out = argv[-1]
+        assert run(*argv[:-1], str(here / out)) == 0
+        proc = subprocess.run([sys.executable, "-c", code, *argv[:-1], str(fresh / out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs[out] = (capsys.readouterr().out, proc.stdout)
+    for out, (stdout_here, stdout_fresh) in outputs.items():
+        assert stdout_here.replace(str(here), str(fresh)) == stdout_fresh
+        for name in (out, out + ".config"):
+            assert read(here / name).replace(str(here), str(fresh)) == read(fresh / name)
 
 
 def test_seeded_commands_are_byte_identical(tmp_path):
@@ -205,6 +254,11 @@ def test_config_echo_is_refeedable(tmp_path):
     out2 = tmp_path / "second.csv"
     assert run("sweep-concurrence", "--config", str(echo), "--out", str(out2)) == 0
     assert read(out1) == read(out2)
+    # chain-demo echoes eps = 0, which it accepts back
+    out3, out4 = tmp_path / "chain1.txt", tmp_path / "chain2.txt"
+    assert run("chain-demo", "--chain-size", "3", "--out", str(out3)) == 0
+    assert run("chain-demo", "--config", f"{out3}.config", "--out", str(out4)) == 0
+    assert read(out3) == read(out4)
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -218,6 +272,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert run("eo-run", "--theta1", "nan") == 1  # non-finite angles
     assert run("eo-run", "--theta1", "inf") == 1
     assert run("sweep-concurrence", "--theta1", "0:nan:3") == 1
+    capsys.readouterr()
+    for flag in ("--eps-init", "--eps-z", "--eps-relax"):  # chain-demo has no noise model
+        assert run("chain-demo", flag, "0.3") == 1
+        assert "noiseless" in capsys.readouterr().err
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense_key = 3\n")
     assert run("eo-run", "--config", str(cfg)) == 1

@@ -9,6 +9,7 @@ from flyspin.channels import NoiseParams
 from flyspin.metrics import BellLabel, bell_fidelity, bell_state, concurrence
 from flyspin.protocol import (
     ChainConfig,
+    EOResource,
     PumpRecord,
     PumpState,
     chain_report,
@@ -77,10 +78,63 @@ def test_noisy_simulation_matches_closed_form():
     rng = np.random.default_rng(42)
     for _ in range(100):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
-        eps_init, eps_z = rng.uniform(0.0, 1.0, 2)
-        sim = generate_resource(t1, t2, NoiseParams(eps_init=eps_init, eps_z=eps_z)).rho.mat
-        expected = closed_form_resource(t1, t2, eps_init=eps_init, eps_z=eps_z)
+        eps_init, eps_z, eps_relax = rng.uniform(0.0, 1.0, 3)
+        noise = NoiseParams(eps_init=eps_init, eps_z=eps_z, eps_relax=eps_relax)
+        sim = generate_resource(t1, t2, noise).rho.mat
+        expected = closed_form_resource(t1, t2, eps_init, eps_z, eps_relax)
         assert np.max(np.abs(sim - expected)) < 1e-12
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_stacked_transits_equal_single_transits_bit_for_bit():
+    # one stacked pass must reproduce every single transit exactly; angles
+    # below 0 and above 2 pi exercise the mod 2 pi reduction, exact multiples
+    # of pi/2 the degenerate points, and eps of 0 and 1 every channel's edges.
+    # Row 2 starts with angles where numpy's cos(x) ** 2 (or sin) misses
+    # Python's math in the last bit, so p1 and p2 must stay on math.
+    rng = np.random.default_rng(20110215)
+    noises = [NoiseParams(), NoiseParams(1.0, 1.0, 1.0), NoiseParams(0.0, 1.0, 0.0),
+              NoiseParams(1.0, 0.0, 0.5), NoiseParams(0.0, 0.3, 1.0)]
+    noises += [NoiseParams(*rng.uniform(0.0, 1.0, 3)) for _ in range(4)]
+    for noise in noises:
+        t1, t2 = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, (2, 3, 7))
+        t1[0, :5] = np.array([0.0, 0.5, 1.0, 2.0, -1.5]) * math.pi
+        t2[1, :5] = np.array([0.0, 0.5, 1.0, -2.0, 4.0]) * math.pi
+        t1[2, :6] = [5.215353836340649, 4.67879830034482, -1.7333735774792238,
+                     5.150345059613125, -3.979968439817835, -7.710104007368115]
+        t2[2, :3] = [-3.9259753584093593, -6.737736549800015, 4.630165492836438]
+        stacked = generate_resource(t1, t2, noise)
+        c = concurrence(stacked.rho)
+        assert stacked.rho.mat.shape == (3, 7, 4, 4) and c.shape == (3, 7)
+        for idx in np.ndindex(t1.shape):
+            single = generate_resource(float(t1[idx]), float(t2[idx]), noise)
+            c_single = concurrence(single.rho)
+            assert type(c_single) is float and type(single.p1) is float
+            assert _same_bits(stacked.rho.mat[idx], single.rho.mat)
+            assert _same_bits(c[idx], c_single)
+            a, b = float(t1[idx]), float(t2[idx])
+            assert _same_bits(stacked.p1[idx], 2.0 * math.cos(a) ** 2 * math.sin(b) ** 2)
+            assert _same_bits(stacked.p2[idx], 2.0 * math.sin(a) ** 2)
+            assert _same_bits(stacked.p1[idx], single.p1)
+            assert _same_bits(stacked.p2[idx], single.p2)
+            assert _same_bits(stacked.theta2[idx], single.theta2)
+            assert _same_bits(stacked.corrected_rho().mat[idx], single.corrected_rho().mat)
+
+
+def test_stacked_resource_range_checks_name_the_index():
+    good = generate_resource(np.full(3, OPT1), np.full(3, OPT2))
+    with pytest.raises(ValueError, match=r"weights out of range: P1=2\.5.* at stack index \(2,\)"):
+        EOResource(rho=good.rho, p1=np.array([1.0, 1.0, 2.5]), p2=good.p2, theta2=good.theta2)
+    with pytest.raises(ValueError, match="stacks differ"):
+        EOResource(rho=good.rho, p1=1.0, p2=1.0, theta2=OPT2)
+    with pytest.raises(ValueError, match="share one shape"):
+        generate_resource(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match=r"theta2 must be finite, got nan at stack index \(1,\)"):
+        generate_resource(np.zeros(2), np.array([0.0, math.nan]))
 
 
 def test_concurrence_law_random_angles():
@@ -108,19 +162,6 @@ def test_degenerate_resource_flagged_separable():
 def test_rejects_nonfinite_angles():
     with pytest.raises(ValueError, match="finite"):
         generate_resource(math.nan, 0.5)
-
-
-def test_static_dephasing_flag_matches_flying_dephasing():
-    # between the gates the first static qubit carries the same coherence as
-    # the flying qubit and the second is still diagonal, so the optional
-    # static dephasing acts exactly like flying-qubit dephasing
-    rng = np.random.default_rng(51)
-    for _ in range(10):
-        t1, t2 = rng.uniform(0.0, math.pi, 2)
-        eps = float(rng.uniform(0.0, 1.0))
-        via_static = generate_resource(t1, t2, static_eps_z=eps).rho.mat
-        via_flying = generate_resource(t1, t2, NoiseParams(eps_z=eps)).rho.mat
-        assert np.max(np.abs(via_static - via_flying)) < 1e-12
 
 
 # --- two-round parity projection ---------------------------------------------

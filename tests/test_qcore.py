@@ -262,6 +262,54 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))
 
 
+def test_stacked_validation_names_the_first_failing_index():
+    good = np.eye(2) / 2.0
+    non_hermitian = np.array([[0.5, 0.5], [0.0, 0.5]])
+    negative = np.diag([1.5, -0.5])
+    with pytest.raises(ValueError, match=r"not Hermitian within 1e-12 at stack index \(1,\)"):
+        DensityMatrix(np.stack([good, non_hermitian, negative]))
+    with pytest.raises(ValueError, match=r"eigenvalue -0\.5\d* below .* at stack index \(2,\)"):
+        DensityMatrix(np.stack([good, good, negative]))
+    with pytest.raises(ValueError, match=r"trace \(2\+0j\) .* at stack index \(0, 1\)"):
+        DensityMatrix(np.stack([good, np.eye(2)])[None])
+    with pytest.raises(ValueError, match=r"completeness within 1e-12 at stack index \(1,\)"):
+        KrausChannel([np.stack([np.eye(2), 2.0 * np.eye(2)])])
+    with pytest.raises(ValueError, match="single state"):
+        measure(DensityMatrix(np.stack([good, good])), [Projector(np.eye(2))], (0,))
+    assert DensityMatrix(np.stack([good, good])).purity().tolist() == [0.5, 0.5]
+
+
+def test_stacked_ops_equal_single_ops_bit_for_bit():
+    # states, unitaries and channels carrying stack axes that broadcast
+    # against each other give, at every index, the bits of the single op
+    rng = np.random.default_rng(31)
+    states = [random_density(2, rng) for _ in range(5)]
+    us = np.stack([random_unitary(2, rng) for _ in range(5)])
+    eps = rng.uniform(0.0, 1.0, 5)
+    damp = KrausChannel(
+        [np.stack([np.diag([np.sqrt(1 - e), 1.0]) for e in eps]),
+         np.stack([np.sqrt(e) * np.array([[0.0, 0.0], [1.0, 0.0]]) for e in eps])]
+    )
+    other = random_density(2, rng)
+
+    def pipeline(state, u, channel):
+        rho = apply_unitary(tensor_dm(state, other), u, (2, 0))
+        return partial_trace(apply_channel(rho, channel, (1,)), (3, 1))
+
+    stack = DensityMatrix(np.stack([s.mat for s in states]))
+    got = pipeline(stack, us, damp)
+    assert got.mat.shape == (5, 4, 4)
+    for i, state in enumerate(states):
+        single = KrausChannel([k[i] for k in damp.operators])
+        want = pipeline(state, us[i], single)
+        assert np.array_equal(got.mat[i].view(np.uint64), want.mat.view(np.uint64))
+    # one single state against a stack of unitaries
+    got = apply_unitary(states[0], us, (1, 0))
+    for i in range(5):
+        want = apply_unitary(states[0], us[i], (1, 0))
+        assert np.array_equal(got.mat[i].view(np.uint64), want.mat.view(np.uint64))
+
+
 def test_pure_state_validation():
     with pytest.raises(ValueError, match="norm"):
         PureState([1.0, 1.0])

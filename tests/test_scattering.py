@@ -84,6 +84,27 @@ def test_angles_reduced_mod_two_pi():
         ForwardScatterParams(math.inf)
 
 
+def test_stacked_gate_matches_math_library_bit_for_bit():
+    # the gate once came from math.cos, math.sin and scalar exp; the stacked
+    # numpy form must give the same bits at every angle, reduced or not, and
+    # a scalar angle must still give a Python float phase
+    rng = np.random.default_rng(7)
+    theta = np.concatenate([rng.uniform(-20.0, 20.0, 3000), np.arange(-8, 9) * math.pi / 2.0])
+    p = ForwardScatterParams(theta)
+    reduced = [t % (2.0 * math.pi) for t in theta.tolist()]
+    expected = np.array(
+        [(r, math.cos(r), math.sin(r), np.exp(1j * r).real, np.exp(1j * r).imag) for r in reduced]
+    )
+    u = forward_unitary(p)
+    got = np.stack([p.theta, u[:, 1, 1].real, u[:, 1, 2].imag, u[:, 0, 0].real, u[:, 0, 0].imag], axis=1)
+    assert u.shape == (theta.size, 4, 4)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    for i in range(0, theta.size, 97):
+        single = ForwardScatterParams(float(theta[i]))
+        assert type(single.theta) is float and single.theta == reduced[i]
+        assert np.array_equal(forward_unitary(single).view(np.uint64), u[i].view(np.uint64))
+
+
 def test_presets():
     assert BELL_GATE.theta == pytest.approx(math.pi / 4.0)
     assert SWAP_GATE.theta == pytest.approx(math.pi / 2.0)
