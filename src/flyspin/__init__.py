@@ -38,7 +38,7 @@ from .qcore import (
     partial_trace,
     tensor_dm,
 )
-from .rng import trial_rng
+from .rng import trial_rng, trial_streams, trial_uniforms
 from .scattering import (
     BELL_GATE,
     SWAP_GATE,

@@ -32,6 +32,8 @@ import numpy as np
 from .channels import NoiseParams
 from .metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from .protocol import (
+    PUMP_FIRST_BLOCK,
+    ROUND_OUTCOMES,
     ChainConfig,
     ParityTree,
     chain_report,
@@ -40,7 +42,7 @@ from .protocol import (
     parity_tree,
     pump_until,
 )
-from .rng import trial_rng
+from .rng import trial_streams, trial_uniforms
 from .scattering import ForwardScatterParams
 
 _SWEEP_HEADER = "theta1,theta2,concurrence,p1,p2,herald_prob"
@@ -252,13 +254,22 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# success of each (round-one index, round-two index) outcome pair
+_SUCCESS = np.array(
+    [[ParityTree.is_success(first, second) for second in ROUND_OUTCOMES] for first in ROUND_OUTCOMES]
+)
+
+
 def _sample_success_flags(resource, trials: int, seed: int) -> list[bool]:
     """Born-sample two-round attempts from the exact branch tree, one stream per trial.
 
-    ``resource`` is an ``EOResource`` or the ``ParityTree`` already built from it.
+    Trial t draws from the first two uniforms of its (seed, t) stream, all
+    computed in one pass. ``resource`` is an ``EOResource`` or the
+    ``ParityTree`` already built from it.
     """
     tree = resource if isinstance(resource, ParityTree) else parity_tree(resource)
-    return [ParityTree.is_success(*tree.sample(trial_rng(seed, t))) for t in range(trials)]
+    first, second = tree.sample(trial_uniforms(seed, range(trials), 0, 2))
+    return _SUCCESS[first, second].tolist()
 
 
 def cmd_eo_run(cfg: ExperimentConfig) -> int:
@@ -294,15 +305,24 @@ def cmd_eo_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _require_noiseless(cfg: ExperimentConfig, keys: tuple[str, ...], why: str) -> None:
+    """Reject nonzero noise parameters that a command does not model."""
+    noisy = [key for key in keys if getattr(cfg, key) != 0.0]
+    if noisy:
+        raise ConfigError(f"{', '.join(noisy)}: {why}; set to 0")
+
+
 def cmd_pump_sim(cfg: ExperimentConfig) -> int:
     """Seeded pumping trials; per-trial CSV rows plus a summary."""
     if cfg.trials < 1:
         raise ConfigError("pump-sim needs trials >= 1")
+    _require_noiseless(cfg, ("eps_init", "eps_relax"), "pump-sim models dephasing only (eps_z)")
     rows = ["trial,rounds_to_target,pairs_consumed,converged"]
     rounds_converged: list[int] = []
     non_converged = 0
-    for t in range(cfg.trials):
-        traj = pump_until(cfg.eps_z, cfg.target_fidelity, cfg.max_rounds, trial_rng(cfg.seed, t))
+    streams = trial_streams(cfg.seed, range(cfg.trials), PUMP_FIRST_BLOCK)
+    for t, stream in enumerate(streams):
+        traj = pump_until(cfg.eps_z, cfg.target_fidelity, cfg.max_rounds, stream)
         if traj.converged:
             rounds_converged.append(traj.rounds)
         else:
@@ -337,9 +357,9 @@ def cmd_pump_sim(cfg: ExperimentConfig) -> int:
 
 def cmd_chain_demo(cfg: ExperimentConfig) -> int:
     """Selective operation on a chain; spectator and conservation diagnostics."""
-    noisy = [key for key in ("eps_init", "eps_z", "eps_relax") if getattr(cfg, key) != 0.0]
-    if noisy:
-        raise ConfigError(f"{', '.join(noisy)}: chain-demo simulates a noiseless chain; set to 0")
+    _require_noiseless(
+        cfg, ("eps_init", "eps_z", "eps_relax"), "chain-demo simulates a noiseless chain"
+    )
     try:
         chain = ChainConfig(
             n_static=cfg.chain_size,

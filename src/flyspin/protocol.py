@@ -83,12 +83,13 @@ CNOT = np.array(
 
 Syndrome = tuple[int, int]
 
-_ROUND_OUTCOMES: tuple[Syndrome, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+# outcome pair of each round's outcome index
+ROUND_OUTCOMES: tuple[Syndrome, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # projectors on the resource qubits (s1, s2), measured at (2, 3) of the (a1, a2, s1, s2) register
 _ROUND_PROJECTORS = tuple(
     Projector(np.diag([1.0 if i == 2 * o1 + o2 else 0.0 for i in range(4)]))
-    for o1, o2 in _ROUND_OUTCOMES
+    for o1, o2 in ROUND_OUTCOMES
 )
 
 
@@ -214,9 +215,9 @@ def _born(branches: _Round) -> np.ndarray:
 
 
 def _index(syndrome: Syndrome) -> int:
-    if syndrome not in _ROUND_OUTCOMES:
+    if syndrome not in ROUND_OUTCOMES:
         raise ValueError(f"unknown syndrome {syndrome}")
-    return _ROUND_OUTCOMES.index(syndrome)
+    return ROUND_OUTCOMES.index(syndrome)
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ class ParityTree:
     """Exact two-round branch tree of one parity projection attempt.
 
     ``first[i]`` is the round-one branch for outcome pair
-    ``_ROUND_OUTCOMES[i]`` and ``second[i]`` its four round-two branches,
+    ``ROUND_OUTCOMES[i]`` and ``second[i]`` its four round-two branches,
     empty when the round-one branch fell below the zero-probability cut.
     ``draw1`` and ``draw2[i]`` are the matching Born vectors, normalized once
     over the kept branches, so a cut branch is never drawn.
@@ -245,8 +246,8 @@ class ParityTree:
 
     def leaves(self) -> Iterator[tuple[Syndrome, Syndrome, float, DensityMatrix]]:
         """Kept leaves as (first outcome, second outcome, probability, ancilla state)."""
-        for first, b1, branches in zip(_ROUND_OUTCOMES, self.first, self.second):
-            for second, b2 in zip(_ROUND_OUTCOMES, branches):
+        for first, b1, branches in zip(ROUND_OUTCOMES, self.first, self.second):
+            for second, b2 in zip(ROUND_OUTCOMES, branches):
                 if b2.state is not None:
                     yield first, second, b1.probability * b2.probability, b2.state
 
@@ -260,10 +261,32 @@ class ParityTree:
             raise ValueError(f"forced syndrome {second} has zero probability")
         return self.first[i].probability * b2.probability, b2.state
 
-    def sample(self, rng: np.random.Generator) -> tuple[Syndrome, Syndrome]:
-        """Born-draw one leaf with two ``rng.choice`` calls."""
-        i = int(rng.choice(4, p=self.draw1))
-        return _ROUND_OUTCOMES[i], _ROUND_OUTCOMES[int(rng.choice(4, p=self.draw2[i]))]
+    def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Born-draw leaves from uniforms ``u`` of shape ``(..., 2)``, one per round.
+
+        Returns the outcome indices (into ``ROUND_OUTCOMES``) of both rounds,
+        each of shape ``u.shape[:-1]``. Round k draws
+        ``searchsorted(cumsum(p) / cumsum(p)[-1], u[..., k], side="right")``
+        on its Born vector p, which is what ``Generator.choice(4, p=p)`` draws
+        from the same uniform, so a zero-weight branch is never drawn.
+        """
+        u = np.asarray(u, dtype=float)
+        first = np.searchsorted(_cdf(self.draw1), u[..., 0], side="right")
+        second = np.zeros_like(first)
+        for i, p in enumerate(self.draw2):
+            drawn = first == i
+            if np.any(drawn):
+                second[drawn] = np.searchsorted(_cdf(p), u[..., 1][drawn], side="right")
+        return first, second
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Normalized cumulative weights; rejects the weights ``Generator.choice`` rejects."""
+    p = np.asarray(p, dtype=float)
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0) and p.sum() > 0.0):
+        raise ValueError(f"Born weights must be finite, non-negative and not all zero, got {p}")
+    cdf = np.cumsum(p)
+    return cdf / cdf[-1]
 
 
 def _ancillas(ancillas: DensityMatrix | None) -> DensityMatrix:
@@ -376,15 +399,18 @@ def two_round_parity_projection(
 ) -> ParityOutcome:
     """Run one two-round attempt, consuming two freshly generated resources.
 
-    Outcomes are Born-sampled from ``rng`` unless ``forced_syndromes`` pins
-    both rounds (used for deterministic branch inspection). Supplier
-    exceptions propagate unchanged.
+    Outcomes are Born-sampled by ``ParityTree.sample`` from ``rng.random(2)``
+    unless ``forced_syndromes`` pins both rounds (used for deterministic
+    branch inspection). Supplier exceptions propagate unchanged.
     """
     anc = _ancillas(ancillas)
     if forced_syndromes is None and rng is None:
         raise ValueError("provide an rng to sample outcomes or force both syndromes")
     tree = parity_tree(make_resource(), anc, make_resource())
-    first, second = forced_syndromes if forced_syndromes is not None else tree.sample(rng)
+    if forced_syndromes is None:
+        first, second = (ROUND_OUTCOMES[int(i)] for i in tree.sample(rng.random(2)))
+    else:
+        first, second = forced_syndromes
     return _outcome(first, second, *tree.leaf(first, second))
 
 
@@ -519,8 +545,9 @@ def _pump_lattice(fresh: float, target: float, max_rounds: int) -> tuple[tuple[f
 
 
 # most walks converge within about ten rounds, so the first block of
-# uniforms is small; later blocks bound the memory of long walks
-_FIRST_BLOCK = 16
+# uniforms is small (pump-sim computes every trial's first block in bulk);
+# later blocks bound the memory of long walks
+PUMP_FIRST_BLOCK = 16
 _BLOCK = 1024
 
 
@@ -543,8 +570,10 @@ def pump_until(
     come from a table over the reachable sites and the walk stops at the
     lowest site whose fidelity reaches the target, so the stored pair never
     underflows. Round i is even when the i-th uniform of ``rng`` falls
-    below the even-syndrome probability; the uniforms are drawn in blocks,
-    so the state of ``rng`` afterwards is unspecified.
+    below the even-syndrome probability. The uniforms are read with
+    ``rng.random(size)``, first ``PUMP_FIRST_BLOCK`` of them and then 1024 at
+    a time, so ``rng`` may also be a stream from ``flyspin.rng.trial_streams``;
+    the state of ``rng`` afterwards is unspecified.
     """
     if not (0.0 <= target_fidelity < 1.0):
         raise ValueError(f"target fidelity must lie in [0, 1), got {target_fidelity}")
@@ -560,7 +589,7 @@ def pump_until(
     if not converged and max_rounds > 0:
         # fresh >= 1/2 for every eps_z, so the fidelity grows with the site
         p_even, stop = _pump_lattice(fresh, target_fidelity, max_rounds)
-        site, block, append = max_rounds, _FIRST_BLOCK, syndromes.append
+        site, block, append = max_rounds, PUMP_FIRST_BLOCK, syndromes.append
         while site < stop and len(syndromes) < max_rounds:
             for u in rng.random(min(block, max_rounds - len(syndromes))).tolist():
                 if u < p_even[site]:

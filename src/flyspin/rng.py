@@ -6,6 +6,17 @@ from its own stream keyed statelessly by (master_seed, trial_index), so
 results never depend on execution order or thread scheduling and any trial
 can be reproduced in isolation.
 
+A stream is a pure function of its key and counter (Salmon, Moraes, Dror &
+Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+``trial_uniforms`` computes the uniforms of many trials in one vectorized
+pass instead of building a generator per trial. Stream position rule, as
+in numpy's ``philox.h``: uniform ``i`` of a stream is 64-bit word ``i``,
+word ``i`` is word ``i % 4`` of block ``j = i // 4``, and block ``j`` is
+Philox-4x64-10 of the counter ``(j + 1, 0, 0, 0)`` (numpy increments the
+counter before it computes each block). A uniform is
+``(word >> 11) * 2**-53``. ``trial_streams`` hands each trial its bulk
+first uniforms and continues a longer stream on the trial's own generator.
+
 Reference draws, frozen as regression vectors (see tests):
 
     trial_rng(42, 0).integers(0, 2**64, 4, dtype=np.uint64)
@@ -18,9 +29,23 @@ Reference draws, frozen as regression vectors (see tests):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 _U64 = 2**64
+_LO32 = 0xFFFFFFFF
+
+# Philox-4x64 multipliers and Weyl key increments
+_M0 = 0xD2E7470EE14C6C93
+_M1 = 0xCA5A826395121157
+_W0 = 0x9E3779B97F4A7C15
+_W1 = 0xBB67AE8584CAA73B
+_ROUNDS = 10
+
+# Philox blocks per vectorized pass (at least one trial's worth), so the
+# temporaries stay bounded at any trial count
+_CHUNK = 2048
 
 
 def _check_u64(name: str, value: int) -> int:
@@ -37,3 +62,87 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, built from 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _LO32)
+    x_hi, x_lo = x >> 32, x & _LO32
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    cross = (lo_lo >> 32) + (hi_lo & _LO32) + lo_hi  # at most 2**64 - 1
+    hi = x_hi * m_hi + (hi_lo >> 32) + (cross >> 32)
+    return hi, x * np.uint64(m)
+
+
+def _philox(counter: np.ndarray, seed: int, keys: np.ndarray) -> np.ndarray:
+    """Philox-4x64-10 blocks, shape (n, 4), of counters (counter, 0, 0, 0) and keys (seed, keys)."""
+    c0, c1, c2, c3 = counter, *(np.zeros_like(counter),) * 3
+    for r in range(_ROUNDS):
+        # the key gets (W0, W1) added before rounds 2 to 10
+        k0 = np.uint64((seed + r * _W0) % _U64)
+        k1 = keys + np.uint64(r * _W1 % _U64)
+        hi0, lo0 = _mulhilo(_M0, c0)
+        hi1, lo1 = _mulhilo(_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1)
+
+
+def trial_uniforms(master_seed: int, trials: Sequence[int], start: int, count: int) -> np.ndarray:
+    """Uniforms ``start`` to ``start + count`` of every trial's stream, in one pass.
+
+    Returns shape ``(len(trials), count)``; row ``r`` equals
+    ``trial_rng(master_seed, trials[r]).random(start + count)[start:]`` bit for
+    bit. Seed, trial indices, ``start`` and ``count`` must be 64-bit unsigned
+    values. Trials are computed in chunks of about ``_CHUNK`` Philox blocks.
+    """
+    seed = _check_u64("master_seed", master_seed)
+    if len(trials):
+        _check_u64("trial_index", min(trials))
+        _check_u64("trial_index", max(trials))
+    keys = np.fromiter(trials, dtype=np.uint64, count=len(trials))
+    first, offset = divmod(_check_u64("start", start), 4)
+    blocks = -(-(offset + _check_u64("count", count)) // 4)
+    counters = np.arange(blocks, dtype=np.uint64) + np.uint64(first + 1)
+    rows = max(1, _CHUNK // max(blocks, 1))
+    out = np.empty((len(keys), count))
+    for lo in range(0, len(keys), rows):
+        chunk = keys[lo : lo + rows]
+        words = _philox(np.tile(counters, len(chunk)), seed, np.repeat(chunk, blocks))
+        uniforms = ((words >> 11) * 2.0**-53).reshape(len(chunk), blocks * 4)
+        out[lo : lo + len(chunk)] = uniforms[:, offset : offset + count]
+    return out
+
+
+class _Stream:
+    """The uniforms of one trial's stream in order, read with ``random(size)``.
+
+    The first ones come from ``head``; later ones from the trial's own
+    generator, advanced past the head.
+    """
+
+    def __init__(self, master_seed: int, trial_index: int, head: np.ndarray) -> None:
+        self._key = (master_seed, trial_index)
+        self._head = head
+        self._pos = 0
+        self._tail: np.random.Generator | None = None
+
+    def random(self, size: int) -> np.ndarray:
+        out = self._head[self._pos : self._pos + size]
+        self._pos += len(out)
+        if len(out) == size:
+            return out
+        if self._tail is None:
+            self._tail = trial_rng(*self._key)
+            self._tail.random(len(self._head))  # skip the words the head holds
+        rest = self._tail.random(size - len(out))
+        return np.concatenate((out, rest)) if len(out) else rest
+
+
+def trial_streams(master_seed: int, trials: Sequence[int], head: int) -> list[_Stream]:
+    """One stream per trial, each equal to ``trial_rng(master_seed, t)`` read with ``random``.
+
+    Every trial's first ``head`` uniforms come from one ``trial_uniforms`` call;
+    only a trial that reads past them builds its generator.
+    """
+    rows = trial_uniforms(master_seed, trials, 0, head)
+    return [_Stream(master_seed, t, row) for t, row in zip(trials, rows)]

@@ -143,6 +143,25 @@ def test_seeded_outputs_match_pinned_values(tmp_path):
                "--out", str(out)) == 0
     values = dict(line.split(",") for line in read(out).strip().splitlines()[1:])
     assert values["success_prob_mc"] == "0.51549999999999996"
+    # theta1 = 3e-7 rad: leaves fall below the probability cut, so the draw vectors hold zeros
+    assert run("eo-run", "--theta1", "9.5492965855137e-08", "--theta2", "0.5", "--trials", "2000",
+               "--seed", "5", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2262beb3d7ed81867fce4f2c71d79d3a4503b16d34753a9ace9618830cb37b0b"
+    )
+
+
+def test_eo_run_builds_no_generator_per_trial(tmp_path, monkeypatch):
+    # every trial's uniforms come from one bulk pass, so no Philox is ever constructed
+    plain, guarded = tmp_path / "plain.csv", tmp_path / "guarded.csv"
+    assert run("eo-run", "--eps-z", "0.05", "--trials", "10000", "--out", str(plain)) == 0
+
+    def no_philox(*args, **kwargs):
+        raise AssertionError("eo-run built a Philox generator")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    assert run("eo-run", "--eps-z", "0.05", "--trials", "10000", "--out", str(guarded)) == 0
+    assert guarded.read_bytes() == plain.read_bytes()
 
 
 def test_eo_run_reports_exact_values(tmp_path):
@@ -276,6 +295,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
     for flag in ("--eps-init", "--eps-z", "--eps-relax"):  # chain-demo has no noise model
         assert run("chain-demo", flag, "0.3") == 1
         assert "noiseless" in capsys.readouterr().err
+    for flag in ("--eps-init", "--eps-relax"):  # pumping models dephasing only
+        assert run("pump-sim", "--trials", "5", flag, "0.3") == 1
+        assert "dephasing only" in capsys.readouterr().err
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense_key = 3\n")
     assert run("eo-run", "--config", str(cfg)) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from flyspin.channels import NoiseParams
 from flyspin.metrics import BellLabel, bell_fidelity, bell_state, concurrence
 from flyspin.protocol import (
+    ROUND_OUTCOMES,
     ChainConfig,
     EOResource,
     PumpRecord,
@@ -26,7 +28,7 @@ from flyspin.protocol import (
     two_round_parity_projection,
 )
 from flyspin.qcore import ket
-from flyspin.rng import trial_rng
+from flyspin.rng import trial_rng, trial_uniforms
 from flyspin.scattering import ForwardScatterParams
 
 from helpers import closed_form_resource, pump_exact, pump_round_oracle, random_density
@@ -301,6 +303,50 @@ def test_sampled_projection_is_deterministic_per_seed():
         two_round_parity_projection(lambda: res, rng=trial_rng(99, 0)).syndrome for _ in range(3)
     ]
     assert runs[0] == runs[1] == runs[2]
+
+
+# a cut round-one leaf (draw vectors hold zeros), a noisy tree, and full dephasing
+SAMPLED_TREES = {
+    "cut": (3e-7, OPT2, NoiseParams()),
+    "noisy": (0.3, 1.2, NoiseParams(eps_init=0.1, eps_z=0.05, eps_relax=0.2)),
+    "eps_z=1": (OPT1, OPT2, NoiseParams(eps_z=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_TREES))
+def test_born_sample_matches_generator_choice(name):
+    res = generate_resource(*SAMPLED_TREES[name])
+    tree = parity_tree(res)
+    keys = [(seed, t) for seed in (3, 2**64 - 1) for t in range(120)]
+    reference = []
+    for seed, t in keys:
+        rng = trial_rng(seed, t)
+        i = int(rng.choice(4, p=tree.draw1))
+        reference.append((i, int(rng.choice(4, p=tree.draw2[i]))))
+    single = [tuple(int(k) for k in tree.sample(trial_rng(s, t).random(2))) for s, t in keys]
+    assert single == reference
+    # a stack of uniforms draws every key at once; zero-weight branches never come up
+    for seed in (3, 2**64 - 1):
+        first, second = tree.sample(trial_uniforms(seed, range(120), 0, 2))
+        expected = [drawn for (s, _), drawn in zip(keys, reference) if s == seed]
+        assert list(zip(first.tolist(), second.tolist())) == expected
+        assert all(tree.draw1[i] > 0 and tree.draw2[i][j] > 0 for i, j in zip(first, second))
+    outcomes = [
+        two_round_parity_projection(lambda: res, rng=trial_rng(s, t)).syndrome for s, t in keys[:40]
+    ]
+    assert outcomes == [(ROUND_OUTCOMES[i], ROUND_OUTCOMES[j]) for i, j in reference[:40]]
+
+
+def test_born_sample_rejects_bad_weights():
+    tree = parity_tree(generate_resource(0.3, 1.2, NoiseParams(eps_z=0.05)))
+    u = np.array([0.1, 0.7])
+    for bad in ([np.nan, 0.5, 0.25, 0.25], [-0.25, 0.75, 0.25, 0.25], [np.inf, 0, 0, 0], [0.0] * 4):
+        with pytest.raises(ValueError, match="Born weights"):
+            dataclasses.replace(tree, draw1=np.array(bad)).sample(u)
+    # a drawn round-two vector is checked too
+    draw2 = (np.array([0.5, -0.5, 0.5, 0.5]),) * 4
+    with pytest.raises(ValueError, match="Born weights"):
+        dataclasses.replace(tree, draw2=draw2).sample(u)
 
 
 def test_sampler_requires_rng_or_forced_syndromes():
