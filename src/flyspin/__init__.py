@@ -7,7 +7,6 @@ from .protocol import (
     ChainConfig,
     ChainReport,
     EOResource,
-    ParityOutcome,
     ParityTree,
     PumpState,
     PumpTrajectory,
@@ -15,14 +14,12 @@ from .protocol import (
     chain_selective_eo,
     fresh_pair_fidelity,
     generate_resource,
-    parity_projection_branches,
     parity_success_output,
     parity_success_probability,
     parity_tree,
     pump_probabilities,
     pump_step,
     pump_until,
-    two_round_parity_projection,
 )
 from .qcore import (
     DensityMatrix,
@@ -32,7 +29,6 @@ from .qcore import (
     PureState,
     apply_channel,
     apply_unitary,
-    embed_operator,
     ket,
     measure,
     partial_trace,
@@ -40,8 +36,6 @@ from .qcore import (
 )
 from .rng import trial_rng, trial_streams, trial_uniforms
 from .scattering import (
-    BELL_GATE,
-    SWAP_GATE,
     ForwardScatterParams,
     FullScatterParams,
     forward_unitary,

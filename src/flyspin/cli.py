@@ -49,7 +49,8 @@ _SWEEP_HEADER = "theta1,theta2,concurrence,p1,p2,herald_prob"
 
 _FLOAT_KEYS = ("eps_init", "eps_z", "eps_relax", "target_fidelity")
 _INT_KEYS = ("trials", "seed", "max_rounds", "chain_size", "target_pair")
-_DEFAULT_ANGLES = {"theta1": "0.25", "theta2": "0.5"}
+# sweep-concurrence grid of both angles when none is given: [0, pi] in 41 steps
+_SWEEP_GRID = "0:1:41"
 
 
 class ConfigError(ValueError):
@@ -84,13 +85,11 @@ class ExperimentConfig:
             raise ConfigError(f"{key}: {self.command} expects a single angle, not a grid")
         return start
 
-    def grid(self, key: str, default_steps: int = 41) -> tuple[float, ...]:
+    def grid(self, key: str) -> tuple[float, ...]:
         spec = getattr(self, key)
         start, stop, steps = _parse_angle(spec, key)
         if steps is None:
-            if spec != _DEFAULT_ANGLES[key]:
-                raise ConfigError(f"{key}: sweeps need a START:STOP:STEPS grid, got {spec!r}")
-            start, stop, steps = 0.0, math.pi, default_steps  # nothing given, sweep the full range
+            raise ConfigError(f"{key}: sweeps need a START:STOP:STEPS grid, got {spec!r}")
         return tuple(float(v) for v in np.linspace(start, stop, steps))
 
     def noise(self) -> NoiseParams:
@@ -173,6 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(command=args.command)
+    if cfg.command == "sweep-concurrence":
+        cfg.theta1 = cfg.theta2 = _SWEEP_GRID
     merged = _load_config_file(args.config) if args.config else {}
     for key in ("theta1", "theta2", "out", *_FLOAT_KEYS, *_INT_KEYS):
         flag_val = getattr(args, key, None)

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .qcore import (
     Projector,
     apply_channel,
     apply_unitary,
-    embed_operator,
     ket,
     measure,
     partial_trace,
@@ -70,7 +69,6 @@ from .qcore import (
     _per_state,
     _require,
 )
-from .rng import trial_rng
 from .scattering import ForwardScatterParams, forward_unitary
 
 _SEPARABLE_ATOL = 1e-12
@@ -116,11 +114,6 @@ class EOResource:
         in_range = (-1e-12 <= p1) & (p1 <= 2.0 + 1e-12) & (-1e-12 <= p2) & (p2 <= 2.0 + 1e-12)
         _require(in_range, "weights out of range: P1={}, P2={}", p1, p2)
         _require(p1 / 2.0 + p2 / 2.0 <= 1.0 + 1e-12, "P1/2 + P2/2 exceeds 1: P1={}, P2={}", p1, p2)
-
-    @property
-    def is_separable(self) -> bool:
-        """True when both weights vanish and the entangled component is undefined."""
-        return self.p1 + self.p2 <= _SEPARABLE_ATOL
 
     def corrected_rho(self) -> DensityMatrix:
         """Resource after the recorded local phase correction on the first qubit.
@@ -178,23 +171,6 @@ def generate_resource(
 # two-round parity projection
 
 
-@dataclass(frozen=True)
-class ParityOutcome:
-    """Result of one two-round parity projection attempt.
-
-    ``syndrome`` holds the two per-round outcome pairs. On success
-    ``post_state`` is the ancilla state with the recorded correction already
-    applied; failed attempts leave the ancillas in a spent state that the
-    protocol discards, so no state is reported for them.
-    """
-
-    succeeded: bool
-    syndrome: tuple[Syndrome, Syndrome]
-    post_state: Optional[DensityMatrix]
-    correction: Optional[str]
-    probability: float
-
-
 _Round = tuple[MeasurementBranch, ...]
 
 
@@ -212,12 +188,6 @@ def _parity_round(ancillas: DensityMatrix, resource_rho: DensityMatrix) -> _Roun
 def _born(branches: _Round) -> np.ndarray:
     probs = np.array([b.probability if b.state is not None else 0.0 for b in branches])
     return probs / probs.sum()
-
-
-def _index(syndrome: Syndrome) -> int:
-    if syndrome not in ROUND_OUTCOMES:
-        raise ValueError(f"unknown syndrome {syndrome}")
-    return ROUND_OUTCOMES.index(syndrome)
 
 
 @dataclass(frozen=True)
@@ -250,16 +220,6 @@ class ParityTree:
             for second, b2 in zip(ROUND_OUTCOMES, branches):
                 if b2.state is not None:
                     yield first, second, b1.probability * b2.probability, b2.state
-
-    def leaf(self, first: Syndrome, second: Syndrome) -> tuple[float, DensityMatrix]:
-        """Probability and ancilla state of one leaf; unknown or cut leaves raise."""
-        i = _index(first)
-        if not self.second[i]:
-            raise ValueError(f"forced syndrome {first} has zero probability")
-        b2 = self.second[i][_index(second)]
-        if b2.state is None:
-            raise ValueError(f"forced syndrome {second} has zero probability")
-        return self.first[i].probability * b2.probability, b2.state
 
     def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Born-draw leaves from uniforms ``u`` of shape ``(..., 2)``, one per round.
@@ -298,19 +258,14 @@ def _ancillas(ancillas: DensityMatrix | None) -> DensityMatrix:
     return ancillas
 
 
-def parity_tree(
-    resource: EOResource,
-    ancillas: DensityMatrix | None = None,
-    resource2: EOResource | None = None,
-) -> ParityTree:
+def parity_tree(resource: EOResource, ancillas: DensityMatrix | None = None) -> ParityTree:
     """Exact two-round branch tree on the given ancillas (default |++>).
 
-    ``resource`` feeds round one and ``resource2`` (default the same) round two.
+    Each round consumes one copy of ``resource``.
     """
-    anc = _ancillas(ancillas)
-    rho2 = (resource2 if resource2 is not None else resource).rho
-    first = _parity_round(anc, resource.rho)
-    second = tuple(_parity_round(b.state, rho2) if b.state is not None else () for b in first)
+    rho = resource.rho
+    first = _parity_round(_ancillas(ancillas), rho)
+    second = tuple(_parity_round(b.state, rho) if b.state is not None else () for b in first)
     truncated = sum(b.probability for b in first if b.state is None) + sum(
         b1.probability * b2.probability
         for b1, branches in zip(first, second) for b2 in branches if b2.state is None
@@ -321,97 +276,39 @@ def parity_tree(
     )
 
 
-def _outcome(first: Syndrome, second: Syndrome, prob: float, anc: DensityMatrix) -> ParityOutcome:
-    success = ParityTree.is_success(first, second)
-    # odd outcome parity in round one means the even-parity projector was
-    # heralded; flipping ancilla a1 maps it onto the odd projection
-    correction = "x_on_a1" if success and (first[0] + first[1]) % 2 == 1 else None
-    if correction:
-        anc = apply_unitary(anc, PAULI_X, (0,))
-    return ParityOutcome(
-        succeeded=success,
-        syndrome=(first, second),
-        post_state=anc if success else None,
-        correction=correction,
-        probability=prob,
-    )
-
-
-def parity_projection_branches(
-    resource: EOResource,
-    ancillas: DensityMatrix | None = None,
-    resource2: EOResource | None = None,
-) -> list[ParityOutcome]:
-    """Exact enumeration of all two-round syndrome branches.
-
-    Leaves below the zero-probability cut are left out; their total
-    probability is ``parity_tree(...).truncated_mass``, and the returned
-    probabilities plus that mass sum to one. Success branches carry the
-    corrected post state.
-    """
-    return [_outcome(*leaf) for leaf in parity_tree(resource, ancillas, resource2).leaves()]
-
-
-def parity_success_probability(
-    resource: EOResource,
-    ancillas: DensityMatrix | None = None,
-    resource2: EOResource | None = None,
-) -> float:
+def parity_success_probability(resource: EOResource) -> float:
     """Total probability of the success syndrome, by exact enumeration."""
     return sum(
         prob
-        for first, second, prob, _ in parity_tree(resource, ancillas, resource2).leaves()
+        for first, second, prob, _ in parity_tree(resource).leaves()
         if ParityTree.is_success(first, second)
     )
 
 
 def parity_success_output(
     resource: EOResource | ParityTree,
-    ancillas: DensityMatrix | None = None,
-    resource2: EOResource | None = None,
 ) -> tuple[float, Optional[DensityMatrix]]:
     """Success probability and the success-conditioned ancilla state.
 
-    ``resource`` may also be a tree already built by ``parity_tree``, which
-    is read as is (``ancillas`` and ``resource2`` are then ignored). The
-    state pools every success branch weighted by its probability, with
-    recorded corrections applied. Returns ``None`` for the state when the
+    ``resource`` may also be a tree already built by ``parity_tree``. The
+    state pools every success leaf weighted by its probability. A success
+    whose round one reported odd outcome parity heralded the even-parity
+    projector; the recorded bit flip on ancilla a1 maps it onto the odd
+    projection before pooling. Returns ``None`` for the state when the
     success probability vanishes (degenerate resources).
     """
-    tree = resource
-    if not isinstance(tree, ParityTree):
-        tree = parity_tree(resource, ancillas, resource2)
-    outcomes = [_outcome(*leaf) for leaf in tree.leaves()]
-    branches = [b for b in outcomes if b.succeeded]
-    total = sum(b.probability for b in branches)
+    tree = resource if isinstance(resource, ParityTree) else parity_tree(resource)
+    branches = []
+    for first, second, prob, anc in tree.leaves():
+        if ParityTree.is_success(first, second):
+            if (first[0] + first[1]) % 2 == 1:
+                anc = apply_unitary(anc, PAULI_X, (0,))
+            branches.append((prob, anc))
+    total = sum(prob for prob, _ in branches)
     if total <= _SEPARABLE_ATOL:
         return 0.0, None
-    pooled = sum(b.probability * b.post_state.mat for b in branches) / total
+    pooled = sum(prob * anc.mat for prob, anc in branches) / total
     return total, DensityMatrix(pooled)
-
-
-def two_round_parity_projection(
-    make_resource: Callable[[], EOResource],
-    ancillas: DensityMatrix | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-    forced_syndromes: tuple[Syndrome, Syndrome] | None = None,
-) -> ParityOutcome:
-    """Run one two-round attempt, consuming two freshly generated resources.
-
-    Outcomes are Born-sampled by ``ParityTree.sample`` from ``rng.random(2)``
-    unless ``forced_syndromes`` pins both rounds (used for deterministic
-    branch inspection). Supplier exceptions propagate unchanged.
-    """
-    anc = _ancillas(ancillas)
-    if forced_syndromes is None and rng is None:
-        raise ValueError("provide an rng to sample outcomes or force both syndromes")
-    tree = parity_tree(make_resource(), anc, make_resource())
-    if forced_syndromes is None:
-        first, second = (ROUND_OUTCOMES[int(i)] for i in tree.sample(rng.random(2)))
-    else:
-        first, second = forced_syndromes
-    return _outcome(first, second, *tree.leaf(first, second))
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +452,13 @@ def pump_until(
     eps_z: float,
     target_fidelity: float,
     max_rounds: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> PumpTrajectory:
     """Pump a stored pair with fresh pairs of fixed fidelity until the target.
 
     Starts from one fresh pair (round 0), then repeatedly consumes fresh
     pairs of the same fidelity f, sampling each syndrome by its Born
-    probability from the given generator (or from a seed). Stops at the
+    probability from the given generator. Stops at the
     target or after ``max_rounds`` rounds, whichever comes first.
 
     The walk runs on the integer log-odds lattice: the stored odds
@@ -582,8 +479,6 @@ def pump_until(
     fresh = fresh_pair_fidelity(eps_z)
     if not (0.0 <= fresh <= 1.0):
         raise ValueError(f"fresh fidelity must lie in [0, 1], got {fresh}")
-    if isinstance(rng, (int, np.integer)):
-        rng = trial_rng(int(rng), 0)
     syndromes = bytearray()
     converged = fresh >= target_fidelity
     if not converged and max_rounds > 0:
@@ -647,11 +542,11 @@ class ChainReport:
     magnetization_after: float
 
 
-def _magnetization_operator(n: int) -> np.ndarray:
-    op = np.zeros((2**n, 2**n), dtype=complex)
-    for q in range(n):
-        op += embed_operator(np.diag([1.0, -1.0]), (q,), n)
-    return op
+def _magnetization(rho: DensityMatrix) -> float:
+    """<Z_1 + ... + Z_n>: Z_total is diagonal, n - 2 popcount(i) on basis state i."""
+    n = rho.n
+    z_total = np.array([n - 2 * i.bit_count() for i in range(2**n)])
+    return float(np.real(np.sum(np.diagonal(rho.mat) * z_total)))
 
 
 def _simulate_chain(cfg: ChainConfig) -> tuple[DensityMatrix, float, float]:
@@ -660,8 +555,7 @@ def _simulate_chain(cfg: ChainConfig) -> tuple[DensityMatrix, float, float]:
         "d" if j in (cfg.target_pair, cfg.target_pair + 1) else "u" for j in range(cfg.n_static)
     )
     rho = ket(spins).density()
-    mag = _magnetization_operator(n)
-    mag_before = rho.expectation(mag)
+    mag_before = _magnetization(rho)
     spectator = ForwardScatterParams(0.0)
     for j in range(cfg.n_static):
         if j == cfg.target_pair:
@@ -671,7 +565,7 @@ def _simulate_chain(cfg: ChainConfig) -> tuple[DensityMatrix, float, float]:
         else:
             gate = spectator
         rho = apply_unitary(rho, forward_unitary(gate), (0, j + 1))
-    mag_after = rho.expectation(mag)
+    mag_after = _magnetization(rho)
     statics = partial_trace(rho, tuple(range(1, n)))
     return statics, mag_before, mag_after
 

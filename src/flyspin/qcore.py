@@ -155,11 +155,6 @@ class DensityMatrix:
         """tr(rho^2): a float for a single state, an array over a stack."""
         return _per_state(np.real(np.trace(self._mat @ self._mat, axis1=-2, axis2=-1)))
 
-    def expectation(self, op):
-        """Expectation value of a Hermitian observable, per state of the stack."""
-        val = np.trace(np.asarray(op, dtype=complex) @ self._mat, axis1=-2, axis2=-1)
-        return _per_state(np.real(val))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(n={self._n})"
 
@@ -209,20 +204,6 @@ def _on_targets(op: np.ndarray, m: np.ndarray, targets: tuple[int, ...]) -> np.n
 def _behind(lead: int, perm: tuple[int, ...]) -> tuple[int, ...]:
     """``perm`` of the trailing axes, with ``lead`` stack axes kept in front."""
     return tuple(range(lead)) + tuple(lead + q for q in perm)
-
-
-def embed_operator(op, targets: Sequence[int], n: int) -> np.ndarray:
-    """Lift a k-qubit matrix to the full n-qubit register.
-
-    Axis j of ``op`` acts on ``targets[j]``; all other qubits get identity.
-    No unitarity is required (also used for Kraus operators and projectors).
-    """
-    m = np.asarray(op, dtype=complex)
-    k = _qubit_count(m.shape[0], "operator")
-    if m.shape != (2**k, 2**k):
-        raise ValueError(f"operator must be square, got shape {m.shape}")
-    targets = _check_targets(targets, k, n)
-    return _on_targets(m, np.eye(2**n, dtype=complex), targets)
 
 
 def apply_unitary(state: DensityMatrix, u, targets: Sequence[int]) -> DensityMatrix:

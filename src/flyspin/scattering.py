@@ -2,16 +2,18 @@
 
 Two levels of modelling are provided. ``forward_unitary`` covers the
 reflection-free regime, where the interaction reduces to a two-spin
-unitary fixed by the singlet and triplet transmission phases. In that
-regime the gate acts as
+unitary fixed by the singlet and triplet transmission phases theta_S and
+theta_T. In that regime the gate acts as
 
-    U|ud> = e^{i tp} (cos t |ud> + i sin t |du>)
-    U|du> = e^{i tp} (i sin t |ud> + cos t |du>)
-    U|uu> = e^{i (t+tp)} |uu>,   U|dd> = e^{i (t+tp)} |dd>
+    U|ud> = cos t |ud> + i sin t |du>
+    U|du> = i sin t |ud> + cos t |du>
+    U|uu> = e^{i t} |uu>,   U|dd> = e^{i t} |dd>
 
-with t = (theta_T - theta_S)/2 and tp = (theta_T + theta_S)/2. Parallel
-spins only pick up a phase; anti-parallel spins mix without spin flips,
-conserving total magnetization.
+with t = (theta_T - theta_S)/2. The physical gate carries one more factor
+e^{i (theta_T + theta_S)/2} on every entry; that global phase cancels in
+every state U rho U^dagger, so it is left out. Parallel spins only pick up
+a phase; anti-parallel spins mix without spin flips, conserving total
+magnetization.
 
 ``full_scatter`` keeps the reflected branch of the outgoing electron as an
 extra two-level direction mode (transmitted/reflected), so that heralding
@@ -38,25 +40,18 @@ _TRIPLET = np.eye(4, dtype=complex) - _SINGLET
 
 @dataclass(frozen=True)
 class ForwardScatterParams:
-    """Phase pair of the forward-scattering gate, reduced mod 2*pi.
+    """Mixing angle t = (theta_T - theta_S)/2 of the forward-scattering gate, reduced mod 2*pi.
 
-    Either phase may be an array, one gate per stack index; a scalar phase
-    is stored as a Python float.
+    The angle may be an array, one gate per stack index; a scalar angle is
+    stored as a Python float.
     """
 
     theta: float | np.ndarray
-    theta_prime: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("theta", "theta_prime"):
-            val = np.asarray(getattr(self, name), dtype=float)
-            _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
-            object.__setattr__(self, name, _per_state(val % _TWO_PI))
-
-    @classmethod
-    def from_phase_shifts(cls, theta_s: float, theta_t: float) -> "ForwardScatterParams":
-        """Build from the singlet/triplet transmission phases."""
-        return cls(theta=(theta_t - theta_s) / 2.0, theta_prime=(theta_t + theta_s) / 2.0)
+        val = np.asarray(self.theta, dtype=float)
+        _require(np.isfinite(val), "theta must be finite, got {}", val)
+        object.__setattr__(self, "theta", _per_state(val % _TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -75,25 +70,16 @@ class FullScatterParams:
                 raise ValueError(f"{label} amplitudes not normalized: |t|^2+|r|^2 = {total}")
 
 
-#: half-way mixing angle; one pass entangles the flying and static spins maximally
-BELL_GATE = ForwardScatterParams(math.pi / 4.0)
-#: full exchange; one pass swaps the flying and static spins up to phases
-SWAP_GATE = ForwardScatterParams(math.pi / 2.0)
-
-
 def forward_unitary(p: ForwardScatterParams) -> np.ndarray:
     """4x4 unitary on (flying, static) for the reflection-free regime.
 
-    Array phases give a stack of unitaries, shape ``(..., 4, 4)``.
+    An array angle gives a stack of unitaries, shape ``(..., 4, 4)``.
     """
     c = np.cos(p.theta)
-    s = np.sin(p.theta)
-    ph = np.exp(1j * p.theta_prime)
-    ph_par = np.exp(1j * (p.theta + p.theta_prime))
-    u = np.zeros(np.broadcast(c, ph).shape + (4, 4), dtype=complex)
-    u[..., 0, 0] = u[..., 3, 3] = ph_par
-    u[..., 1, 1] = u[..., 2, 2] = ph * c
-    u[..., 1, 2] = u[..., 2, 1] = 1j * ph * s
+    u = np.zeros(np.shape(c) + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 3, 3] = np.exp(1j * p.theta)
+    u[..., 1, 1] = u[..., 2, 2] = c
+    u[..., 1, 2] = u[..., 2, 1] = 1j * np.sin(p.theta)
     return u
 
 

@@ -192,6 +192,24 @@ def test_eo_run_noise_values(tmp_path):
     assert abs(mc - 0.5) < 4 * se + 1e-9
 
 
+def test_eo_run_noise_edges(tmp_path):
+    # every eps at exactly 0 and 1, at generic, near-degenerate and degenerate angles
+    out = tmp_path / "eo.csv"
+    angles = ((0.25, 0.5), (1e-9, 0.5), (0.5, 1e-9), (0.0, 0.0), (0.3, 0.7))
+    for (eps_init, eps_z, eps_relax), (t1, t2) in itertools.product(
+        itertools.product((0.0, 1.0), repeat=3), angles
+    ):
+        assert run("eo-run", "--theta1", str(t1), "--theta2", str(t2), "--eps-init", str(eps_init),
+                   "--eps-z", str(eps_z), "--eps-relax", str(eps_relax), "--trials", "100",
+                   "--out", str(out)) == 0
+        values = dict(line.split(",") for line in read(out).strip().splitlines()[1:])
+        if eps_relax == 0.0:
+            p1 = 2.0 * math.cos(math.pi * t1) ** 2 * math.sin(math.pi * t2) ** 2
+            p2 = 2.0 * math.sin(math.pi * t1) ** 2
+            expected = 0.5 * (1.0 - eps_init) ** 2 * p1 * p2
+            assert abs(float(values["success_prob_exact"]) - expected) < 1e-12
+
+
 def test_pump_sim_summary_and_csv(tmp_path, capsys):
     out = tmp_path / "pump.csv"
     assert run("pump-sim", "--eps-z", "0.089", "--trials", "30", "--seed", "4242",
@@ -204,12 +222,14 @@ def test_pump_sim_summary_and_csv(tmp_path, capsys):
 
 
 def test_pump_sim_without_noise_converges_at_round_zero(tmp_path):
+    # eps_z = 1 flips every pair for certain and 1e-300 rounds off, so both give perfect pairs too
     out = tmp_path / "pump0.csv"
-    assert run("pump-sim", "--eps-z", "0", "--trials", "10", "--seed", "3",
-               "--out", str(out)) == 0
-    for line in read(out).strip().splitlines()[1:]:
-        trial, rounds, pairs, converged = line.split(",")
-        assert rounds == "0" and pairs == "1" and converged == "1"
+    for eps_z in ("0", "1", "1e-300"):
+        assert run("pump-sim", "--eps-z", eps_z, "--trials", "10", "--seed", "3",
+                   "--out", str(out)) == 0
+        for line in read(out).strip().splitlines()[1:]:
+            trial, rounds, pairs, converged = line.split(",")
+            assert rounds == "0" and pairs == "1" and converged == "1"
 
 
 def test_eo_run_degenerate_angles(tmp_path):
@@ -234,6 +254,8 @@ def test_pump_sim_all_nonconverged_exits_three(tmp_path):
     code = run("pump-sim", "--eps-z", "0.3", "--trials", "5", "--seed", "1",
                "--max-rounds", "1", "--target-fidelity", "0.999999", "--out", str(out))
     assert code == 3
+    # eps_z = 1/2: fresh pairs of fidelity 1/2 leave the stored pair at 1/2 forever
+    assert run("pump-sim", "--eps-z", "0.5", "--trials", "20", "--out", str(out)) == 3
 
 
 def test_chain_demo_report(tmp_path, capsys):
@@ -273,6 +295,12 @@ def test_config_echo_is_refeedable(tmp_path):
     out2 = tmp_path / "second.csv"
     assert run("sweep-concurrence", "--config", str(echo), "--out", str(out2)) == 0
     assert read(out1) == read(out2)
+    # a sweep without angle flags echoes its default grid, which feeds back too
+    assert run("sweep-concurrence", "--out", str(out1)) == 0
+    assert "theta1 = 0:1:41\ntheta2 = 0:1:41\n" in read(echo)
+    assert run("sweep-concurrence", "--config", str(echo), "--out", str(out2)) == 0
+    assert len(read(out1).splitlines()) == 1 + 41 * 41
+    assert read(out1) == read(out2)
     # chain-demo echoes eps = 0, which it accepts back
     out3, out4 = tmp_path / "chain1.txt", tmp_path / "chain2.txt"
     assert run("chain-demo", "--chain-size", "3", "--out", str(out3)) == 0
@@ -286,6 +314,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert run("eo-run", "--seed", str(2**64)) == 1
     assert run("sweep-concurrence", "--theta1", "0:1:1") == 1
     assert run("sweep-concurrence", "--theta1", "0.3") == 1  # sweeps need a grid
+    # a given single angle is an error even where it equals eo-run's default
+    assert run("sweep-concurrence", "--theta1", "0:1:3", "--theta2", "0.5") == 1
+    assert run("sweep-concurrence", "--theta1", "0.25", "--theta2", "0:1:3") == 1
     assert run("eo-run", "--theta1", "0:1:5") == 1  # single runs need one angle
     assert run("eo-run", "--theta1", "bogus") == 1
     assert run("eo-run", "--theta1", "nan") == 1  # non-finite angles

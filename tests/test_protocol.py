@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from flyspin.channels import NoiseParams
 from flyspin.metrics import BellLabel, bell_fidelity, bell_state, concurrence
 from flyspin.protocol import (
-    ROUND_OUTCOMES,
     ChainConfig,
     EOResource,
     PumpRecord,
@@ -18,16 +17,14 @@ from flyspin.protocol import (
     chain_selective_eo,
     fresh_pair_fidelity,
     generate_resource,
-    parity_projection_branches,
     parity_success_output,
     parity_success_probability,
     parity_tree,
     pump_probabilities,
     pump_step,
     pump_until,
-    two_round_parity_projection,
 )
-from flyspin.qcore import ket
+from flyspin.qcore import PAULI_X, apply_unitary, ket
 from flyspin.rng import trial_rng, trial_uniforms
 from flyspin.scattering import ForwardScatterParams
 
@@ -56,7 +53,7 @@ def test_optimal_angles_give_maximally_entangled_pair():
 def test_no_interaction_leaves_static_pair_down_down():
     res = generate_resource(0.0, 0.0)
     assert_allclose(res.rho.mat, ket("dd").density().mat, atol=1e-12)
-    assert res.is_separable
+    assert res.p1 + res.p2 == 0.0
 
 
 def test_derived_angle_weights():
@@ -157,8 +154,9 @@ def test_imperfect_init_scales_entangled_weight():
 
 def test_degenerate_resource_flagged_separable():
     res = generate_resource(math.pi, 0.0)
-    assert res.is_separable
-    assert not generate_resource(OPT1, OPT2).is_separable
+    assert res.p1 + res.p2 <= 1e-12
+    opt = generate_resource(OPT1, OPT2)
+    assert opt.p1 + opt.p2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_rejects_nonfinite_angles():
@@ -169,12 +167,20 @@ def test_rejects_nonfinite_angles():
 # --- two-round parity projection ---------------------------------------------
 
 
+def _leaf(tree, syndromes):
+    """(probability, ancilla state) of the kept leaf with both rounds' outcome pairs, or None."""
+    for first, second, prob, state in tree.leaves():
+        if (first, second) == syndromes:
+            return prob, state
+    return None
+
+
 def test_branch_probabilities_sum_to_one():
     rng = np.random.default_rng(44)
     for _ in range(10):
         t1, t2 = rng.uniform(0.2, math.pi - 0.2, 2)
-        branches = parity_projection_branches(generate_resource(t1, t2))
-        assert abs(sum(b.probability for b in branches) - 1.0) < 1e-10
+        leaves = parity_tree(generate_resource(t1, t2)).leaves()
+        assert abs(sum(prob for _, _, prob, _ in leaves) - 1.0) < 1e-10
 
 
 def test_truncated_mass_closes_the_branch_sum():
@@ -182,7 +188,7 @@ def test_truncated_mass_closes_the_branch_sum():
     # zero-probability cut; the tree reports their mass instead of dropping it
     res = generate_resource(3e-7, math.pi / 2.0)
     tree = parity_tree(res)
-    kept = sum(b.probability for b in parity_projection_branches(res))
+    kept = sum(prob for _, _, prob, _ in tree.leaves())
     assert tree.truncated_mass == pytest.approx(res.p1 * res.p2 / 2.0, rel=1e-9)
     assert abs(kept + tree.truncated_mass - 1.0) < 1e-15
 
@@ -203,46 +209,48 @@ def test_optimal_point_success_half_with_psi_plus_output():
 
 
 def test_success_branches_implement_odd_parity_projection():
-    # forced odd-class syndrome on arbitrary ancilla inputs reproduces the
+    # the odd-class success leaf on arbitrary ancilla inputs is the
     # renormalized odd-parity projection, for any gate angles
     rng = np.random.default_rng(46)
     for _ in range(20):
         t1, t2 = rng.uniform(0.3, math.pi / 2.0, 2)
         res = generate_resource(t1, t2)
         anc = random_density(2, rng)
-        out = two_round_parity_projection(lambda: res, anc, forced_syndromes=ODD_SYNDROME)
-        assert out.succeeded and out.correction is None
+        _, state = _leaf(parity_tree(res, anc), ODD_SYNDROME)
         expected = PI_ODD @ anc.mat @ PI_ODD
         expected /= np.trace(expected)
-        assert np.max(np.abs(out.post_state.mat - expected)) < 1e-10
+        assert np.max(np.abs(state.mat - expected)) < 1e-10
 
 
 def test_even_class_syndrome_carries_flip_correction():
-    res = generate_resource(OPT1, OPT2)
-    out = two_round_parity_projection(lambda: res, forced_syndromes=EVEN_SYNDROME)
-    assert out.succeeded and out.correction == "x_on_a1"
-    # on the |++> input the corrected output coincides with the odd projection
-    assert bell_fidelity(out.post_state, BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-10)
+    # the even-class leaf heralds the even-parity projection of |++>; the
+    # success state pools it only after the bit flip on ancilla a1
+    tree = parity_tree(generate_resource(OPT1, OPT2))
+    _, state = _leaf(tree, EVEN_SYNDROME)
+    assert bell_fidelity(state, BellLabel.PHI_PLUS) == pytest.approx(1.0, abs=1e-10)
+    corrected = apply_unitary(state, PAULI_X, (0,))
+    assert bell_fidelity(corrected, BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-10)
+    _, pooled = parity_success_output(tree)
+    assert bell_fidelity(pooled, BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mismatched_outcomes_are_failures():
-    # repeating the first outcome is always a failure branch
-    res = generate_resource(OPT1, OPT2)
-    out = two_round_parity_projection(lambda: res, forced_syndromes=((0, 0), (0, 0)))
-    assert not out.succeeded
-    assert out.post_state is None and out.correction is None
-    # with a contaminated resource the parity-crossing branch opens up and fails too
-    noisy = generate_resource(OPT1, OPT2, NoiseParams(eps_init=0.2))
-    out = two_round_parity_projection(lambda: noisy, forced_syndromes=((0, 0), (0, 1)))
-    assert not out.succeeded
+    # repeating the first outcome is always a failure leaf
+    tree = parity_tree(generate_resource(OPT1, OPT2))
+    assert _leaf(tree, ((0, 0), (0, 0))) is not None
+    assert not tree.is_success((0, 0), (0, 0))
+    # with a contaminated resource the parity-crossing leaf opens up and fails too
+    noisy = parity_tree(generate_resource(OPT1, OPT2, NoiseParams(eps_init=0.2)))
+    assert _leaf(noisy, ((0, 0), (0, 1))) is not None
+    assert not noisy.is_success((0, 0), (0, 1))
 
 
 def test_parity_mismatched_syndrome_unreachable_for_pure_resource():
     # a pure resource pins the ancilla parity in round one, so round two can
-    # never report the crossing outcome; forcing it is flagged
-    res = generate_resource(OPT1, OPT2)
-    with pytest.raises(ValueError, match="zero probability"):
-        two_round_parity_projection(lambda: res, forced_syndromes=((0, 0), (0, 1)))
+    # never report the crossing outcome; the tree keeps no such leaf
+    tree = parity_tree(generate_resource(OPT1, OPT2))
+    assert _leaf(tree, ((0, 0), (0, 1))) is None
+    assert tree.truncated_mass < 1e-15  # only rounding is cut
 
 
 def test_success_branch_map_is_idempotent():
@@ -250,11 +258,9 @@ def test_success_branch_map_is_idempotent():
     res = generate_resource(0.9, 1.7)
     for _ in range(5):
         anc = random_density(2, rng)
-        once = two_round_parity_projection(lambda: res, anc, forced_syndromes=ODD_SYNDROME)
-        twice = two_round_parity_projection(
-            lambda: res, once.post_state, forced_syndromes=ODD_SYNDROME
-        )
-        assert np.max(np.abs(twice.post_state.mat - once.post_state.mat)) < 1e-10
+        _, once = _leaf(parity_tree(res, anc), ODD_SYNDROME)
+        _, twice = _leaf(parity_tree(res, once), ODD_SYNDROME)
+        assert np.max(np.abs(twice.mat - once.mat)) < 1e-10
 
 
 def test_imperfect_init_scales_success_not_fidelity():
@@ -299,9 +305,8 @@ def test_degenerate_resource_never_succeeds():
 
 def test_sampled_projection_is_deterministic_per_seed():
     res = generate_resource(OPT1, OPT2, NoiseParams(eps_z=0.05))
-    runs = [
-        two_round_parity_projection(lambda: res, rng=trial_rng(99, 0)).syndrome for _ in range(3)
-    ]
+    tree = parity_tree(res)
+    runs = [tuple(int(i) for i in tree.sample(trial_rng(99, 0).random(2))) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -331,10 +336,6 @@ def test_born_sample_matches_generator_choice(name):
         expected = [drawn for (s, _), drawn in zip(keys, reference) if s == seed]
         assert list(zip(first.tolist(), second.tolist())) == expected
         assert all(tree.draw1[i] > 0 and tree.draw2[i][j] > 0 for i, j in zip(first, second))
-    outcomes = [
-        two_round_parity_projection(lambda: res, rng=trial_rng(s, t)).syndrome for s, t in keys[:40]
-    ]
-    assert outcomes == [(ROUND_OUTCOMES[i], ROUND_OUTCOMES[j]) for i, j in reference[:40]]
 
 
 def test_born_sample_rejects_bad_weights():
@@ -349,38 +350,10 @@ def test_born_sample_rejects_bad_weights():
         dataclasses.replace(tree, draw2=draw2).sample(u)
 
 
-def test_sampler_requires_rng_or_forced_syndromes():
-    res = generate_resource(OPT1, OPT2)
-    with pytest.raises(ValueError, match="rng"):
-        two_round_parity_projection(lambda: res)
-
-
 def test_parity_rejects_wrong_sized_ancillas():
     res = generate_resource(OPT1, OPT2)
-    bad = ket("u").density()
     with pytest.raises(ValueError, match="two qubits"):
-        parity_projection_branches(res, bad)
-    with pytest.raises(ValueError, match="two qubits"):
-        two_round_parity_projection(lambda: res, bad, forced_syndromes=ODD_SYNDROME)
-
-
-def test_supplier_failure_propagates():
-    def broken():
-        raise RuntimeError("generation hardware offline")
-
-    with pytest.raises(RuntimeError, match="offline"):
-        two_round_parity_projection(broken, forced_syndromes=ODD_SYNDROME)
-
-
-def test_supplier_consumed_twice():
-    calls = []
-
-    def supplier():
-        calls.append(1)
-        return generate_resource(OPT1, OPT2)
-
-    two_round_parity_projection(supplier, forced_syndromes=ODD_SYNDROME)
-    assert len(calls) == 2
+        parity_tree(res, ket("u").density())
 
 
 # --- entanglement pumping ------------------------------------------------------
@@ -481,12 +454,12 @@ def test_pump_until_marks_nonconvergence():
 def test_pump_until_input_checks_and_edge_walks():
     for eps_z in (-0.1, 1.5, math.nan):  # fresh fidelity outside [0, 1]
         with pytest.raises(ValueError, match="fresh fidelity"):
-            pump_until(eps_z, 0.9, 10, 0)
+            pump_until(eps_z, 0.9, 10, trial_rng(0, 0))
     with pytest.raises(ValueError, match="target fidelity"):
-        pump_until(0.089, 1.0, 10, 0)
+        pump_until(0.089, 1.0, 10, trial_rng(0, 0))
     with pytest.raises(ValueError, match="max_rounds"):
-        pump_until(0.089, 0.9, -1, 0)
-    idle = pump_until(0.089, 0.9999, 0, 0)
+        pump_until(0.089, 0.9, -1, trial_rng(0, 0))
+    idle = pump_until(0.089, 0.9999, 0, trial_rng(0, 0))
     assert not idle.converged and idle.rounds == 0 and len(idle.records) == 1
     # r = 1: every syndrome leaves the stored fidelity at 1/2
     flat = pump_until(0.5, 0.9, 50, trial_rng(3, 0))
@@ -569,11 +542,12 @@ def test_chain_spectators_stay_pure():
 def test_chain_magnetization_conserved_for_random_angles():
     rng = np.random.default_rng(50)
     for _ in range(20):
-        t1, t2, tp1, tp2 = rng.uniform(0.0, 2.0 * math.pi, 4)
-        cfg = ChainConfig(
-            5, int(rng.integers(0, 4)), ForwardScatterParams(t1, tp1), ForwardScatterParams(t2, tp2)
-        )
+        t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+        pair = int(rng.integers(0, 4))
+        cfg = ChainConfig(5, pair, ForwardScatterParams(t1), ForwardScatterParams(t2))
         rep = chain_report(cfg)
+        # flying qubit and three spectators up, the target pair down
+        assert rep.magnetization_before == 2.0
         assert abs(rep.magnetization_after - rep.magnetization_before) < 1e-12
 
 

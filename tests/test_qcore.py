@@ -14,7 +14,6 @@ from flyspin.qcore import (
     PureState,
     apply_channel,
     apply_unitary,
-    embed_operator,
     ket,
     measure,
     partial_trace,
@@ -28,12 +27,16 @@ SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=
 
 
 def test_embed_identity_is_identity():
-    assert_allclose(embed_operator(np.eye(2), (0,), 3), np.eye(8), atol=1e-15)
+    rho = random_density(3, np.random.default_rng(1))
+    assert_allclose(apply_unitary(rho, np.eye(2), (0,)).mat, rho.mat, atol=1e-15)
 
 
 def test_embed_z_on_qubit1_of_two():
     # qubit 0 is the most significant bit, so Z on qubit 1 alternates fastest
-    assert_allclose(embed_operator(PAULI_Z, (1,), 2), np.diag([1, -1, 1, -1]), atol=1e-15)
+    z1 = np.diag([1.0, -1.0, 1.0, -1.0])
+    assert_allclose(dense_embed(PAULI_Z, (1,), 2), z1, atol=1e-15)
+    rho = random_density(2, np.random.default_rng(10))
+    assert_allclose(apply_unitary(rho, PAULI_Z, (1,)).mat, z1 @ rho.mat @ z1, atol=1e-15)
 
 
 def test_embed_swap_permutes_basis_ket():
@@ -52,9 +55,9 @@ def test_embed_rejects_nonunitary():
 
 def test_embed_rejects_bad_targets():
     with pytest.raises(ValueError, match="duplicate"):
-        embed_operator(SWAP, (1, 1), 3)
+        apply_channel(ket("udd").density(), KrausChannel([SWAP]), (1, 1))
     with pytest.raises(ValueError, match="range"):
-        embed_operator(PAULI_X, (3,), 2)
+        apply_channel(ket("ud").density(), KrausChannel([PAULI_X]), (-1,))
     with pytest.raises(ValueError, match="duplicate"):
         apply_unitary(ket("udd").density(), SWAP, (1, 1))
     with pytest.raises(ValueError, match="range"):
@@ -67,9 +70,12 @@ def test_embed_times_inverse_is_identity():
         for _ in range(25):
             u = random_unitary(k, rng)
             targets = tuple(rng.permutation(4)[:k])
-            full = embed_operator(u, targets, 4)
-            inv = embed_operator(u.conj().T, targets, 4)
-            assert np.max(np.abs(full @ inv - np.eye(16))) < 1e-10
+            rho = random_density(4, rng)
+            once = apply_unitary(rho, u, targets)
+            full = dense_embed(u, targets, 4)
+            assert np.max(np.abs(once.mat - full @ rho.mat @ full.conj().T)) < 1e-10
+            back = apply_unitary(once, u.conj().T, targets)
+            assert np.max(np.abs(back.mat - rho.mat)) < 1e-10
 
 
 def test_apply_z_twice_is_identity():
@@ -221,7 +227,6 @@ def test_local_operators_match_dense_reference():
         d = 2**k
         u = random_unitary(k, rng)
         full_u = dense_embed(u, targets, 6)
-        assert_allclose(embed_operator(u, targets, 6), full_u, atol=1e-12)
         expected = full_u @ rho.mat @ full_u.conj().T
         assert_allclose(apply_unitary(rho, u, targets).mat, expected, atol=1e-12)
         # two complex Kraus operators: the blocks of a random isometry

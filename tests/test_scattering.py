@@ -7,8 +7,6 @@ from numpy.testing import assert_allclose
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence
 from flyspin.qcore import PureState, apply_unitary, ket
 from flyspin.scattering import (
-    BELL_GATE,
-    SWAP_GATE,
     ForwardScatterParams,
     FullScatterParams,
     forward_unitary,
@@ -22,20 +20,19 @@ MAGNETIZATION_2 = np.kron(np.diag([1.0, -1.0]), np.eye(2)) + np.kron(np.eye(2), 
 
 
 def test_zero_params_give_identity():
-    assert_allclose(forward_unitary(ForwardScatterParams(0.0, 0.0)), np.eye(4), atol=1e-15)
+    assert_allclose(forward_unitary(ForwardScatterParams(0.0)), np.eye(4), atol=1e-15)
 
 
 def test_swap_regime_maps_ud_to_du():
-    # full exchange angle: |ud> goes to i e^{i tp} |du>
-    tp = 0.37
-    u = forward_unitary(ForwardScatterParams(math.pi / 2.0, tp))
+    # full exchange angle: |ud> goes to i |du>
+    u = forward_unitary(ForwardScatterParams(math.pi / 2.0))
     out = u @ ket("ud").amplitudes
-    expected = 1j * np.exp(1j * tp) * ket("du").amplitudes
+    expected = 1j * ket("du").amplitudes
     assert_allclose(out, expected, atol=1e-12)
 
 
 def test_bell_angle_entangles_maximally():
-    u = forward_unitary(ForwardScatterParams(math.pi / 4.0, 0.0))
+    u = forward_unitary(ForwardScatterParams(math.pi / 4.0))
     out = u @ ket("ud").amplitudes
     expected = (ket("ud").amplitudes + 1j * ket("du").amplitudes) / math.sqrt(2.0)
     assert_allclose(out, expected, atol=1e-12)
@@ -45,7 +42,7 @@ def test_bell_angle_entangles_maximally():
 def test_unitarity_and_magnetization_1000_random():
     rng = np.random.default_rng(12)
     for _ in range(1000):
-        p = ForwardScatterParams(rng.uniform(-10, 10), rng.uniform(-10, 10))
+        p = ForwardScatterParams(rng.uniform(-10, 10))
         u = forward_unitary(p)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
         assert np.max(np.abs(u @ MAGNETIZATION_2 - MAGNETIZATION_2 @ u)) < 1e-10
@@ -54,7 +51,7 @@ def test_unitarity_and_magnetization_1000_random():
 def test_parallel_subspace_is_pure_phase():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        u = forward_unitary(ForwardScatterParams(rng.uniform(0, 7), rng.uniform(0, 7)))
+        u = forward_unitary(ForwardScatterParams(rng.uniform(0, 7)))
         # no spin flips for parallel spins: parallel entries stay diagonal
         for idx in (0, 3):
             row = np.delete(u[idx], idx)
@@ -65,21 +62,22 @@ def test_parallel_subspace_is_pure_phase():
 
 
 def test_from_phase_shifts():
+    # the gate at t = (theta_T - theta_S)/2 has the singlet and triplet
+    # eigenphases up to the global phase e^{i (theta_T + theta_S)/2}
     theta_s, theta_t = 0.4, 1.5
-    p = ForwardScatterParams.from_phase_shifts(theta_s, theta_t)
-    assert p.theta == pytest.approx((theta_t - theta_s) / 2.0)
-    assert p.theta_prime == pytest.approx((theta_t + theta_s) / 2.0)
-    u = forward_unitary(p)
-    # singlet and triplet eigenphases recovered
+    gate = forward_unitary(ForwardScatterParams((theta_t - theta_s) / 2.0))
+    u = np.exp(0.5j * (theta_t + theta_s)) * gate
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    triplet0 = np.array([0, 1, 1, 0]) / np.sqrt(2)
     assert_allclose(u @ singlet, np.exp(1j * theta_s) * singlet, atol=1e-12)
-    assert_allclose(u[0, 0], np.exp(1j * theta_t), atol=1e-12)
+    assert_allclose(u @ triplet0, np.exp(1j * theta_t) * triplet0, atol=1e-12)
+    assert_allclose(np.diag(u)[[0, 3]], np.exp(1j * theta_t), atol=1e-12)
 
 
 def test_angles_reduced_mod_two_pi():
-    p = ForwardScatterParams(2.0 * math.pi + 0.5, -0.25)
+    p = ForwardScatterParams(2.0 * math.pi + 0.5)
     assert p.theta == pytest.approx(0.5)
-    assert p.theta_prime == pytest.approx(2.0 * math.pi - 0.25)
+    assert ForwardScatterParams(-0.25).theta == pytest.approx(2.0 * math.pi - 0.25)
     with pytest.raises(ValueError, match="finite"):
         ForwardScatterParams(math.inf)
 
@@ -105,11 +103,6 @@ def test_stacked_gate_matches_math_library_bit_for_bit():
         assert np.array_equal(forward_unitary(single).view(np.uint64), u[i].view(np.uint64))
 
 
-def test_presets():
-    assert BELL_GATE.theta == pytest.approx(math.pi / 4.0)
-    assert SWAP_GATE.theta == pytest.approx(math.pi / 2.0)
-
-
 def test_full_scatter_params_validation():
     with pytest.raises(ValueError, match="not normalized"):
         FullScatterParams(t_s=1.0, r_s=0.5, t_t=1.0, r_t=0.0)
@@ -122,7 +115,8 @@ def test_no_reflection_limit_matches_forward_unitary():
         p_full = FullScatterParams(
             t_s=np.exp(1j * theta_s), r_s=0.0, t_t=np.exp(1j * theta_t), r_t=0.0
         )
-        p_fwd = ForwardScatterParams.from_phase_shifts(theta_s, theta_t)
+        # the global phase e^{i (theta_T + theta_S)/2} cancels in rho
+        p_fwd = ForwardScatterParams((theta_t - theta_s) / 2.0)
         rho = random_density(2, rng)
         prob, conditional = herald_transmission(full_scatter(rho, p_full))
         assert prob == pytest.approx(1.0, abs=1e-12)
