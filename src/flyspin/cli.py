@@ -1,16 +1,17 @@
 """Command-line surface: parameter sweeps, single-operation reports, Monte
 Carlo pumping experiments and chain demos, with seeded determinism.
 
-Angles are given in units of pi everywhere on the command line and in
-config files (0.25 means pi/4), which keeps the optimal working points
-exactly representable. Sweep commands accept a grid as START:STOP:STEPS
-(inclusive endpoints, also in units of pi). Config files are flat
-``key = value`` text; command-line flags override file values. Every run
-that writes an output file also writes "<out>.config" with the fully
-resolved configuration, which can be fed back through --config to
-reproduce the run. Randomness comes from per-trial Philox streams keyed
-by (seed, trial index), so reruns are byte-identical and independent of
-any parallel scheduling.
+Each command accepts, as flags and config-file keys, only the keys it
+reads (``_COMMANDS``). Angles are in units of pi everywhere on the command
+line and in config files (0.25 means pi/4), which keeps the optimal working
+points exactly representable. Sweeps take a grid as START:STOP:STEPS
+(inclusive endpoints, in units of pi). Config files are flat ``key = value``
+text, each key at most once; flags override file values. Every run that
+writes an output file also writes "<out>.config" holding ``command``, the
+command's keys and ``out``; fed back through --config it reproduces the
+run, and another command rejects it. Randomness comes from per-trial Philox
+streams keyed by (seed, trial index), so reruns are byte-identical and
+independent of any parallel scheduling.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or numerical
 error, 3 non-convergence (pump-sim only).
@@ -25,7 +26,7 @@ import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,8 +48,6 @@ from .scattering import ForwardScatterParams
 
 _SWEEP_HEADER = "theta1,theta2,concurrence,p1,p2,herald_prob"
 
-_FLOAT_KEYS = ("eps_init", "eps_z", "eps_relax", "target_fidelity")
-_INT_KEYS = ("trials", "seed", "max_rounds", "chain_size", "target_pair")
 # sweep-concurrence grid of both angles when none is given: [0, pi] in 41 steps
 _SWEEP_GRID = "0:1:41"
 
@@ -62,7 +61,8 @@ class ExperimentConfig:
     """Fully resolved run configuration.
 
     theta1/theta2 keep the raw angle specs (units of pi, possibly grids);
-    the derived radian values and grids come from the accessors below.
+    the derived radian values and grids come from the accessors below. A
+    command sets only the keys it reads; the other fields keep their defaults.
     """
 
     command: str
@@ -80,14 +80,14 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def angle(self, key: str) -> float:
-        start, _, steps = _parse_angle(getattr(self, key), key)
+        start, _, steps = _parse_angle(getattr(self, key))
         if steps is not None:
             raise ConfigError(f"{key}: {self.command} expects a single angle, not a grid")
         return start
 
     def grid(self, key: str) -> tuple[float, ...]:
         spec = getattr(self, key)
-        start, stop, steps = _parse_angle(spec, key)
+        start, stop, steps = _parse_angle(spec)
         if steps is None:
             raise ConfigError(f"{key}: sweeps need a START:STOP:STEPS grid, got {spec!r}")
         return tuple(float(v) for v in np.linspace(start, stop, steps))
@@ -99,7 +99,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _parse_angle(text: str, flag: str) -> tuple[float, float, Optional[int]]:
+def _parse_angle(text: str) -> tuple[float, float, Optional[int]]:
     """Angle spec in pi units as (START, STOP, STEPS) in radians.
 
     A single finite value gives (value, value, None); a START:STOP:STEPS grid
@@ -107,17 +107,40 @@ def _parse_angle(text: str, flag: str) -> tuple[float, float, Optional[int]]:
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
-        raise ConfigError(f"{flag}: grid must be START:STOP:STEPS, got {text!r}")
+        raise ConfigError(f"grid must be START:STOP:STEPS, got {text!r}")
     try:
         ends = [float(part) * math.pi for part in parts[:2]]
         steps = int(parts[2]) if len(parts) == 3 else None
     except ValueError as exc:
-        raise ConfigError(f"{flag}: cannot parse angle {text!r}") from exc
+        raise ConfigError(f"cannot parse angle {text!r}") from exc
     if not all(math.isfinite(v) for v in ends):
-        raise ConfigError(f"{flag}: angles must be finite, got {text!r}")
+        raise ConfigError(f"angles must be finite, got {text!r}")
     if steps is not None and steps < 2:
-        raise ConfigError(f"{flag}: grid needs at least 2 steps, got {steps}")
+        raise ConfigError(f"grid needs at least 2 steps, got {steps}")
     return ends[0], ends[-1], steps
+
+
+def _angle_spec(text: str) -> str:
+    """An angle spec, checked but kept as text: grids are built on use."""
+    _parse_angle(text)
+    return text
+
+
+# every config key: how its text converts to the ExperimentConfig field, and its flag help
+_KEYS: dict[str, tuple[Callable[[str], object], str]] = {
+    "theta1": (_angle_spec, "first gate angle in pi units, or grid START:STOP:STEPS"),
+    "theta2": (_angle_spec, "second gate angle in pi units, or grid START:STOP:STEPS"),
+    "eps_init": (float, "flying-qubit initialization error"),
+    "eps_z": (float, "inter-gate dephasing probability"),
+    "eps_relax": (float, "inter-gate relaxation probability"),
+    "trials": (int, "Monte Carlo trial count"),
+    "seed": (int, "64-bit master seed"),
+    "target_fidelity": (float, "pumping target fidelity"),
+    "max_rounds": (int, "pump round ceiling per trial"),
+    "chain_size": (int, "number of static qubits in the chain"),
+    "target_pair": (int, "left index i of the target pair (i, i+1)"),
+    "out": (str, "output file path"),
+}
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -133,7 +156,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+        values[key] = value
     return values
 
 
@@ -146,27 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Angles are in units of pi (0.25 means pi/4); grids are START:STOP:STEPS.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "sweep-concurrence": "concurrence of the generated resource over an angle grid",
-        "eo-run": "single entanglement-operation report with exact and sampled statistics",
-        "pump-sim": "Monte Carlo entanglement-pumping trajectories",
-        "chain-demo": "selective operation on a chain of static qubits",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        p.add_argument("--theta1", help="first gate angle in pi units, or grid START:STOP:STEPS")
-        p.add_argument("--theta2", help="second gate angle in pi units, or grid START:STOP:STEPS")
-        p.add_argument("--eps-init", type=float, help="flying-qubit initialization error")
-        p.add_argument("--eps-z", type=float, help="inter-gate dephasing probability")
-        p.add_argument("--eps-relax", type=float, help="inter-gate relaxation probability")
-        p.add_argument("--trials", type=int, help="Monte Carlo trial count")
-        p.add_argument("--seed", type=int, help="64-bit master seed")
-        p.add_argument("--target-fidelity", type=float, help="pumping target fidelity")
-        p.add_argument("--max-rounds", type=int, help="pump round ceiling per trial")
-        p.add_argument("--chain-size", type=int, help="number of static qubits in the chain")
-        p.add_argument("--target-pair", type=int, help="left index i of the target pair (i, i+1)")
-        p.add_argument("--out", metavar="PATH", help="output file path")
+        for key in command.keys:
+            p.add_argument("--" + key.replace("_", "-"), help=_KEYS[key][1])
     return parser
 
 
@@ -175,27 +185,18 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     if cfg.command == "sweep-concurrence":
         cfg.theta1 = cfg.theta2 = _SWEEP_GRID
     merged = _load_config_file(args.config) if args.config else {}
-    for key in ("theta1", "theta2", "out", *_FLOAT_KEYS, *_INT_KEYS):
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = str(flag_val)
+    file_command = merged.pop("command", cfg.command)
+    if file_command != cfg.command:
+        raise ConfigError(f"{args.config} is a {file_command} config, not {cfg.command}")
+    keys = _COMMANDS[cfg.command].keys
+    for key in keys:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     for key, value in merged.items():
-        if key == "command":
-            continue
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r} for {cfg.command}")
         try:
-            if key in ("theta1", "theta2"):
-                _parse_angle(value, key)  # validate early; grids are built on use
-                setattr(cfg, key, value)
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key == "out":
-                cfg.out = value
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
+            setattr(cfg, key, _KEYS[key][0](value))
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     if not (0 <= cfg.seed < 2**64):
@@ -222,14 +223,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _echo_config(cfg: ExperimentConfig, out_path: str) -> None:
-    pairs = [
-        ("command", cfg.command),
-        ("theta1", cfg.theta1),
-        ("theta2", cfg.theta2),
-        *((k, _fmt(getattr(cfg, k))) for k in _FLOAT_KEYS),
-        *((k, str(getattr(cfg, k))) for k in _INT_KEYS),
-        ("out", cfg.out or ""),
-    ]
+    pairs = [("command", cfg.command)]
+    for key in _COMMANDS[cfg.command].keys:
+        value = getattr(cfg, key)
+        if isinstance(value, float):
+            value = _fmt(value)
+        pairs.append((key, "" if value is None else str(value)))
     text = "\n".join(f"{k} = {v}" for k, v in sorted(pairs)) + "\n"
     _write_text(out_path + ".config", text)
 
@@ -306,18 +305,10 @@ def cmd_eo_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _require_noiseless(cfg: ExperimentConfig, keys: tuple[str, ...], why: str) -> None:
-    """Reject nonzero noise parameters that a command does not model."""
-    noisy = [key for key in keys if getattr(cfg, key) != 0.0]
-    if noisy:
-        raise ConfigError(f"{', '.join(noisy)}: {why}; set to 0")
-
-
 def cmd_pump_sim(cfg: ExperimentConfig) -> int:
     """Seeded pumping trials; per-trial CSV rows plus a summary."""
     if cfg.trials < 1:
         raise ConfigError("pump-sim needs trials >= 1")
-    _require_noiseless(cfg, ("eps_init", "eps_relax"), "pump-sim models dephasing only (eps_z)")
     rows = ["trial,rounds_to_target,pairs_consumed,converged"]
     rounds_converged: list[int] = []
     non_converged = 0
@@ -358,9 +349,6 @@ def cmd_pump_sim(cfg: ExperimentConfig) -> int:
 
 def cmd_chain_demo(cfg: ExperimentConfig) -> int:
     """Selective operation on a chain; spectator and conservation diagnostics."""
-    _require_noiseless(
-        cfg, ("eps_init", "eps_z", "eps_relax"), "chain-demo simulates a noiseless chain"
-    )
     try:
         chain = ChainConfig(
             n_static=cfg.chain_size,
@@ -395,11 +383,23 @@ def cmd_chain_demo(cfg: ExperimentConfig) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    run: Callable[[ExperimentConfig], int]
+    keys: tuple[str, ...]  # the config keys the command reads, each also a --flag
+    help: str
+
+
+_NOISE_KEYS = ("eps_init", "eps_z", "eps_relax")
 _COMMANDS = {
-    "sweep-concurrence": cmd_sweep_concurrence,
-    "eo-run": cmd_eo_run,
-    "pump-sim": cmd_pump_sim,
-    "chain-demo": cmd_chain_demo,
+    "sweep-concurrence": _Command(cmd_sweep_concurrence, ("theta1", "theta2", *_NOISE_KEYS, "out"),
+                                  "concurrence of the generated resource over an angle grid"),
+    "eo-run": _Command(cmd_eo_run, ("theta1", "theta2", *_NOISE_KEYS, "trials", "seed", "out"),
+                       "single entanglement-operation report with exact and sampled statistics"),
+    "pump-sim": _Command(cmd_pump_sim,
+                         ("eps_z", "trials", "seed", "target_fidelity", "max_rounds", "out"),
+                         "Monte Carlo entanglement-pumping trajectories"),
+    "chain-demo": _Command(cmd_chain_demo, ("theta1", "theta2", "chain_size", "target_pair", "out"),
+                           "selective operation on a chain of static qubits"),
 }
 
 
@@ -435,7 +435,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command].run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -73,7 +73,7 @@ from .scattering import ForwardScatterParams, forward_unitary
 
 _SEPARABLE_ATOL = 1e-12
 
-# control is the first qubit passed to embed; flips the target when the control is down
+# control is the first of the two targets; flips the target when the control is down
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     dtype=complex,

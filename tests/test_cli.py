@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import flyspin
-from flyspin.cli import main
+from flyspin.cli import _build_parser, main
 from flyspin.metrics import concurrence
 from flyspin.protocol import generate_resource
 
@@ -85,8 +86,8 @@ def test_sweep_noise_boundaries_match_closed_form(tmp_path):
 
 
 def test_main_twice_in_one_process_matches_fresh_processes(tmp_path, capsys):
-    # the parser is built once per process: a second command parses into a
-    # fresh namespace (chain-demo would reject the eo-run's eps_z otherwise)
+    # the parser is built once per process: each parse must start from a fresh
+    # namespace, so no value of the eo-run leaks into the chain-demo
     commands = [
         ["eo-run", "--eps-z", "0.089", "--trials", "50", "--seed", "9", "--out", "eo.csv"],
         ["chain-demo", "--chain-size", "3", "--target-pair", "1", "--out", "chain.txt"],
@@ -301,7 +302,7 @@ def test_config_echo_is_refeedable(tmp_path):
     assert run("sweep-concurrence", "--config", str(echo), "--out", str(out2)) == 0
     assert len(read(out1).splitlines()) == 1 + 41 * 41
     assert read(out1) == read(out2)
-    # chain-demo echoes eps = 0, which it accepts back
+    # chain-demo's echo feeds back too
     out3, out4 = tmp_path / "chain1.txt", tmp_path / "chain2.txt"
     assert run("chain-demo", "--chain-size", "3", "--out", str(out3)) == 0
     assert run("chain-demo", "--config", f"{out3}.config", "--out", str(out4)) == 0
@@ -325,14 +326,78 @@ def test_config_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
     for flag in ("--eps-init", "--eps-z", "--eps-relax"):  # chain-demo has no noise model
         assert run("chain-demo", flag, "0.3") == 1
-        assert "noiseless" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
     for flag in ("--eps-init", "--eps-relax"):  # pumping models dephasing only
         assert run("pump-sim", "--trials", "5", flag, "0.3") == 1
-        assert "dephasing only" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense_key = 3\n")
     assert run("eo-run", "--config", str(cfg)) == 1
     assert run("eo-run", "--config", str(tmp_path / "missing.cfg")) == 1
+    # a config file written by another command
+    pump = tmp_path / "pump.csv"
+    assert run("pump-sim", "--trials", "5", "--out", str(pump)) == 0
+    capsys.readouterr()
+    assert run("eo-run", "--config", f"{pump}.config") == 1
+    assert "pump-sim" in capsys.readouterr().err
+    # a key given twice, even in its dashed spelling, does not let the last value win
+    cfg.write_text("eps_z = 0.5\neps-z = 0.01\n")
+    assert run("eo-run", "--config", str(cfg)) == 1
+    assert "'eps_z' given twice" in capsys.readouterr().err
+
+
+# each command's flags (besides --config), one flag it does not read, and the flags of one run
+COMMAND_SURFACE = {
+    "sweep-concurrence": (
+        {"--theta1", "--theta2", "--eps-init", "--eps-z", "--eps-relax", "--out"},
+        ("--trials", "5"),
+        ["--theta1", "0:1:3", "--theta2", "0.1:0.9:4", "--eps-z", "0.05", "--eps-relax", "0.1"],
+    ),
+    "eo-run": (
+        {"--theta1", "--theta2", "--eps-init", "--eps-z", "--eps-relax", "--trials", "--seed",
+         "--out"},
+        ("--max-rounds", "0"),
+        ["--theta1", "0.3", "--eps-init", "0.02", "--eps-z", "0.089", "--trials", "300",
+         "--seed", "7"],
+    ),
+    "pump-sim": (
+        {"--eps-z", "--trials", "--seed", "--target-fidelity", "--max-rounds", "--out"},
+        ("--theta1", "0.1"),
+        ["--eps-z", "0.089", "--trials", "50", "--seed", "11", "--max-rounds", "300",
+         "--target-fidelity", "0.999"],
+    ),
+    "chain-demo": (
+        {"--theta1", "--theta2", "--chain-size", "--target-pair", "--out"},
+        ("--seed", "1"),
+        ["--theta1", "0.3", "--chain-size", "3", "--target-pair", "0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SURFACE))
+def test_each_command_accepts_and_echoes_only_its_keys(command, tmp_path, capsys):
+    flags, (foreign, foreign_value), argv = COMMAND_SURFACE[command]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    long_options = {
+        opt for action in sub.choices[command]._actions for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert long_options == {"--config", *flags}
+    assert run(command, foreign, foreign_value) == 1
+    assert f"unrecognized arguments: {foreign}" in capsys.readouterr().err
+    key = foreign[2:].replace("-", "_")
+    cfg = tmp_path / "foreign.cfg"
+    cfg.write_text(f"{key} = {foreign_value}\n")
+    assert run(command, "--config", str(cfg)) == 1
+    assert repr(key) in capsys.readouterr().err
+    # the echo holds exactly command, the command's keys and out, and reproduces the run
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run(command, *argv, "--out", str(first)) == 0
+    echo = read(tmp_path / "first.csv.config")
+    keys = {line.split(" = ")[0] for line in echo.splitlines()}
+    assert keys == {"command", *(flag[2:].replace("-", "_") for flag in flags)}
+    assert run(command, "--config", str(tmp_path / "first.csv.config"), "--out", str(second)) == 0
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_angle_values_may_start_with_minus(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import statistics
 
@@ -294,6 +295,19 @@ def test_relaxation_decreases_success_probability_only():
         assert prob < prev - 1e-6
         assert abs(bell_fidelity(state, BellLabel.PSI_PLUS) - 1.0) < 1e-10
         prev = prob
+
+
+def test_relaxed_success_matches_absolute_oracle():
+    # relaxation only removes success mass: P = (1 - eps_relax) P1 P2 / 2 and the
+    # pooled output is exactly psi+, which needs the X-on-a1 correction of the even leaf
+    for eps, (t1, t2) in itertools.product(
+        (0.1, 0.3, 0.9), ((OPT1, OPT2), (0.6, 1.3), (0.2, 2.9))
+    ):
+        prob, state = parity_success_output(generate_resource(t1, t2, NoiseParams(eps_relax=eps)))
+        p1 = 2.0 * math.cos(t1) ** 2 * math.sin(t2) ** 2
+        p2 = 2.0 * math.sin(t1) ** 2
+        assert abs(prob - 0.5 * (1.0 - eps) * p1 * p2) < 1e-12
+        assert abs(bell_fidelity(state, BellLabel.PSI_PLUS) - 1.0) < 1e-10
 
 
 def test_degenerate_resource_never_succeeds():
