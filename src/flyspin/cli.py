@@ -6,12 +6,13 @@ reads (``_COMMANDS``). Angles are in units of pi everywhere on the command
 line and in config files (0.25 means pi/4), which keeps the optimal working
 points exactly representable. Sweeps take a grid as START:STOP:STEPS
 (inclusive endpoints, in units of pi). Config files are flat ``key = value``
-text, each key at most once; flags override file values. Every run that
-writes an output file also writes "<out>.config" holding ``command``, the
-command's keys and ``out``; fed back through --config it reproduces the
-run, and another command rejects it. Randomness comes from per-trial Philox
-streams keyed by (seed, trial index), so reruns are byte-identical and
-independent of any parallel scheduling.
+text, each key at most once, with '#' opening a comment at the start of a
+line or after whitespace; flags, each given at most once, override file
+values. Every run that writes an output file also writes "<out>.config"
+holding ``command``, the command's keys and ``out``; fed back through
+--config it reproduces the run, and another command rejects it. Randomness
+comes from per-trial Philox streams keyed by (seed, trial index), so reruns
+are byte-identical and independent of any parallel scheduling.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or numerical
 error, 3 non-convergence (pump-sim only).
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import statistics
 import sys
 from dataclasses import dataclass
@@ -47,9 +49,12 @@ from .rng import trial_streams, trial_uniforms
 from .scattering import ForwardScatterParams
 
 _SWEEP_HEADER = "theta1,theta2,concurrence,p1,p2,herald_prob"
+_HERALD_PROB = 1.0  # forward scattering reflects nothing, so every transit is heralded
 
 # sweep-concurrence grid of both angles when none is given: [0, pi] in 41 steps
 _SWEEP_GRID = "0:1:41"
+
+_COMMENT = re.compile(r"(?:^|\s)#.*")  # '#' opens a comment at a line's start or after whitespace
 
 
 class ConfigError(ValueError):
@@ -150,7 +155,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -161,6 +166,14 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
         values[key] = value
     return values
+
+
+class _Once(argparse.Action):
+    """Store a flag's value; a second occurrence of the flag is an error."""
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{self.option_strings[0]} given twice")
+        setattr(namespace, self.dest, values)
 
 
 @functools.cache
@@ -174,9 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        p.add_argument("--config", action=_Once, metavar="PATH", help="key = value config file")
         for key in command.keys:
-            p.add_argument("--" + key.replace("_", "-"), help=_KEYS[key][1])
+            p.add_argument("--" + key.replace("_", "-"), action=_Once, help=_KEYS[key][1])
     return parser
 
 
@@ -199,6 +212,9 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             setattr(cfg, key, _KEYS[key][0](value))
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
+    if cfg.out and (cfg.out != cfg.out.strip() or len(cfg.out.splitlines()) > 1
+                    or _COMMENT.search(cfg.out)):
+        raise ConfigError(f"out: {cfg.out!r} would not read back from its .config echo")
     if not (0 <= cfg.seed < 2**64):
         raise ConfigError(f"seed must be a 64-bit value, got {cfg.seed}")
     if cfg.trials < 0:
@@ -246,7 +262,7 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
         res = generate_resource(np.full(grid2.shape, t1), grid2, noise)
         columns = (grid2, concurrence(res.rho), res.p1, res.p2)
         for t2, c, p1, p2 in zip(*(col.tolist() for col in columns)):
-            rows.append(",".join(_fmt(v) for v in (t1, t2, c, p1, p2, res.herald_prob)))
+            rows.append(",".join(_fmt(v) for v in (t1, t2, c, p1, p2, _HERALD_PROB)))
     out = cfg.out or "sweep.csv"
     _write_text(out, "\n".join(rows) + "\n")
     _echo_config(cfg, out)
@@ -283,7 +299,7 @@ def cmd_eo_run(cfg: ExperimentConfig) -> int:
         ("theta2", cfg.angle("theta2")),
         ("p1", res.p1),
         ("p2", res.p2),
-        ("herald_prob", res.herald_prob),
+        ("herald_prob", _HERALD_PROB),
         ("resource_concurrence", concurrence(res.rho)),
         ("success_prob_exact", p_success),
     ]

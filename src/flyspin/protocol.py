@@ -8,9 +8,9 @@ leaves the static pair in a mixed resource state
 with P1 = 2 cos^2(t1) sin^2(t2), P2 = 2 sin^2(t1) and
 |chi> ~ sqrt(P1/(P1+P2)) |du> + e^{i t2} sqrt(P2/(P1+P2)) |ud>.
 ``generate_resource`` always produces this state by full register
-simulation (init, first gate, inter-gate noise, second gate, trace),
-never from the closed form; the closed form lives in the tests as an
-independent oracle.
+simulation (init, first gate, inter-gate noise, second gate, trace); the
+closed-form state lives in the tests as an independent oracle, and only
+the weights P1 and P2 are computed from the angles.
 
 Two such resources enact a heralded parity projection on one ancilla per
 node. Per round, each node applies a CNOT from its ancilla onto its
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -93,27 +93,42 @@ _ROUND_PROJECTORS = tuple(
 
 @dataclass(frozen=True)
 class EOResource:
-    """Two-static-qubit resource state with its generation parameters.
+    """Two-static-qubit resource state with the gate angles of its transit.
 
-    ``rho`` may hold a stack of resources; ``p1``, ``p2`` and ``theta2`` are
-    then arrays of the stack's shape, and the range checks cover every entry.
+    ``rho`` may hold a stack of resources; ``theta1`` and ``theta2`` are then
+    arrays of the stack's shape. The closed-form weights ``p1`` and ``p2``
+    follow from the angles.
     """
 
     rho: DensityMatrix
-    p1: float | np.ndarray
-    p2: float | np.ndarray
+    theta1: float | np.ndarray
     theta2: float | np.ndarray
-    herald_prob: float = 1.0
 
     def __post_init__(self) -> None:
         if self.rho.n != 2:
             raise ValueError("resource state must live on two qubits")
-        p1, p2 = np.asarray(self.p1), np.asarray(self.p2)
-        if not p1.shape == p2.shape == self.rho.mat.shape[:-2]:
-            raise ValueError(f"P1 {p1.shape}, P2 {p2.shape} and rho stacks differ")
-        in_range = (-1e-12 <= p1) & (p1 <= 2.0 + 1e-12) & (-1e-12 <= p2) & (p2 <= 2.0 + 1e-12)
-        _require(in_range, "weights out of range: P1={}, P2={}", p1, p2)
-        _require(p1 / 2.0 + p2 / 2.0 <= 1.0 + 1e-12, "P1/2 + P2/2 exceeds 1: P1={}, P2={}", p1, p2)
+        stack = self.rho.mat.shape[:-2]
+        for name in ("theta1", "theta2"):
+            val = np.asarray(getattr(self, name), dtype=float)
+            if val.shape != stack:
+                raise ValueError(f"{name} {val.shape} and rho {stack} stacks differ")
+            _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
+
+    @property
+    def p1(self) -> float | np.ndarray:
+        return self._pointwise(lambda t1, t2: 2.0 * math.cos(t1) ** 2 * math.sin(t2) ** 2)
+
+    @property
+    def p2(self) -> float | np.ndarray:
+        return self._pointwise(lambda t1, _: 2.0 * math.sin(t1) ** 2)
+
+    def _pointwise(self, weight: Callable[[float, float], float]) -> float | np.ndarray:
+        """``weight(theta1, theta2)`` at every stack index, with Python's math.
+
+        np.cos(x) ** 2 on an array differs from math.cos(x) ** 2 in the last bit for some x.
+        """
+        angles = zip(np.ravel(self.theta1).tolist(), np.ravel(self.theta2).tolist())
+        return _per_state(np.reshape([weight(a, b) for a, b in angles], np.shape(self.theta1)))
 
     def corrected_rho(self) -> DensityMatrix:
         """Resource after the recorded local phase correction on the first qubit.
@@ -128,17 +143,12 @@ class EOResource:
         return apply_unitary(self.rho, corr, (0,))
 
 
-def generate_resource(
-    theta1: float | np.ndarray,
-    theta2: float | np.ndarray,
-    noise: NoiseParams | None = None,
-) -> EOResource:
+def generate_resource(theta1: float | np.ndarray, theta2: float | np.ndarray,
+                      noise: NoiseParams | None = None) -> EOResource:
     """Simulate one flying-qubit transit and return the static-pair resource.
 
-    The register (flying, s1, s2) starts as init(eps_init) x |dd>, the first
-    gate acts on (flying, s1), dephasing and then relaxation act on the
-    flying qubit while it is between the static qubits, the second gate acts
-    on (flying, s2), and the flying qubit is traced out.
+    The register (flying, s1, s2) starts as init(eps_init) x |dd>; the
+    flying qubit meets s1, the inter-gate noise and s2, and is traced out.
 
     The angles may be arrays of one shape: every transit then runs in one
     stacked pass, and the resource holds a stack of states of that shape.
@@ -150,21 +160,23 @@ def generate_resource(
         _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
     noise = noise if noise is not None else NoiseParams()
     rho = tensor_dm(imperfect_init(noise.eps_init), ket("dd").density())
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(t1)), (0, 1))
+    rho = _transit(rho, (1, 2), ForwardScatterParams(t1), ForwardScatterParams(t2), noise)
+    return EOResource(partial_trace(rho, (1, 2)), _per_state(t1), _per_state(t2))
+
+
+def _transit(rho: DensityMatrix, statics: tuple[int, int], gate1: ForwardScatterParams,
+             gate2: ForwardScatterParams, noise: NoiseParams) -> DensityMatrix:
+    """Flying qubit 0 passes the static qubits ``statics``; every other qubit is left alone.
+
+    gate1 acts on (0, statics[0]), dephasing and then relaxation act on
+    qubit 0, and gate2 acts on (0, statics[1]).
+    """
+    rho = apply_unitary(rho, forward_unitary(gate1), (0, statics[0]))
     if noise.eps_z > 0.0:
         rho = apply_channel(rho, dephasing(noise.eps_z), (0,))
     if noise.eps_relax > 0.0:
         rho = apply_channel(rho, relaxation(noise.eps_relax), (0,))
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(t2)), (0, 2))
-    reduced = partial_trace(rho, (1, 2))
-    # the closed-form weights come from Python's math, point by point:
-    # np.cos(x) ** 2 on an array differs from math.cos(x) ** 2 in the last bit for some x
-    angles = list(zip(t1.ravel().tolist(), t2.ravel().tolist()))
-    p1 = np.reshape([2.0 * math.cos(a) ** 2 * math.sin(b) ** 2 for a, b in angles], t1.shape)
-    p2 = np.reshape([2.0 * math.sin(a) ** 2 for a, _ in angles], t1.shape)
-    return EOResource(
-        rho=reduced, p1=_per_state(p1), p2=_per_state(p2), theta2=_per_state(t2), herald_prob=1.0
-    )
+    return apply_unitary(rho, forward_unitary(gate2), (0, statics[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +525,7 @@ def pump_until(
 class ChainConfig:
     """Chain of static qubits with the gate pair applied at one target pair.
 
-    Spectator passes are spin preserving: the flying qubit crosses them as
-    the identity.
+    The flying qubit meets only the target pair; the spectators are untouched.
     """
 
     n_static: int
@@ -549,57 +560,29 @@ def _magnetization(rho: DensityMatrix) -> float:
     return float(np.real(np.sum(np.diagonal(rho.mat) * z_total)))
 
 
-def _simulate_chain(cfg: ChainConfig) -> tuple[DensityMatrix, float, float]:
-    n = cfg.n_static + 1
-    spins = "u" + "".join(
-        "d" if j in (cfg.target_pair, cfg.target_pair + 1) else "u" for j in range(cfg.n_static)
-    )
-    rho = ket(spins).density()
+def chain_report(cfg: ChainConfig) -> ChainReport:
+    """Chain transit with spectator purities and magnetization bookkeeping.
+
+    The register is the flying qubit (up) followed by the static chain, the
+    target pair down and every spectator up. The transit is
+    ``generate_resource``'s without noise, its gates on the target pair.
+    """
+    pair = (cfg.target_pair, cfg.target_pair + 1)
+    rho = ket("u" + "".join("d" if j in pair else "u" for j in range(cfg.n_static))).density()
     mag_before = _magnetization(rho)
-    spectator = ForwardScatterParams(0.0)
-    for j in range(cfg.n_static):
-        if j == cfg.target_pair:
-            gate = cfg.gate1
-        elif j == cfg.target_pair + 1:
-            gate = cfg.gate2
-        else:
-            gate = spectator
-        rho = apply_unitary(rho, forward_unitary(gate), (0, j + 1))
-    mag_after = _magnetization(rho)
-    statics = partial_trace(rho, tuple(range(1, n)))
-    return statics, mag_before, mag_after
-
-
-def _chain_resource(cfg: ChainConfig, statics: DensityMatrix) -> EOResource:
-    reduced = partial_trace(statics, (cfg.target_pair, cfg.target_pair + 1))
-    p1 = 2.0 * math.cos(cfg.gate1.theta) ** 2 * math.sin(cfg.gate2.theta) ** 2
-    p2 = 2.0 * math.sin(cfg.gate1.theta) ** 2
-    return EOResource(rho=reduced, p1=p1, p2=p2, theta2=cfg.gate2.theta, herald_prob=1.0)
+    rho = _transit(rho, (pair[0] + 1, pair[1] + 1), cfg.gate1, cfg.gate2, NoiseParams())
+    statics = partial_trace(rho, tuple(range(1, cfg.n_static + 1)))
+    purities = tuple(
+        (j, partial_trace(statics, (j,)).purity()) for j in range(cfg.n_static) if j not in pair
+    )
+    resource = EOResource(partial_trace(statics, pair), cfg.gate1.theta, cfg.gate2.theta)
+    return ChainReport(resource, purities, mag_before, _magnetization(rho))
 
 
 def chain_selective_eo(cfg: ChainConfig) -> EOResource:
-    """Full-register transit along the chain; returns the target-pair resource.
+    """The target-pair resource of ``chain_report``.
 
-    The reduced state on the target pair matches ``generate_resource`` for
-    the same gate angles regardless of the chain length, since every
-    spectator pass is the identity.
+    It matches ``generate_resource`` for the same gate angles at any chain
+    length: the flying qubit meets only the target pair.
     """
-    statics, _, _ = _simulate_chain(cfg)
-    return _chain_resource(cfg, statics)
-
-
-def chain_report(cfg: ChainConfig) -> ChainReport:
-    """Chain transit with spectator purities and magnetization bookkeeping."""
-    statics, mag_before, mag_after = _simulate_chain(cfg)
-    resource = _chain_resource(cfg, statics)
-    purities = tuple(
-        (j, partial_trace(statics, (j,)).purity())
-        for j in range(cfg.n_static)
-        if j not in (cfg.target_pair, cfg.target_pair + 1)
-    )
-    return ChainReport(
-        resource=resource,
-        spectator_purities=purities,
-        magnetization_before=mag_before,
-        magnetization_after=mag_after,
-    )
+    return chain_report(cfg).resource

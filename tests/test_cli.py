@@ -122,7 +122,7 @@ def test_seeded_commands_are_byte_identical(tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_seeded_outputs_match_pinned_values(tmp_path):
+def test_seeded_outputs_match_pinned_values(tmp_path, capsys):
     # outputs recorded from an earlier version; a mismatch means seeded runs drifted
     out = tmp_path / "pump.csv"
     assert run("pump-sim", "--eps-z", "0.089", "--trials", "200", "--seed", "777",
@@ -149,6 +149,23 @@ def test_seeded_outputs_match_pinned_values(tmp_path):
                "--seed", "5", "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "2262beb3d7ed81867fce4f2c71d79d3a4503b16d34753a9ace9618830cb37b0b"
+    )
+    # a noisy sweep with negative angles and angles beyond pi, which the gates reduce mod 2 pi
+    out = tmp_path / "sweep.csv"
+    assert run("sweep-concurrence", "--theta1", "-0.3:1.2:9", "--theta2", "0:2:9", "--eps-init",
+               "0.01", "--eps-z", "0.089", "--eps-relax", "0.02", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "51cb79a74621be7d93be3be9737b96a072318699dd4d4f91d1455a6e0c2aacc5"
+    )
+    # chain-demo stdout over every chain size and target pair
+    capsys.readouterr()
+    for n in range(2, 6):
+        for pair in range(n - 1):
+            for t1, t2 in (("0.05", "0.5"), ("0.25", "0.5"), ("0.7", "1.7"), ("-0.3", "2.6")):
+                assert run("chain-demo", "--chain-size", str(n), "--target-pair", str(pair),
+                           "--theta1", t1, "--theta2", t2) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "548488ba6c3e4080a9063994315f6314c17996f634c31cff1781f0805250ecc0"
     )
 
 
@@ -307,6 +324,13 @@ def test_config_echo_is_refeedable(tmp_path):
     assert run("chain-demo", "--chain-size", "3", "--out", str(out3)) == 0
     assert run("chain-demo", "--config", f"{out3}.config", "--out", str(out4)) == 0
     assert read(out3) == read(out4)
+    # a '#' inside the out path opens no comment, so the echo writes the same file again
+    hashed = tmp_path / "run#1.csv"
+    assert run("eo-run", "--trials", "5", "--out", str(hashed)) == 0
+    first = read(hashed)
+    hashed.unlink()
+    assert run("eo-run", "--config", f"{hashed}.config") == 0
+    assert read(hashed) == first and not (tmp_path / "run").exists()
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -344,6 +368,17 @@ def test_config_errors_exit_one(tmp_path, capsys):
     cfg.write_text("eps_z = 0.5\neps-z = 0.01\n")
     assert run("eo-run", "--config", str(cfg)) == 1
     assert "'eps_z' given twice" in capsys.readouterr().err
+    # an out path that its .config echo would not read back as written
+    assert run("eo-run", "--out", " x.csv") == 1
+    assert "out: ' x.csv'" in capsys.readouterr().err
+    # a flag given twice, --config included, does not let the last value win
+    other = tmp_path / "other.cfg"
+    cfg.write_text("eps_z = 0.3\n")
+    other.write_text("trials = 3\n")
+    assert run("eo-run", "--config", str(cfg), "--config", str(other)) == 1
+    assert "--config given twice" in capsys.readouterr().err
+    assert run("eo-run", "--eps-z", "0.5", "--eps-z", "0.01") == 1
+    assert "--eps-z given twice" in capsys.readouterr().err
 
 
 # each command's flags (besides --config), one flag it does not read, and the flags of one run

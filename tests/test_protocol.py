@@ -127,10 +127,12 @@ def test_stacked_transits_equal_single_transits_bit_for_bit():
 
 def test_stacked_resource_range_checks_name_the_index():
     good = generate_resource(np.full(3, OPT1), np.full(3, OPT2))
-    with pytest.raises(ValueError, match=r"weights out of range: P1=2\.5.* at stack index \(2,\)"):
-        EOResource(rho=good.rho, p1=np.array([1.0, 1.0, 2.5]), p2=good.p2, theta2=good.theta2)
     with pytest.raises(ValueError, match="stacks differ"):
-        EOResource(rho=good.rho, p1=1.0, p2=1.0, theta2=OPT2)
+        EOResource(rho=good.rho, theta1=OPT1, theta2=OPT2)
+    with pytest.raises(ValueError, match="stacks differ"):
+        EOResource(rho=good.rho, theta1=np.full(4, OPT1), theta2=np.full(4, OPT2))
+    with pytest.raises(ValueError, match=r"theta1 must be finite, got inf at stack index \(2,\)"):
+        EOResource(rho=good.rho, theta1=np.array([OPT1, OPT1, math.inf]), theta2=good.theta2)
     with pytest.raises(ValueError, match="share one shape"):
         generate_resource(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError, match=r"theta2 must be finite, got nan at stack index \(1,\)"):
@@ -534,12 +536,14 @@ def test_chain_of_two_matches_generate_resource():
 
 def test_chain_reduced_state_independent_of_length_and_position():
     t1, t2 = 0.8, 2.0
-    base = generate_resource(t1, t2).rho.mat
+    base = generate_resource(t1, t2)
     for n in (2, 3, 4, 5):
         for i in range(n - 1):
             cfg = ChainConfig(n, i, ForwardScatterParams(t1), ForwardScatterParams(t2))
             res = chain_selective_eo(cfg)
-            assert np.max(np.abs(res.rho.mat - base)) < 1e-12
+            assert np.max(np.abs(res.rho.mat - base.rho.mat)) < 1e-12
+            # the angles lie in [0, 2 pi), so the chain's mod-2pi gate angles are the raw ones
+            assert _same_bits(res.p1, base.p1) and _same_bits(res.p2, base.p2)
 
 
 def test_chain_spectators_stay_pure():
