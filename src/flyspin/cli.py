@@ -1,18 +1,21 @@
 """Command-line surface: parameter sweeps, single-operation reports, Monte
 Carlo pumping experiments and chain demos, with seeded determinism.
 
-Each command accepts, as flags and config-file keys, only the keys it
-reads (``_COMMANDS``). Angles are in units of pi everywhere on the command
-line and in config files (0.25 means pi/4), which keeps the optimal working
-points exactly representable. Sweeps take a grid as START:STOP:STEPS
-(inclusive endpoints, in units of pi). Config files are flat ``key = value``
-text, each key at most once, with '#' opening a comment at the start of a
-line or after whitespace; flags, each given at most once, override file
-values. Every run that writes an output file also writes "<out>.config"
-holding ``command``, the command's keys and ``out``; fed back through
---config it reproduces the run, and another command rejects it. Randomness
-comes from per-trial Philox streams keyed by (seed, trial index), so reruns
-are byte-identical and independent of any parallel scheduling.
+Usage: ``flyspin CMD (--key VALUE | --key=VALUE)...``, each key in full,
+with '-' for '_'; the token after a flag is always its value, even one
+starting with '-', and -h or --help prints the usage. Each command accepts,
+as flags and config-file keys, only the keys it reads (``_COMMANDS``).
+Angles are in units of pi everywhere on the command line and in config
+files (0.25 means pi/4), which keeps the optimal working points exactly
+representable. Sweeps take a grid as START:STOP:STEPS (inclusive
+endpoints, in units of pi). Config files are flat ``key = value`` text,
+each key at most once, with '#' opening a comment at the start of a line
+or after whitespace; flags, each given at most once, override file values.
+Every run that writes an output file also writes "<out>.config" holding
+``command``, the command's keys and ``out``; fed back through --config it
+reproduces the run, and another command rejects it. Randomness comes from
+per-trial Philox streams keyed by (seed, trial index), so reruns are
+byte-identical and independent of any parallel scheduling.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or numerical
 error, 3 non-convergence (pump-sim only).
@@ -20,8 +23,6 @@ error, 3 non-convergence (pump-sim only).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import re
 import statistics
@@ -152,7 +153,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = _COMMENT.sub("", raw).strip()
@@ -168,43 +169,17 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-class _Once(argparse.Action):
-    """Store a flag's value; a second occurrence of the flag is an error."""
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            parser.error(f"{self.option_strings[0]} given twice")
-        setattr(namespace, self.dest, values)
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; each parse gives a fresh namespace."""
-    parser = argparse.ArgumentParser(
-        prog="flyspin",
-        description="Spin-chain entanglement-operation simulator",
-        epilog="Angles are in units of pi (0.25 means pi/4); grids are START:STOP:STEPS.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", action=_Once, metavar="PATH", help="key = value config file")
-        for key in command.keys:
-            p.add_argument("--" + key.replace("_", "-"), action=_Once, help=_KEYS[key][1])
-    return parser
-
-
-def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=args.command)
+def _resolve(command: str, flags: dict[str, str]) -> ExperimentConfig:
+    cfg = ExperimentConfig(command=command)
     if cfg.command == "sweep-concurrence":
         cfg.theta1 = cfg.theta2 = _SWEEP_GRID
-    merged = _load_config_file(args.config) if args.config else {}
+    config = flags.get("config")
+    merged = _load_config_file(config) if config else {}
     file_command = merged.pop("command", cfg.command)
     if file_command != cfg.command:
-        raise ConfigError(f"{args.config} is a {file_command} config, not {cfg.command}")
+        raise ConfigError(f"{config} is a {file_command} config, not {cfg.command}")
+    merged.update((key, value) for key, value in flags.items() if key != "config")
     keys = _COMMANDS[cfg.command].keys
-    for key in keys:
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
     for key, value in merged.items():
         if key not in keys:
             raise ConfigError(f"unknown config key {key!r} for {cfg.command}")
@@ -419,39 +394,62 @@ _COMMANDS = {
 }
 
 
-_ANGLE_FLAGS = ("--theta1", "--theta2")
+_HELP = ("-h", "--help")
 
 
-def _join_angle_values(argv: list[str]) -> list[str]:
-    """Write "--theta1 VALUE" as "--theta1=VALUE" when VALUE starts with "-".
+def _flags(command: str) -> dict[str, str]:
+    """The command's flags, each mapped to its key; --config maps to "config"."""
+    return {"--" + key.replace("_", "-"): key for key in ("config", *_COMMANDS[command].keys)}
 
-    argparse would otherwise take a value such as -0.5:0.5:3 or -inf for a
-    flag and reject the angle flag as missing its argument.
-    """
-    joined: list[str] = []
-    for arg in argv:
-        dash_value = arg.startswith("-") and not arg.startswith("--")
-        if dash_value and joined and joined[-1] in _ANGLE_FLAGS:
-            joined[-1] += "=" + arg
-        else:
-            joined.append(arg)
-    return joined
+
+def _parse_argv(argv: list[str]) -> tuple[Optional[str], Optional[dict[str, str]]]:
+    """argv as (CMD, {key: VALUE}); -h or --help gives flags None, and CMD None if it is first."""
+    command, *rest = argv or [""]
+    if command in _HELP:
+        return None, None
+    if command not in _COMMANDS:
+        given = f"unknown command {command!r}" if command else "missing command"
+        raise ConfigError(f"{given}; choose from {', '.join(_COMMANDS)}")
+    known, flags = _flags(command), {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return command, None
+        flag, has_value, value = token.partition("=")
+        if flag not in known:
+            raise ConfigError(f"unrecognized arguments: {flag}")
+        if not has_value and (value := next(tokens, None)) is None:  # even one starting with "-"
+            raise ConfigError(f"{flag} needs a value")
+        if known[flag] in flags:
+            raise ConfigError(f"{flag} given twice")
+        flags[known[flag]] = value
+    return command, flags
+
+
+def _usage(command: Optional[str]) -> str:
+    """The --help text: every command, or one command's flags with their key help."""
+    if command is None:
+        about = "Spin-chain entanglement-operation simulator; 'flyspin COMMAND -h' lists its flags"
+        rows = [(name, spec.help) for name, spec in _COMMANDS.items()]
+    else:
+        about = _COMMANDS[command].help
+        rows = [(flag, _KEYS[key][1] if key in _KEYS else "key = value config file")
+                for flag, key in _flags(command).items()]
+    return "\n".join([
+        f"usage: flyspin {command or 'COMMAND'} [--key VALUE | --key=VALUE]... | -h | --help",
+        "", about, "", *(f"  {name:<20}{text}" for name, text in rows), "",
+        "Each flag at most once; any value may start with '-'.",
+        "Angles are in units of pi (0.25 means pi/4); grids are START:STOP:STEPS.",
+    ])
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_join_angle_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        # argparse exits on bad flags or --help; map failures onto the config-error code
-        return 0 if exc.code in (0, None) else 1
-    try:
-        cfg = _resolve(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[cfg.command].run(cfg)
+        command, flags = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            print(_usage(command))
+            return 0
+        return _COMMANDS[command].run(_resolve(command, flags))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,8 @@
-import argparse
 import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import flyspin
-from flyspin.cli import _build_parser, main
+from flyspin.cli import main
 from flyspin.metrics import concurrence
 from flyspin.protocol import generate_resource
 
@@ -86,8 +86,8 @@ def test_sweep_noise_boundaries_match_closed_form(tmp_path):
 
 
 def test_main_twice_in_one_process_matches_fresh_processes(tmp_path, capsys):
-    # the parser is built once per process: each parse must start from a fresh
-    # namespace, so no value of the eo-run leaks into the chain-demo
+    # two runs in one process must not share state: no value of the eo-run
+    # leaks into the chain-demo, which must match a fresh interpreter's run
     commands = [
         ["eo-run", "--eps-z", "0.089", "--trials", "50", "--seed", "9", "--out", "eo.csv"],
         ["chain-demo", "--chain-size", "3", "--target-pair", "1", "--out", "chain.txt"],
@@ -337,6 +337,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert run("eo-run", "--eps-z", "1.5") == 1
     assert "eps_z" in capsys.readouterr().err
     assert run("eo-run", "--seed", str(2**64)) == 1
+    capsys.readouterr()
+    assert run("eo-run", "--seed", "-1") == 1  # a negative value is a value, not a flag
+    assert "seed" in capsys.readouterr().err
     assert run("sweep-concurrence", "--theta1", "0:1:1") == 1
     assert run("sweep-concurrence", "--theta1", "0.3") == 1  # sweeps need a grid
     # a given single angle is an error even where it equals eo-run's default
@@ -358,6 +361,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
     cfg.write_text("nonsense_key = 3\n")
     assert run("eo-run", "--config", str(cfg)) == 1
     assert run("eo-run", "--config", str(tmp_path / "missing.cfg")) == 1
+    cfg.write_bytes(b"\xff\xfe = 1\n")  # not UTF-8
+    assert run("eo-run", "--config", str(cfg)) == 1
     # a config file written by another command
     pump = tmp_path / "pump.csv"
     assert run("pump-sim", "--trials", "5", "--out", str(pump)) == 0
@@ -412,11 +417,11 @@ COMMAND_SURFACE = {
 @pytest.mark.parametrize("command", sorted(COMMAND_SURFACE))
 def test_each_command_accepts_and_echoes_only_its_keys(command, tmp_path, capsys):
     flags, (foreign, foreign_value), argv = COMMAND_SURFACE[command]
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    long_options = {
-        opt for action in sub.choices[command]._actions for opt in action.option_strings
-        if opt.startswith("--") and opt != "--help"
-    }
+    for top in ("--help", "-h"):  # the top-level help names every command
+        assert run(top) == 0
+        assert command in capsys.readouterr().out
+    assert run(command, "--help") == 0
+    long_options = set(re.findall(r"^\s+(--[\w-]+)", capsys.readouterr().out, re.MULTILINE))
     assert long_options == {"--config", *flags}
     assert run(command, foreign, foreign_value) == 1
     assert f"unrecognized arguments: {foreign}" in capsys.readouterr().err
@@ -435,7 +440,7 @@ def test_each_command_accepts_and_echoes_only_its_keys(command, tmp_path, capsys
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_angle_values_may_start_with_minus(tmp_path, capsys):
+def test_angle_values_may_start_with_minus(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep.csv"
     for grid in ("-0.5:0.5:3", "-1e-3:0.5:3"):
         assert run("sweep-concurrence", "--theta1", grid, "--theta2", "0:0.5:2",
@@ -445,6 +450,15 @@ def test_angle_values_may_start_with_minus(tmp_path, capsys):
     capsys.readouterr()
     assert run("eo-run", "--theta1", "-inf") == 1
     assert "angles must be finite" in capsys.readouterr().err
+    # any flag's value may start with '-', -h included; the echo feeds back byte for byte
+    monkeypatch.chdir(tmp_path)
+    for name in ("-x.csv", "-h"):
+        assert run("eo-run", "--trials", "20", "--out", name) == 0
+        first = read(tmp_path / name)
+        (tmp_path / name).unlink()
+        assert run("eo-run", "--config", f"{name}.config") == 0
+        assert read(tmp_path / name) == first
+    assert "usage" not in capsys.readouterr().out
 
 
 def test_single_angle_check_builds_no_grid(monkeypatch, capsys):
@@ -461,5 +475,17 @@ def test_unwritable_output_path(tmp_path):
     assert run("eo-run", "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")) == 1
 
 
-def test_unknown_flag_exits_one():
-    assert run("eo-run", "--frobnicate", "3") == 1
+def test_unknown_flag_exits_one(capsys):
+    # each case exits 1 and names the offending token
+    cases = [
+        (["eo-run", "--frobnicate", "3"], "--frobnicate"),
+        ([], "missing command"),
+        (["bogus"], "'bogus'"),
+        (["eo-run", "-x", "1"], "-x"),
+        (["eo-run", "--trials"], "--trials"),  # no value
+        (["eo-run", "--eps_z", "0.1"], "--eps_z"),  # flags spell '_' as '-'
+        (["eo-run", "--tri", "5"], "--tri"),  # no abbreviations
+    ]
+    for argv, named in cases:
+        assert run(*argv) == 1, argv
+        assert named in capsys.readouterr().err
