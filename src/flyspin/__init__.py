@@ -25,7 +25,6 @@ from .qcore import (
     DensityMatrix,
     KrausChannel,
     MeasurementBranch,
-    Projector,
     PureState,
     apply_channel,
     apply_unitary,

@@ -59,7 +59,6 @@ from .qcore import (
     DensityMatrix,
     MeasurementBranch,
     PAULI_X,
-    Projector,
     apply_channel,
     apply_unitary,
     ket,
@@ -81,14 +80,8 @@ CNOT = np.array(
 
 Syndrome = tuple[int, int]
 
-# outcome pair of each round's outcome index
+# outcome pair (s1, s2) of each round's outcome index, read at (2, 3) by ``measure``
 ROUND_OUTCOMES: tuple[Syndrome, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-# projectors on the resource qubits (s1, s2), measured at (2, 3) of the (a1, a2, s1, s2) register
-_ROUND_PROJECTORS = tuple(
-    Projector(np.diag([1.0 if i == 2 * o1 + o2 else 0.0 for i in range(4)]))
-    for o1, o2 in ROUND_OUTCOMES
-)
 
 
 @dataclass(frozen=True)
@@ -191,10 +184,7 @@ def _parity_round(ancillas: DensityMatrix, resource_rho: DensityMatrix) -> _Roun
     joint = tensor_dm(ancillas, resource_rho)
     joint = apply_unitary(joint, CNOT, (0, 2))
     joint = apply_unitary(joint, CNOT, (1, 3))
-    return tuple(
-        MeasurementBranch(p, None if post is None else partial_trace(post, (0, 1)))
-        for p, post in measure(joint, _ROUND_PROJECTORS, (2, 3))
-    )
+    return tuple(measure(joint, (2, 3)))
 
 
 def _born(branches: _Round) -> np.ndarray:

@@ -9,13 +9,15 @@ Conventions used by the whole package:
   small dense array (at most 64 x 64).
 * Every operator is a local k-qubit matrix plus ``targets`` (axis j acts on
   ``targets[j]``), put on the register by one tensor contraction; a unitary
-  is applied as a one-operator channel, and ``measure`` takes targets too.
+  is applied as a one-operator channel. ``measure`` reads the qubits
+  ``targets`` in the computational basis and returns, per outcome, the
+  reduced state of the other qubits.
 * Density matrices, Kraus operators and the operations on them take a
   stack of matrices, shape ``(..., d, d)``, in the manner of numpy's
   ``matmul`` and ``eigvalsh``: the leading axes broadcast, and a single
   state is a stack of shape ``()``. Every validation runs on every state
   of a stack and an error names the first failing stack index.
-  ``measure`` takes a single state only.
+  ``measure`` takes a single state only and leaves at least one qubit.
 
 All values are immutable after construction and every operation is a pure
 function returning a new value, so states can be shared freely between
@@ -85,7 +87,7 @@ class PureState:
         vec = np.array(amplitudes, dtype=complex).reshape(-1)
         self._n = _qubit_count(vec.size, "state vector")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state vector norm {norm} differs from 1 beyond {NORM_ATOL}")
         self._vec = _frozen(vec)
 
@@ -276,67 +278,47 @@ def apply_channel(state: DensityMatrix, channel: KrausChannel, targets: Sequence
     return DensityMatrix(out)
 
 
-class Projector:
-    """Hermitian idempotent matrix used for projective measurement."""
-
-    def __init__(self, mat) -> None:
-        m = np.array(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"projector must be square, got shape {m.shape}")
-        self._n = _qubit_count(m.shape[0], "projector")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("projector is not Hermitian within 1e-12")
-        if np.max(np.abs(m @ m - m)) > HERMITICITY_ATOL:
-            raise ValueError("projector is not idempotent within 1e-12")
-        self._mat = _frozen(m)
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self._mat
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-
 class MeasurementBranch(NamedTuple):
-    """One measurement outcome; ``state`` is None for flagged zero-probability branches."""
+    """One measurement outcome.
+
+    ``state`` is the renormalized reduced state of the unmeasured qubits,
+    or None for a flagged zero-probability branch.
+    """
 
     probability: float
     state: Optional[DensityMatrix]
 
 
-def measure(
-    state: DensityMatrix, projectors: Sequence[Projector], targets: Sequence[int]
-) -> list[MeasurementBranch]:
-    """Projective measurement of the qubits ``targets`` over a complete orthogonal set.
+def measure(state: DensityMatrix, targets: Sequence[int]) -> list[MeasurementBranch]:
+    """Measure the qubits ``targets`` in the computational basis and discard them.
 
-    The k-qubit projectors must sum to the 2^k identity. Returns Born
-    probabilities and renormalized whole-register post-measurement states
-    in the order the projectors were given. Branches whose probability
-    falls below 1e-12 are flagged with ``state=None`` instead of being
-    divided by a vanishing norm. ``state`` must be a single state.
+    Returns one branch per basis outcome b, in order of b with ``targets[0]``
+    its most significant bit. Each holds the Born probability and the
+    b-block of the state divided by it, the reduced state of the unmeasured
+    qubits in register order. Branches whose probability falls below 1e-12
+    are flagged with ``state=None`` instead of being divided by a vanishing
+    norm. ``state`` must be a single state, and at least one qubit must be
+    left unmeasured.
     """
     if state.mat.ndim != 2:
         raise ValueError(f"measure takes a single state, got a stack of shape {state.mat.shape[:-2]}")
-    projs = list(projectors)
-    if not projs:
-        raise ValueError("projector set is empty")
-    k = projs[0].n
-    for p in projs:
-        if p.n != k:
-            raise ValueError(f"projectors act on {p.n} and {k} qubits; one set needs one size")
-    t = _check_targets(targets, k, state.n)
-    total = sum(p.mat for p in projs)
-    if np.max(np.abs(total - np.eye(2**k))) > COMPLETENESS_ATOL:
-        raise ValueError("projectors do not sum to the identity within 1e-12")
+    n, k = state.n, len(targets)
+    t = _check_targets(targets, k, n)
+    if not 0 < k < n:
+        raise ValueError(f"targets {t} must name at least one of the {n} qubits and leave one unmeasured")
+    # rows and columns ordered (targets, rest): outcome b is the diagonal block [b, :, b, :]
+    order = t + tuple(q for q in range(n) if q not in t)
+    d = 2 ** (n - k)
+    blocks = state.mat.reshape((2,) * (2 * n)).transpose(order + tuple(n + q for q in order))
+    blocks = blocks.reshape(2**k, d, 2**k, d)
     branches = []
-    for p in projs:
-        p_rho = _on_targets(p.mat, state.mat, t)
-        prob = float(np.real(np.trace(p_rho)))
+    for b in range(2**k):
+        block = blocks[b, :, b, :]
+        # summed left to right and stored in Fortran order: the last bits of
+        # the parity-tree states, and so the seeded outputs, depend on both
+        prob = float(np.cumsum(np.diagonal(block).real)[-1])
         if prob <= ZERO_PROBABILITY_ATOL:
             branches.append(MeasurementBranch(max(prob, 0.0), None))
         else:
-            post = _on_targets(p.mat.conj(), p_rho.T, t).T / prob
-            branches.append(MeasurementBranch(prob, DensityMatrix(post)))
+            branches.append(MeasurementBranch(prob, DensityMatrix(np.divide(block, prob, order="F"))))
     return branches

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, measure, partial_trace, Projector, _per_state, _require
+from .qcore import DensityMatrix, MeasurementBranch, measure, _per_state, _require
 
 _TWO_PI = 2.0 * math.pi
 
@@ -66,7 +66,7 @@ class FullScatterParams:
     def __post_init__(self) -> None:
         for label, t, r in (("singlet", self.t_s, self.r_s), ("triplet", self.t_t, self.r_t)):
             total = abs(t) ** 2 + abs(r) ** 2
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 raise ValueError(f"{label} amplitudes not normalized: |t|^2+|r|^2 = {total}")
 
 
@@ -99,19 +99,11 @@ def full_scatter(spin_state: DensityMatrix, p: FullScatterParams) -> DensityMatr
     return DensityMatrix(iso @ spin_state.mat @ iso.conj().T)
 
 
-def herald_transmission(state: DensityMatrix) -> tuple[float, DensityMatrix | None]:
-    """Project the trailing direction mode on "transmitted" and trace it out.
+def herald_transmission(state: DensityMatrix) -> MeasurementBranch:
+    """Measure the trailing direction mode and keep the "transmitted" outcome.
 
     Returns the Born probability of the herald and the conditional spin
     state. A zero-probability herald is flagged by returning ``None`` for
     the state.
     """
-    n = state.n
-    if n < 2:
-        raise ValueError("state has no spin content besides the direction mode")
-    spin_qubits = tuple(range(n - 1))
-    projs = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
-    transmitted, _ = measure(state, projs, (n - 1,))
-    if transmitted.state is None:
-        return transmitted.probability, None
-    return transmitted.probability, partial_trace(transmitted.state, spin_qubits)
+    return measure(state, (state.n - 1,))[0]

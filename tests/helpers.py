@@ -9,13 +9,7 @@ import math
 
 import numpy as np
 
-from flyspin.qcore import (
-    DensityMatrix,
-    Projector,
-    apply_unitary,
-    measure,
-    partial_trace,
-)
+from flyspin.qcore import HADAMARD, DensityMatrix, apply_unitary, measure
 
 PSI_PLUS_VEC = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -23,9 +17,6 @@ PSI_PLUS_VEC = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 CNOT_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def dense_embed(op, targets, n: int) -> np.ndarray:
@@ -129,17 +120,15 @@ def pump_round_oracle(stored_fidelity: float, fresh_fidelity: float):
     rho = DensityMatrix(np.kron(bell_mix(stored_fidelity), bell_mix(fresh_fidelity)))
     rho = apply_unitary(rho, CNOT_MAT, (2, 0))
     rho = apply_unitary(rho, CNOT_MAT, (3, 1))
-    projs = []
-    for va in (_PLUS, _MINUS):
-        for vb in (_PLUS, _MINUS):
-            projs.append(Projector(np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj()))))
-    branches = measure(rho, projs, (2, 3))
+    # X-basis readout: outcomes ++, +-, -+, -- map to the basis outcomes 0..3
+    rho = apply_unitary(rho, np.kron(HADAMARD, HADAMARD), (2, 3))
+    branches = measure(rho, (2, 3))
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     result = {}
     for parity, idxs in (("even", (0, 3)), ("odd", (1, 2))):
         prob = sum(branches[i].probability for i in idxs)
         pooled = sum(
-            branches[i].probability * partial_trace(branches[i].state, (0, 1)).mat
+            branches[i].probability * branches[i].state.mat
             for i in idxs
             if branches[i].state is not None
         ) / prob

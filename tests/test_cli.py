@@ -150,6 +150,16 @@ def test_seeded_outputs_match_pinned_values(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "2262beb3d7ed81867fce4f2c71d79d3a4503b16d34753a9ace9618830cb37b0b"
     )
+    # every noise channel on: the conditioned fidelities depend on the last bit of each branch
+    # state (the first case on its memory order, the second on how its probability is summed)
+    for t1, t2, trials, digest in (
+        ("0.3", "0.7", "20000", "3ca2ab656bc95e851052ef960eea3274197efde3e79c10cda417a48e46223683"),
+        ("1.1", "1.3", "2000", "08be04448e51befd001fe960b290fef2cf18ac23e72981e6905389295a2d0b9f"),
+    ):
+        assert run("eo-run", "--theta1", t1, "--theta2", t2, "--eps-init", "0.05", "--eps-z",
+                   "0.02", "--eps-relax", "0.1", "--trials", trials, "--seed", "99",
+                   "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     # a noisy sweep with negative angles and angles beyond pi, which the gates reduce mod 2 pi
     out = tmp_path / "sweep.csv"
     assert run("sweep-concurrence", "--theta1", "-0.3:1.2:9", "--theta2", "0:2:9", "--eps-init",

@@ -10,7 +10,6 @@ from flyspin.qcore import (
     PAULI_Z,
     DensityMatrix,
     KrausChannel,
-    Projector,
     PureState,
     apply_channel,
     apply_unitary,
@@ -181,40 +180,38 @@ def test_incomplete_kraus_set_rejected():
 
 
 def test_measure_up_state():
-    projs = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
-    up, down = measure(ket("u").density(), projs, (0,))
+    up, down = measure(ket("ud").density(), (0,))
     assert up.probability == pytest.approx(1.0, abs=1e-12)
-    assert_allclose(up.state.mat, np.diag([1.0, 0.0]), atol=1e-12)
+    assert_allclose(up.state.mat, ket("d").density().mat, atol=1e-12)
     assert down.probability == pytest.approx(0.0, abs=1e-12)
     assert down.state is None  # flagged, not renormalized garbage
 
 
 def test_measure_maximally_mixed():
-    projs = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
-    branches = measure(DensityMatrix(np.eye(2) / 2), projs, (0,))
-    for branch, expected in zip(branches, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))):
+    # qubit 1 of the classically correlated mixture follows the outcome on qubit 0
+    rho = DensityMatrix((ket("uu").density().mat + ket("dd").density().mat) / 2)
+    for branch, spin in zip(measure(rho, (0,)), "ud"):
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
-        assert_allclose(branch.state.mat, expected, atol=1e-12)
+        assert_allclose(branch.state.mat, ket(spin).density().mat, atol=1e-12)
 
 
-def test_measure_incomplete_set_raises():
-    with pytest.raises(ValueError, match="identity"):
-        measure(ket("u").density(), [Projector(np.diag([1.0, 0.0]))], (0,))
-    mixed = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0, 1.0, 1.0]))]
-    with pytest.raises(ValueError, match="one size"):
-        measure(ket("uu").density(), mixed, (0,))
-    halves = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
-    with pytest.raises(ValueError, match="targets given"):
-        measure(ket("uu").density(), halves, (0, 1))
+def test_measure_rejects_bad_targets():
+    rho = ket("uu").density()
+    with pytest.raises(ValueError, match="duplicate"):
+        measure(rho, (0, 0))
+    with pytest.raises(ValueError, match="out of range"):
+        measure(rho, (2,))
+    with pytest.raises(ValueError, match="leave one unmeasured"):
+        measure(rho, (1, 0))
+    with pytest.raises(ValueError, match="leave one unmeasured"):
+        measure(rho, ())
 
 
 def test_measure_probabilities_sum_to_one_random():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        rho = random_density(2, rng)
-        u = random_unitary(2, rng)
-        projs = [Projector(np.outer(u[:, i], u[:, i].conj())) for i in range(4)]
-        total = sum(b.probability for b in measure(rho, projs, (1, 0)))
+        rho = random_density(3, rng)
+        total = sum(b.probability for b in measure(rho, (2, 0)))
         assert abs(total - 1.0) < 1e-10
 
 
@@ -235,16 +232,16 @@ def test_local_operators_match_dense_reference():
         fulls = [dense_embed(kk, targets, 6) for kk in kraus]
         expected = sum(f @ rho.mat @ f.conj().T for f in fulls)
         assert_allclose(apply_channel(rho, KrausChannel(kraus), targets).mat, expected, atol=1e-12)
-        # complex rank-one projectors onto the columns of a random unitary
-        v = random_unitary(k, rng)
-        projs = [np.outer(v[:, i], v[:, i].conj()) for i in range(d)]
-        branches = measure(rho, [Projector(p) for p in projs], targets)
-        for p, branch in zip(projs, branches):
-            full_p = dense_embed(p, targets, 6)
-            post = full_p @ rho.mat @ full_p
-            prob = np.trace(post).real
+        # basis outcome b: project with |b><b| on the targets, then trace them out
+        rest = [q for q in range(6) if q not in targets]
+        perm = list(targets) + rest + [6 + q for q in targets] + [6 + q for q in rest]
+        for b, branch in enumerate(measure(rho, targets)):
+            full_p = dense_embed(np.diag(np.eye(d)[b]), targets, 6)
+            post = (full_p @ rho.mat @ full_p).reshape((2,) * 12).transpose(perm)
+            reduced = np.trace(post.reshape(d, 64 // d, d, 64 // d), axis1=0, axis2=2)
+            prob = np.trace(reduced).real
             assert abs(branch.probability - prob) < 1e-12
-            assert_allclose(branch.state.mat, post / prob, atol=1e-12)
+            assert_allclose(branch.state.mat, reduced / prob, atol=1e-12)
 
 
 def test_operations_preserve_trace_and_hermiticity():
@@ -280,7 +277,7 @@ def test_stacked_validation_names_the_first_failing_index():
     with pytest.raises(ValueError, match=r"completeness within 1e-12 at stack index \(1,\)"):
         KrausChannel([np.stack([np.eye(2), 2.0 * np.eye(2)])])
     with pytest.raises(ValueError, match="single state"):
-        measure(DensityMatrix(np.stack([good, good])), [Projector(np.eye(2))], (0,))
+        measure(tensor_dm(DensityMatrix(np.stack([good, good])), ket("u").density()), (0,))
     assert DensityMatrix(np.stack([good, good])).purity().tolist() == [0.5, 0.5]
 
 
@@ -318,6 +315,8 @@ def test_stacked_ops_equal_single_ops_bit_for_bit():
 def test_pure_state_validation():
     with pytest.raises(ValueError, match="norm"):
         PureState([1.0, 1.0])
+    with pytest.raises(ValueError, match="norm"):
+        PureState([math.nan, 0.0])
     with pytest.raises(ValueError, match="spin string"):
         ket("ux")
 

@@ -106,6 +106,8 @@ def test_stacked_gate_matches_math_library_bit_for_bit():
 def test_full_scatter_params_validation():
     with pytest.raises(ValueError, match="not normalized"):
         FullScatterParams(t_s=1.0, r_s=0.5, t_t=1.0, r_t=0.0)
+    with pytest.raises(ValueError, match="not normalized"):
+        FullScatterParams(t_s=math.nan, r_s=0.0, t_t=1.0, r_t=0.0)
 
 
 def test_no_reflection_limit_matches_forward_unitary():
