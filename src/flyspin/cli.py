@@ -154,7 +154,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = _COMMENT.sub("", raw).strip()
         if not line:
@@ -174,7 +174,7 @@ def _resolve(command: str, flags: dict[str, str]) -> ExperimentConfig:
     if cfg.command == "sweep-concurrence":
         cfg.theta1 = cfg.theta2 = _SWEEP_GRID
     config = flags.get("config")
-    merged = _load_config_file(config) if config else {}
+    merged = _load_config_file(config) if config is not None else {}
     file_command = merged.pop("command", cfg.command)
     if file_command != cfg.command:
         raise ConfigError(f"{config} is a {file_command} config, not {cfg.command}")

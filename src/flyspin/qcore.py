@@ -8,10 +8,12 @@ Conventions used by the whole package:
 * Registers hold at most ``MAX_QUBITS`` qubits, so every matrix is a
   small dense array (at most 64 x 64).
 * Every operator is a local k-qubit matrix plus ``targets`` (axis j acts on
-  ``targets[j]``), put on the register by one tensor contraction; a unitary
-  is applied as a one-operator channel. ``measure`` reads the qubits
-  ``targets`` in the computational basis and returns, per outcome, the
-  reduced state of the other qubits.
+  ``targets[j]``); a unitary is applied as a one-operator channel. Every
+  operation puts the register's rows and columns in ``(targets, rest)``
+  order once and works on the leading block: Kraus operators multiply its
+  rows, ``partial_trace`` traces it out (its targets are the qubits it
+  drops), and ``measure`` returns, per computational-basis outcome of the
+  targets, the diagonal block as the reduced state of the other qubits.
 * Density matrices, Kraus operators and the operations on them take a
   stack of matrices, shape ``(..., d, d)``, in the manner of numpy's
   ``matmul`` and ``eigvalsh``: the leading axes broadcast, and a single
@@ -26,7 +28,7 @@ threads.
 
 from __future__ import annotations
 
-import string
+import operator
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -175,10 +177,12 @@ def tensor_dm(*parts: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _check_targets(targets: Sequence[int], k: int, n: int) -> tuple[int, ...]:
-    t = tuple(int(q) for q in targets)
-    if len(t) != k:
-        raise ValueError(f"operator acts on {k} qubits but {len(t)} targets given")
+def _check_targets(targets: Sequence[int], n: int) -> tuple[int, ...]:
+    given = tuple(targets)
+    try:
+        t = tuple(operator.index(q) for q in given)
+    except TypeError:
+        raise ValueError(f"targets {given} are not all integers") from None
     if len(set(t)) != len(t):
         raise ValueError(f"duplicate targets {t}")
     if any(q < 0 or q >= n for q in t):
@@ -186,26 +190,15 @@ def _check_targets(targets: Sequence[int], k: int, n: int) -> tuple[int, ...]:
     return t
 
 
-def _on_targets(op: np.ndarray, m: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """``op @ m``, the k-qubit ``op`` acting on the row qubits ``targets`` of 2^n x 2^n ``m``.
+def _reorder(m: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
+    """The ``(..., d, d)`` stack ``m`` with its row and column qubits both put in ``order``.
 
-    ``op`` and ``m`` are stacks whose leading axes broadcast; they stay in
-    front of the ``(2,)*2n`` tensor.
+    Qubit j of the result is qubit ``order[j]`` of ``m``; the stack axes stay
+    in front, and the inverse permutation of ``order`` undoes the reorder.
     """
-    k, n, stack = len(targets), m.shape[-1].bit_length() - 1, m.shape[:-2]
-    # bring the target row axes of the (2,)*2n tensor to the front, contract, move them back
-    perm = targets + tuple(q for q in range(2 * n) if q not in targets)
-    back = tuple(perm.index(q) for q in range(2 * n))
-    front = m.reshape(stack + (2,) * (2 * n)).transpose(_behind(len(stack), perm))
-    out = op @ front.reshape(stack + (2**k, -1))
-    stack = out.shape[:-2]
-    out = out.reshape(stack + (2,) * (2 * n)).transpose(_behind(len(stack), back))
-    return out.reshape(stack + m.shape[-2:])
-
-
-def _behind(lead: int, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """``perm`` of the trailing axes, with ``lead`` stack axes kept in front."""
-    return tuple(range(lead)) + tuple(lead + q for q in perm)
+    lead, n = m.ndim - 2, len(order)
+    axes = (*range(lead), *(lead + q for q in order), *(lead + n + q for q in order))
+    return m.reshape(m.shape[:-2] + (2,) * (2 * n)).transpose(axes).reshape(m.shape)
 
 
 def apply_unitary(state: DensityMatrix, u, targets: Sequence[int]) -> DensityMatrix:
@@ -219,18 +212,14 @@ def partial_trace(state: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     Qubit j of the reduced state corresponds to ``keep[j]``; stack axes are kept.
     """
     n = state.n
-    wanted = tuple(keep)
-    kept = _check_targets(wanted, len(wanted), n)
+    kept = _check_targets(keep, n)
     if not kept:
         raise ValueError("keep set must be nonempty")
-    letters = string.ascii_lowercase
-    row = [letters[q] for q in range(n)]
-    col = [letters[q].upper() if q in kept else letters[q] for q in range(n)]
-    sub_out = "".join(row[q] for q in kept) + "".join(col[q] for q in kept)
-    stack = state.mat.shape[:-2]
-    tens = state.mat.reshape(stack + (2,) * (2 * n))
-    red = np.einsum("..." + "".join(row) + "".join(col) + "->..." + sub_out, tens)
-    return DensityMatrix(red.reshape(stack + (2 ** len(kept),) * 2))
+    traced = tuple(q for q in range(n) if q not in kept)
+    dt, dk = 2 ** len(traced), 2 ** len(kept)
+    # rows and columns ordered (traced, keep): the reduced state is the trace over the traced block axes
+    blocks = _reorder(state.mat, traced + kept).reshape(state.mat.shape[:-2] + (dt, dk, dt, dk))
+    return DensityMatrix(np.trace(blocks, axis1=-4, axis2=-2))
 
 
 class KrausChannel:
@@ -269,13 +258,22 @@ def apply_channel(state: DensityMatrix, channel: KrausChannel, targets: Sequence
 
     The stack axes of the state and of the Kraus operators broadcast.
     """
-    t = _check_targets(targets, channel.n, state.n)
-    out = np.zeros_like(state.mat)
+    n, d = state.n, state.mat.shape[-1]
+    t = _check_targets(targets, n)
+    if len(t) != channel.n:
+        raise ValueError(f"operator acts on {channel.n} qubits but {len(t)} targets given")
+    # rows and columns ordered (targets, rest): each operator multiplies the leading 2^k rows
+    order = t + tuple(q for q in range(n) if q not in t)
+    rho = _reorder(state.mat, order)
+    out = np.zeros_like(rho)
     for k in channel.operators:
         # K rho K^dagger = (conj(K) (K rho)^T)^T, ^T swapping the last two axes
-        k_rho = _on_targets(k, state.mat, t).swapaxes(-1, -2)
-        out = out + _on_targets(k.conj(), k_rho, t).swapaxes(-1, -2)
-    return DensityMatrix(out)
+        term = rho
+        for op in (k, k.conj()):
+            term = op @ term.reshape(term.shape[:-2] + (op.shape[-1], -1))
+            term = term.reshape(term.shape[:-2] + (d, d)).swapaxes(-1, -2)
+        out = out + term
+    return DensityMatrix(_reorder(out, tuple(order.index(q) for q in range(n))))
 
 
 class MeasurementBranch(NamedTuple):
@@ -302,15 +300,14 @@ def measure(state: DensityMatrix, targets: Sequence[int]) -> list[MeasurementBra
     """
     if state.mat.ndim != 2:
         raise ValueError(f"measure takes a single state, got a stack of shape {state.mat.shape[:-2]}")
-    n, k = state.n, len(targets)
-    t = _check_targets(targets, k, n)
+    t = _check_targets(targets, state.n)
+    n, k = state.n, len(t)
     if not 0 < k < n:
         raise ValueError(f"targets {t} must name at least one of the {n} qubits and leave one unmeasured")
     # rows and columns ordered (targets, rest): outcome b is the diagonal block [b, :, b, :]
     order = t + tuple(q for q in range(n) if q not in t)
     d = 2 ** (n - k)
-    blocks = state.mat.reshape((2,) * (2 * n)).transpose(order + tuple(n + q for q in order))
-    blocks = blocks.reshape(2**k, d, 2**k, d)
+    blocks = _reorder(state.mat, order).reshape(2**k, d, 2**k, d)
     branches = []
     for b in range(2**k):
         block = blocks[b, :, b, :]

@@ -44,6 +44,30 @@ def dense_embed(op, targets, n: int) -> np.ndarray:
     return full
 
 
+def dense_partial_trace(mat, keep) -> np.ndarray:
+    """Reference partial trace of a 2^n x 2^n matrix, entry by entry.
+
+    red[a, b] is the sum over r of mat[idx(a, r), idx(b, r)], where idx(a, r)
+    gives the qubits ``keep`` the bits of a (keep[0] most significant) and
+    every other qubit, in register order, the bits of r; qubit 0 is the most
+    significant bit of a basis index.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    n = mat.shape[-1].bit_length() - 1
+    rest = [q for q in range(n) if q not in keep]
+
+    def idx(a, r):
+        bits = {q: (a >> (len(keep) - 1 - j)) & 1 for j, q in enumerate(keep)}
+        bits.update({q: (r >> (len(rest) - 1 - j)) & 1 for j, q in enumerate(rest)})
+        return sum(bits[q] << (n - 1 - q) for q in range(n))
+
+    red = np.zeros((2 ** len(keep),) * 2, dtype=complex)
+    for a in range(2 ** len(keep)):
+        for b in range(2 ** len(keep)):
+            red[a, b] = sum(mat[idx(a, r), idx(b, r)] for r in range(2 ** len(rest)))
+    return red
+
+
 def random_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     d = 2**n_qubits
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

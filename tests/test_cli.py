@@ -371,6 +371,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
     cfg.write_text("nonsense_key = 3\n")
     assert run("eo-run", "--config", str(cfg)) == 1
     assert run("eo-run", "--config", str(tmp_path / "missing.cfg")) == 1
+    capsys.readouterr()
+    assert run("eo-run", "--config=", "--out", str(tmp_path / "x.csv")) == 1  # an empty path is no file
+    assert "cannot read config file ''" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
     cfg.write_bytes(b"\xff\xfe = 1\n")  # not UTF-8
     assert run("eo-run", "--config", str(cfg)) == 1
     # a config file written by another command

@@ -20,7 +20,7 @@ from flyspin.qcore import (
 )
 from flyspin.scattering import ForwardScatterParams, forward_unitary
 
-from helpers import dense_embed, random_density, random_unitary
+from helpers import dense_embed, dense_partial_trace, random_density, random_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -61,6 +61,23 @@ def test_embed_rejects_bad_targets():
         apply_unitary(ket("udd").density(), SWAP, (1, 1))
     with pytest.raises(ValueError, match="range"):
         apply_unitary(ket("ud").density(), PAULI_X, (3,))
+    with pytest.raises(ValueError, match="acts on 2 qubits but 1 targets given"):
+        apply_unitary(ket("udd").density(), SWAP, (0,))
+    # a fractional target is an error, not truncated to a qubit index
+    with pytest.raises(ValueError, match=r"targets \(0\.9,\) are not all integers"):
+        apply_unitary(ket("ud").density(), PAULI_X, (0.9,))
+    with pytest.raises(ValueError, match="not all integers"):
+        apply_channel(ket("ud").density(), KrausChannel([PAULI_X]), (np.float64(1.0),))
+    with pytest.raises(ValueError, match=r"targets \(1\.5,\) are not all integers"):
+        partial_trace(ket("ud").density(), (1.5,))
+    with pytest.raises(ValueError, match="duplicate"):
+        partial_trace(ket("udd").density(), (1, 1))
+    with pytest.raises(ValueError, match="range"):
+        partial_trace(ket("udd").density(), (0, 3))
+    with pytest.raises(ValueError, match="range"):
+        partial_trace(ket("udd").density(), (-1,))
+    # numpy integers are integers
+    assert partial_trace(ket("ud").density(), (np.int64(1),)).n == 1
 
 
 def test_embed_times_inverse_is_identity():
@@ -205,6 +222,8 @@ def test_measure_rejects_bad_targets():
         measure(rho, (1, 0))
     with pytest.raises(ValueError, match="leave one unmeasured"):
         measure(rho, ())
+    with pytest.raises(ValueError, match="not all integers"):
+        measure(rho, (np.float64(1.2),))
 
 
 def test_measure_probabilities_sum_to_one_random():
@@ -234,14 +253,19 @@ def test_local_operators_match_dense_reference():
         assert_allclose(apply_channel(rho, KrausChannel(kraus), targets).mat, expected, atol=1e-12)
         # basis outcome b: project with |b><b| on the targets, then trace them out
         rest = [q for q in range(6) if q not in targets]
-        perm = list(targets) + rest + [6 + q for q in targets] + [6 + q for q in rest]
         for b, branch in enumerate(measure(rho, targets)):
             full_p = dense_embed(np.diag(np.eye(d)[b]), targets, 6)
-            post = (full_p @ rho.mat @ full_p).reshape((2,) * 12).transpose(perm)
-            reduced = np.trace(post.reshape(d, 64 // d, d, 64 // d), axis1=0, axis2=2)
+            reduced = dense_partial_trace(full_p @ rho.mat @ full_p, rest)
             prob = np.trace(reduced).real
             assert abs(branch.probability - prob) < 1e-12
             assert_allclose(branch.state.mat, reduced / prob, atol=1e-12)
+        # the targets read as an unsorted keep list
+        expected = dense_partial_trace(rho.mat, targets)
+        assert_allclose(partial_trace(rho, targets).mat, expected, atol=1e-12)
+    stack = DensityMatrix(np.stack([random_density(6, rng).mat for _ in range(3)]))
+    reduced = partial_trace(stack, (5, 0, 3)).mat
+    for i in range(3):
+        assert_allclose(reduced[i], dense_partial_trace(stack.mat[i], (5, 0, 3)), atol=1e-12)
 
 
 def test_operations_preserve_trace_and_hermiticity():
