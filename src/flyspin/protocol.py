@@ -42,12 +42,17 @@ are always r^k for an integer k that starts at 1: the stored fidelity
 performs a random walk on this lattice, biased upward above F = 1/2.
 ``pump_step`` is the one-round Bayesian update; ``pump_until`` walks the
 integer k directly, so the stored pair never underflows to an absorbing
-F = 0 however far below 1/2 it drifts.
+F = 0 however far below 1/2 it drifts. Far below 1/2 the even probability
+of every site is one float (1 - f up to rounding), so below that floor
+every round is a draw against one constant: ``pump_until`` takes such
+rounds a block of uniforms at a time, and steps one round at a time only
+above the floor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
@@ -429,18 +434,29 @@ def _lattice_fidelity(k: np.ndarray, fresh: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _pump_lattice(fresh: float, target: float, max_rounds: int) -> tuple[tuple[float, ...], int]:
-    """Even-syndrome probability per lattice site and the index of the target site.
+def _pump_lattice(
+    fresh: float, target: float, max_rounds: int
+) -> tuple[tuple[float, ...], int, int]:
+    """Even-syndrome probability per lattice site, the target index and the floor.
 
     Index i holds site k = i + 1 - max_rounds: index ``max_rounds`` is the
     starting site k = 1, and the table covers every site a walk of
     ``max_rounds`` rounds can reach, k in [1 - max_rounds, max_rounds + 1].
     The target index is that of the lowest site whose fidelity reaches
     ``target``, or the table length when none does.
+
+    Far below F = 1/2 the even probability settles on one float, 1 - f up
+    to rounding, so the low end of the table is one value repeated. The
+    floor is the index of the first entry that differs from entry 0, or the
+    table length when none does; every site below it has even probability
+    ``p_even[0]`` bit for bit. It is found by comparison, not by bisection:
+    the table is not monotone in its last bit.
     """
     fid = _lattice_fidelity(np.arange(1 - max_rounds, max_rounds + 2), fresh)
     p_even, _ = pump_probabilities(fid, fresh)
-    return tuple(p_even.tolist()), int(np.searchsorted(fid, target))
+    differs = np.flatnonzero(p_even != p_even[0])
+    floor = int(differs[0]) if differs.size else len(p_even)
+    return tuple(p_even.tolist()), int(np.searchsorted(fid, target)), floor
 
 
 # most walks converge within about ten rounds, so the first block of
@@ -469,13 +485,23 @@ def pump_until(
     come from a table over the reachable sites and the walk stops at the
     lowest site whose fidelity reaches the target, so the stored pair never
     underflows. Round i is even when the i-th uniform of ``rng`` falls
-    below the even-syndrome probability. The uniforms are read with
-    ``rng.random(size)``, first ``PUMP_FIRST_BLOCK`` of them and then 1024 at
-    a time, so ``rng`` may also be a stream from ``flyspin.rng.trial_streams``;
-    the state of ``rng`` afterwards is unspecified.
+    below the even-syndrome probability. Below the table's floor (see
+    ``_pump_lattice``) that probability is one constant, so there the walk
+    takes the rest of the current block of uniforms in one numpy pass, up
+    to the first round that reaches the floor; above it the walk steps one
+    round at a time. Either way the syndromes are those of the
+    round-at-a-time walk. The uniforms are read with ``rng.random(size)``,
+    first ``PUMP_FIRST_BLOCK`` of them and then 1024 at a time, so ``rng``
+    may also be a stream from ``flyspin.rng.trial_streams``; the state of
+    ``rng`` afterwards is unspecified. ``max_rounds`` must be an integer
+    (``operator.index``).
     """
     if not (0.0 <= target_fidelity < 1.0):
         raise ValueError(f"target fidelity must lie in [0, 1), got {target_fidelity}")
+    try:
+        max_rounds = operator.index(max_rounds)
+    except TypeError:
+        raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}") from None
     if max_rounds < 0:
         raise ValueError("max_rounds cannot be negative")
     fresh = fresh_pair_fidelity(eps_z)
@@ -485,19 +511,34 @@ def pump_until(
     converged = fresh >= target_fidelity
     if not converged and max_rounds > 0:
         # fresh >= 1/2 for every eps_z, so the fidelity grows with the site
-        p_even, stop = _pump_lattice(fresh, target_fidelity, max_rounds)
+        p_even, stop, floor = _pump_lattice(fresh, target_fidelity, max_rounds)
+        floor = min(floor, stop)  # on a table flat past the target the bulk pass stops there
         site, block, append = max_rounds, PUMP_FIRST_BLOCK, syndromes.append
         while site < stop and len(syndromes) < max_rounds:
-            for u in rng.random(min(block, max_rounds - len(syndromes))).tolist():
-                if u < p_even[site]:
-                    site += 1
-                    append(1)
-                    if site == stop:
-                        break
-                else:
-                    site -= 1
-                    append(0)
-            block = _BLOCK
+            u = rng.random(min(block, max_rounds - len(syndromes)))
+            block, i = _BLOCK, 0
+            while i < len(u) and site < stop:
+                if site < floor:
+                    # below the floor every round is even with probability p_even[0]
+                    even = u[i:] < p_even[0]
+                    path = site + np.cumsum(even * 2 - 1)
+                    reached = np.flatnonzero(path == floor)
+                    n = int(reached[0]) + 1 if reached.size else len(path)
+                    syndromes += even[:n].tobytes()
+                    site, i = int(path[n - 1]), i + n
+                    continue
+                for x in u[i : i + PUMP_FIRST_BLOCK].tolist():
+                    i += 1
+                    if x < p_even[site]:
+                        site += 1
+                        append(1)
+                        if site == stop:
+                            break
+                    else:
+                        site -= 1
+                        append(0)
+                        if site < floor:
+                            break
         converged = site == stop
     return PumpTrajectory(
         eps_z=float(eps_z),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import statistics
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from flyspin.channels import NoiseParams
 from flyspin.metrics import BellLabel, bell_fidelity, bell_state, concurrence
 from flyspin.protocol import (
+    PUMP_FIRST_BLOCK,
     ChainConfig,
     EOResource,
     PumpRecord,
@@ -24,9 +26,10 @@ from flyspin.protocol import (
     pump_probabilities,
     pump_step,
     pump_until,
+    _pump_lattice,
 )
 from flyspin.qcore import PAULI_X, apply_unitary, ket
-from flyspin.rng import trial_rng, trial_uniforms
+from flyspin.rng import trial_rng, trial_streams, trial_uniforms
 from flyspin.scattering import ForwardScatterParams
 
 from helpers import closed_form_resource, pump_exact, pump_round_oracle, random_density
@@ -475,12 +478,98 @@ def test_pump_until_input_checks_and_edge_walks():
         pump_until(0.089, 1.0, 10, trial_rng(0, 0))
     with pytest.raises(ValueError, match="max_rounds"):
         pump_until(0.089, 0.9, -1, trial_rng(0, 0))
+    for bad in (20.5, 2.5, np.float64(30.0), "10", None):
+        with pytest.raises(ValueError, match="max_rounds must be an integer"):
+            pump_until(0.089, 0.9999, bad, trial_rng(0, 0))
+    numpy_int = pump_until(0.089, 0.9999, np.int64(30), trial_rng(4, 0))
+    assert numpy_int == pump_until(0.089, 0.9999, 30, trial_rng(4, 0))
     idle = pump_until(0.089, 0.9999, 0, trial_rng(0, 0))
     assert not idle.converged and idle.rounds == 0 and len(idle.records) == 1
     # r = 1: every syndrome leaves the stored fidelity at 1/2
     flat = pump_until(0.5, 0.9, 50, trial_rng(3, 0))
     assert not flat.converged and flat.rounds == 50
     assert {r.fidelity for r in flat.records} == {0.5}
+
+
+def test_pump_lattice_floor_is_the_first_entry_that_differs():
+    # eps_z = 0.16108020050125313 at 1000 rounds is not monotone in the last
+    # bit: entry 961 differs from entry 0, but bisection for entry 0 gives 963
+    flat = bisect_wrong = 0
+    sweep = [*np.linspace(0.001, 0.5, 60).tolist(), 0.16108020050125313]
+    for eps_z, max_rounds in itertools.product(sweep, (10, 100, 1000, 5000)):
+        p_even, _, floor = _pump_lattice(fresh_pair_fidelity(eps_z), 0.9999, max_rounds)
+        assert len(p_even) == 2 * max_rounds + 1
+        assert all(p == p_even[0] for p in p_even[:floor]), (eps_z, max_rounds)
+        assert floor == len(p_even) or p_even[floor] != p_even[0], (eps_z, max_rounds)
+        flat += floor == len(p_even)
+        bisect_wrong += int(np.searchsorted(p_even, p_even[0], side="right")) != floor
+    assert flat == 4  # eps_z = 0.5: every entry is 1/2
+    assert bisect_wrong > 0
+
+
+def _scalar_walk(eps_z, target, max_rounds, rng):
+    """Reference walk: one round at a time on the table of ``_pump_lattice``."""
+    p_even, stop, _ = _pump_lattice(fresh_pair_fidelity(eps_z), target, max_rounds)
+    syndromes, site, block = bytearray(), max_rounds, PUMP_FIRST_BLOCK
+    while site < stop and len(syndromes) < max_rounds:
+        for u in rng.random(min(block, max_rounds - len(syndromes))).tolist():
+            even = u < p_even[site]
+            site += 1 if even else -1
+            syndromes.append(even)
+            if site == stop:
+                break
+        block = 1024
+    return bytes(syndromes), site == stop
+
+
+# sha256 over every walk of (8-byte little-endian round count, syndromes,
+# converged byte), recorded with the one-round-at-a-time walk
+PINNED_WALKS = [
+    # 19 climbs out of the floor
+    ((0.089, 0.9999, 1000), 90210, 300,
+     "5d72cbb7848ae7ae6f073e698c4db984c181eb5726d43ab201a1162fba158312"),
+    # 253 climbs out of the floor
+    ((0.3, 0.99, 5000), 1, 200,
+     "ec54f7e1c77aa824cc2cd43ac29a0b244c670201d077130e626189ca1f6669ac"),
+    # r = 1: the floor covers the whole table
+    ((0.5, 0.9, 50), 3, 20,
+     "910a70a88a8f29f84c881f1638c610da18609c19a9e036cee0236dcf8066cd80"),
+    # the table is flat past the target site (floor 201, target index 102):
+    # 164 walks still stop at the target
+    ((0.5 - 1e-7, 0.50000000000006, 100), 11, 200,
+     "a76fd85d3c3a7d5b1550a8b73100ed5ec30a13631552e5d0640f19ff6e8e19cc"),
+    ((0.089, 0.9999, 1), 5, 50,
+     "7a0525b320590d8e3505fadea992e57b0deaa0917df6491e842d7eb19575e4a9"),
+    ((0.089, 0.9999, 16), 5, 50,
+     "97e10b3ef7803fe9ae191e8b60563c771d0aa606f0b1627bc01d2c0ff51ca2dd"),
+    ((0.089, 0.9999, 17), 5, 50,
+     "90b5fc4afadac412a6556a245014954cd896a2f2a832e3c4cb759d430852817d"),
+    # batch 0 of the perfbench pump workload: its CLI seed is the first 8
+    # bytes of sha256("20110215:0"), big-endian
+    ((0.089, 0.9999, 1000), 2839454157275074957, 2500,
+     "d352ffde49f713813eb3656001998a38dfa5b824ee99b3bd0cd321eeb2c1c3f8"),
+]
+
+
+def test_pump_until_syndromes_are_pinned():
+    climbed_and_fell = 0
+    for (eps_z, target, max_rounds), seed, trials, pinned in PINNED_WALKS:
+        _, _, floor = _pump_lattice(fresh_pair_fidelity(eps_z), target, max_rounds)
+        digest = hashlib.sha256()
+        for t, stream in enumerate(trial_streams(seed, range(trials), PUMP_FIRST_BLOCK)):
+            traj = pump_until(eps_z, target, max_rounds, stream)
+            assert (traj.syndromes, traj.converged) == _scalar_walk(
+                eps_z, target, max_rounds, trial_rng(seed, t)
+            ), (eps_z, max_rounds, seed, t)
+            digest.update(len(traj.syndromes).to_bytes(8, "little"))
+            digest.update(traj.syndromes + bytes([traj.converged]))
+            steps = np.frombuffer(traj.syndromes, dtype=np.uint8).astype(np.int64) * 2 - 1
+            below = np.concatenate(([max_rounds], max_rounds + np.cumsum(steps))) < floor
+            climbs = np.flatnonzero(below[:-1] & ~below[1:])
+            falls = np.flatnonzero(~below[:-1] & below[1:])
+            climbed_and_fell += bool(climbs.size and falls.size and falls[-1] > climbs[0])
+        assert digest.hexdigest() == pinned, (eps_z, target, max_rounds, seed)
+    assert climbed_and_fell > 0
 
 
 def test_pump_records_replay_pump_step():
