@@ -227,14 +227,14 @@ def _echo_config(cfg: ExperimentConfig, out_path: str) -> None:
 def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
     """Concurrence surface over the (theta1, theta2) grid, theta1-major order.
 
-    Each theta1 row, one CSV line per theta2, is simulated as one stack.
+    Each theta1 row is one stack with a scalar theta1, one CSV line per theta2.
     """
     grid1 = cfg.grid("theta1")
     grid2 = np.array(cfg.grid("theta2"))
     noise = cfg.noise()
     rows = [_SWEEP_HEADER]
     for t1 in grid1:
-        res = generate_resource(np.full(grid2.shape, t1), grid2, noise)
+        res = generate_resource(t1, grid2, noise)
         columns = (grid2, concurrence(res.rho), res.p1, res.p2)
         for t2, c, p1, p2 in zip(*(col.tolist() for col in columns)):
             rows.append(",".join(_fmt(v) for v in (t1, t2, c, p1, p2, _HERALD_PROB)))

@@ -94,8 +94,8 @@ class EOResource:
     """Two-static-qubit resource state with the gate angles of its transit.
 
     ``rho`` may hold a stack of resources; ``theta1`` and ``theta2`` are then
-    arrays of the stack's shape. The closed-form weights ``p1`` and ``p2``
-    follow from the angles.
+    arrays of the stack's shape (``generate_resource`` broadcasts its angles
+    to it). The closed-form weights ``p1`` and ``p2`` follow from the angles.
     """
 
     rho: DensityMatrix
@@ -148,18 +148,20 @@ def generate_resource(theta1: float | np.ndarray, theta2: float | np.ndarray,
     The register (flying, s1, s2) starts as init(eps_init) x |dd>; the
     flying qubit meets s1, the inter-gate noise and s2, and is traced out.
 
-    The angles may be arrays of one shape: every transit then runs in one
-    stacked pass, and the resource holds a stack of states of that shape.
+    The angles may be arrays that broadcast to one stack shape, the resource's;
+    gate 1 and the noise run on theta1's stack alone, once for a scalar theta1.
     """
     t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
-    if t1.shape != t2.shape:
-        raise ValueError(f"theta1 and theta2 must share one shape, got {t1.shape} and {t2.shape}")
+    try:
+        angles = [_per_state(t) for t in np.broadcast_arrays(t1, t2)]
+    except ValueError:
+        raise ValueError(f"theta1 {t1.shape} and theta2 {t2.shape} cannot share one shape") from None
     for name, val in (("theta1", t1), ("theta2", t2)):
         _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
     noise = noise if noise is not None else NoiseParams()
     rho = tensor_dm(imperfect_init(noise.eps_init), ket("dd").density())
     rho = _transit(rho, (1, 2), ForwardScatterParams(t1), ForwardScatterParams(t2), noise)
-    return EOResource(partial_trace(rho, (1, 2)), _per_state(t1), _per_state(t2))
+    return EOResource(partial_trace(rho, (1, 2)), *angles)
 
 
 def _transit(rho: DensityMatrix, statics: tuple[int, int], gate1: ForwardScatterParams,

@@ -167,6 +167,12 @@ def test_seeded_outputs_match_pinned_values(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "51cb79a74621be7d93be3be9737b96a072318699dd4d4f91d1455a6e0c2aacc5"
     )
+    # the perfbench sweep grid: 41x41 points in [0, pi] with every noise channel on
+    assert run("sweep-concurrence", "--theta1", "0:1:41", "--theta2", "0:1:41", "--eps-init",
+               "0.01", "--eps-z", "0.089", "--eps-relax", "0.02", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6a0b88796fc73c6748f6982d515a534b2e6e1f9564694567b08d55dcd25b79ba"
+    )
     # chain-demo stdout over every chain size and target pair
     capsys.readouterr()
     for n in range(2, 6):

@@ -128,6 +128,34 @@ def test_stacked_transits_equal_single_transits_bit_for_bit():
             assert _same_bits(stacked.corrected_rho().mat[idx], single.corrected_rho().mat)
 
 
+def test_broadcast_angles_equal_single_transits_bit_for_bit():
+    # a scalar or (3, 1) theta1 runs gate 1 and the noise once per theta1 and
+    # broadcasts only at gate 2; every point must still equal its own transit
+    rng = np.random.default_rng(1102)
+    cases = [
+        (1.234, rng.uniform(-3.0, 3.0, 7)),
+        (rng.uniform(-3.0, 3.0, (3, 1)), rng.uniform(-3.0, 3.0, 7)),
+        (rng.uniform(-3.0, 3.0, 5), -0.789),
+        (0.5 * math.pi, np.array([0.0, 0.5, 1.0, 2.0]) * math.pi),
+    ]
+    for noise in (NoiseParams(), NoiseParams(0.01, 0.089, 0.02), NoiseParams(1.0, 1.0, 1.0)):
+        for t1, t2 in cases:
+            shape = np.broadcast_shapes(np.shape(t1), np.shape(t2))
+            res = generate_resource(t1, t2, noise)
+            c, corrected = concurrence(res.rho), res.corrected_rho().mat
+            assert res.rho.mat.shape == shape + (4, 4) and c.shape == shape
+            a1, a2 = np.broadcast_arrays(t1, t2)
+            for idx in np.ndindex(shape):
+                single = generate_resource(float(a1[idx]), float(a2[idx]), noise)
+                assert _same_bits(res.rho.mat[idx], single.rho.mat)
+                assert _same_bits(c[idx], concurrence(single.rho))
+                for name in ("p1", "p2", "theta1", "theta2"):
+                    assert _same_bits(getattr(res, name)[idx], getattr(single, name))
+                assert _same_bits(corrected[idx], single.corrected_rho().mat)
+    with pytest.raises(ValueError, match=r"theta1 \(2, 3\) and theta2 \(3, 2\) cannot share one shape"):
+        generate_resource(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
 def test_stacked_resource_range_checks_name_the_index():
     good = generate_resource(np.full(3, OPT1), np.full(3, OPT2))
     with pytest.raises(ValueError, match="stacks differ"):
