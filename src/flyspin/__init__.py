@@ -11,15 +11,14 @@ from .protocol import (
     PumpState,
     PumpTrajectory,
     chain_report,
-    chain_selective_eo,
     fresh_pair_fidelity,
     generate_resource,
     parity_success_output,
-    parity_success_probability,
     parity_tree,
     pump_probabilities,
     pump_step,
     pump_until,
+    resource_rows,
 )
 from .qcore import (
     DensityMatrix,

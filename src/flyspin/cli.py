@@ -45,6 +45,7 @@ from .protocol import (
     parity_success_output,
     parity_tree,
     pump_until,
+    resource_rows,
 )
 from .rng import trial_streams, trial_uniforms
 from .scattering import ForwardScatterParams
@@ -54,6 +55,12 @@ _HERALD_PROB = 1.0  # forward scattering reflects nothing, so every transit is h
 
 # sweep-concurrence grid of both angles when none is given: [0, pi] in 41 steps
 _SWEEP_GRID = "0:1:41"
+
+# grid STEPS ceiling: a sweep at the ceiling on both axes has STEPS^2 points, and at
+# the measured time per point (README) it must fit the budget: isqrt(30 s / 22 us) = 1167
+_SWEEP_POINT_S = 22e-6
+_SWEEP_BUDGET_S = 30.0
+_MAX_STEPS = math.isqrt(int(_SWEEP_BUDGET_S / _SWEEP_POINT_S))
 
 _COMMENT = re.compile(r"(?:^|\s)#.*")  # '#' opens a comment at a line's start or after whitespace
 
@@ -109,7 +116,8 @@ def _parse_angle(text: str) -> tuple[float, float, Optional[int]]:
     """Angle spec in pi units as (START, STOP, STEPS) in radians.
 
     A single finite value gives (value, value, None); a START:STOP:STEPS grid
-    needs finite ends and at least 2 steps. The grid itself is not built here.
+    needs finite ends and 2 to ``_MAX_STEPS`` steps. The grid itself is not
+    built here.
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
@@ -123,6 +131,8 @@ def _parse_angle(text: str) -> tuple[float, float, Optional[int]]:
         raise ConfigError(f"angles must be finite, got {text!r}")
     if steps is not None and steps < 2:
         raise ConfigError(f"grid needs at least 2 steps, got {steps}")
+    if steps is not None and steps > _MAX_STEPS:
+        raise ConfigError(f"grid has {steps} steps, above the ceiling of {_MAX_STEPS}")
     return ends[0], ends[-1], steps
 
 
@@ -227,14 +237,14 @@ def _echo_config(cfg: ExperimentConfig, out_path: str) -> None:
 def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
     """Concurrence surface over the (theta1, theta2) grid, theta1-major order.
 
-    Each theta1 row is one stack with a scalar theta1, one CSV line per theta2.
+    ``resource_rows`` runs the first leg once over the theta1 grid and builds
+    gate 2 once over the theta2 grid; each theta1 row is then one resource
+    stack, one CSV line per theta2.
     """
     grid1 = cfg.grid("theta1")
     grid2 = np.array(cfg.grid("theta2"))
-    noise = cfg.noise()
     rows = [_SWEEP_HEADER]
-    for t1 in grid1:
-        res = generate_resource(t1, grid2, noise)
+    for t1, res in zip(grid1, resource_rows(grid1, grid2, cfg.noise())):
         columns = (grid2, concurrence(res.rho), res.p1, res.p2)
         for t2, c, p1, p2 in zip(*(col.tolist() for col in columns)):
             rows.append(",".join(_fmt(v) for v in (t1, t2, c, p1, p2, _HERALD_PROB)))

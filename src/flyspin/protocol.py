@@ -10,7 +10,10 @@ with P1 = 2 cos^2(t1) sin^2(t2), P2 = 2 sin^2(t1) and
 ``generate_resource`` always produces this state by full register
 simulation (init, first gate, inter-gate noise, second gate, trace); the
 closed-form state lives in the tests as an independent oracle, and only
-the weights P1 and P2 are computed from the angles.
+the weights P1 and P2 are computed from the angles. The first leg of the
+transit (gate 1, then the noise) depends on theta1 alone and gate 2 on
+theta2 alone, so ``resource_rows`` builds a (theta1, theta2) grid row by
+row from one first leg and one gate-2 channel shared by every row.
 
 Two such resources enact a heralded parity projection on one ancilla per
 node. Per round, each node applies a CNOT from its ancilla onto its
@@ -62,6 +65,7 @@ import numpy as np
 from .channels import NoiseParams, dephasing, imperfect_init, relaxation
 from .qcore import (
     DensityMatrix,
+    KrausChannel,
     MeasurementBranch,
     PAULI_X,
     apply_channel,
@@ -149,34 +153,61 @@ def generate_resource(theta1: float | np.ndarray, theta2: float | np.ndarray,
     flying qubit meets s1, the inter-gate noise and s2, and is traced out.
 
     The angles may be arrays that broadcast to one stack shape, the resource's;
-    gate 1 and the noise run on theta1's stack alone, once for a scalar theta1.
+    the first leg (gate 1 and the noise) runs on theta1's stack alone, once
+    for a scalar theta1, and gate 2 and the trace on the broadcast stack.
     """
     t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
     try:
         angles = [_per_state(t) for t in np.broadcast_arrays(t1, t2)]
     except ValueError:
         raise ValueError(f"theta1 {t1.shape} and theta2 {t2.shape} cannot share one shape") from None
+    rho = _resource_first_leg(t1, t2, noise)
+    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(t2)), (0, 2))
+    return EOResource(partial_trace(rho, (1, 2)), *angles)
+
+
+def resource_rows(theta1: np.ndarray, theta2: np.ndarray,
+                  noise: NoiseParams | None = None) -> Iterator[EOResource]:
+    """``generate_resource(theta1[i], theta2, noise)`` for every i in turn, bit for bit.
+
+    Both angles are 1-D arrays. The call checks them, runs the first leg on
+    theta1's stack and builds gate 2's channel on theta2's stack, once for
+    every row. Row i is made when it is read: that channel on the row's
+    state, then the trace, so one row's resources are held at a time.
+    """
+    t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
+    for name, val in (("theta1", t1), ("theta2", t2)):
+        if val.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D array, got shape {val.shape}")
+    first = _resource_first_leg(t1, t2, noise)
+    gate2 = KrausChannel([forward_unitary(ForwardScatterParams(t2))])
+    rows = (apply_channel(DensityMatrix(m), gate2, (0, 2)) for m in first.mat)
+    return (EOResource(partial_trace(rho, (1, 2)), *np.broadcast_arrays(a, t2))
+            for a, rho in zip(t1, rows))
+
+
+def _resource_first_leg(t1: np.ndarray, t2: np.ndarray, noise: NoiseParams | None) -> DensityMatrix:
+    """(flying, s1, s2) from init(eps_init) x |dd> through the first leg, after the angle checks."""
     for name, val in (("theta1", t1), ("theta2", t2)):
         _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
     noise = noise if noise is not None else NoiseParams()
     rho = tensor_dm(imperfect_init(noise.eps_init), ket("dd").density())
-    rho = _transit(rho, (1, 2), ForwardScatterParams(t1), ForwardScatterParams(t2), noise)
-    return EOResource(partial_trace(rho, (1, 2)), *angles)
+    return _first_leg(rho, 1, ForwardScatterParams(t1), noise)
 
 
-def _transit(rho: DensityMatrix, statics: tuple[int, int], gate1: ForwardScatterParams,
-             gate2: ForwardScatterParams, noise: NoiseParams) -> DensityMatrix:
-    """Flying qubit 0 passes the static qubits ``statics``; every other qubit is left alone.
+def _first_leg(rho: DensityMatrix, static: int, gate1: ForwardScatterParams,
+               noise: NoiseParams) -> DensityMatrix:
+    """Flying qubit 0 meets ``static`` and then the inter-gate noise; other qubits are left alone.
 
-    gate1 acts on (0, statics[0]), dephasing and then relaxation act on
-    qubit 0, and gate2 acts on (0, statics[1]).
+    gate1 acts on (0, static), then dephasing and then relaxation act on
+    qubit 0. Gate 2 on (0, the second static) completes the transit.
     """
-    rho = apply_unitary(rho, forward_unitary(gate1), (0, statics[0]))
+    rho = apply_unitary(rho, forward_unitary(gate1), (0, static))
     if noise.eps_z > 0.0:
         rho = apply_channel(rho, dephasing(noise.eps_z), (0,))
     if noise.eps_relax > 0.0:
         rho = apply_channel(rho, relaxation(noise.eps_relax), (0,))
-    return apply_unitary(rho, forward_unitary(gate2), (0, statics[1]))
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +313,6 @@ def parity_tree(resource: EOResource, ancillas: DensityMatrix | None = None) -> 
     draw2 = tuple(_born(branches) if branches else None for branches in second)
     return ParityTree(
         first=first, second=second, draw1=_born(first), draw2=draw2, truncated_mass=truncated
-    )
-
-
-def parity_success_probability(resource: EOResource) -> float:
-    """Total probability of the success syndrome, by exact enumeration."""
-    return sum(
-        prob
-        for first, second, prob, _ in parity_tree(resource).leaves()
-        if ParityTree.is_success(first, second)
     )
 
 
@@ -603,19 +625,11 @@ def chain_report(cfg: ChainConfig) -> ChainReport:
     pair = (cfg.target_pair, cfg.target_pair + 1)
     rho = ket("u" + "".join("d" if j in pair else "u" for j in range(cfg.n_static))).density()
     mag_before = _magnetization(rho)
-    rho = _transit(rho, (pair[0] + 1, pair[1] + 1), cfg.gate1, cfg.gate2, NoiseParams())
+    rho = _first_leg(rho, pair[0] + 1, cfg.gate1, NoiseParams())
+    rho = apply_unitary(rho, forward_unitary(cfg.gate2), (0, pair[1] + 1))
     statics = partial_trace(rho, tuple(range(1, cfg.n_static + 1)))
     purities = tuple(
         (j, partial_trace(statics, (j,)).purity()) for j in range(cfg.n_static) if j not in pair
     )
     resource = EOResource(partial_trace(statics, pair), cfg.gate1.theta, cfg.gate2.theta)
     return ChainReport(resource, purities, mag_before, _magnetization(rho))
-
-
-def chain_selective_eo(cfg: ChainConfig) -> EOResource:
-    """The target-pair resource of ``chain_report``.
-
-    It matches ``generate_resource`` for the same gate angles at any chain
-    length: the flying qubit meets only the target pair.
-    """
-    return chain_report(cfg).resource

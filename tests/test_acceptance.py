@@ -17,10 +17,8 @@ from flyspin.protocol import (
     ChainConfig,
     PumpState,
     chain_report,
-    chain_selective_eo,
     generate_resource,
     parity_success_output,
-    parity_success_probability,
     pump_probabilities,
     pump_step,
     pump_until,
@@ -91,10 +89,10 @@ def test_criterion_04_parity_projection_success_probability():
     for _ in range(100):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
         res = generate_resource(t1, t2)
-        worst = max(worst, abs(parity_success_probability(res) - res.p1 * res.p2 / 2.0))
+        worst = max(worst, abs(parity_success_output(res)[0] - res.p1 * res.p2 / 2.0))
     assert worst < 1e-12
     res = generate_resource(OPT1, OPT2)
-    exact = parity_success_probability(res)
+    exact = parity_success_output(res)[0]
     assert abs(exact - 0.5) < 1e-12
     # Born-sampled estimate from per-trial streams
     from flyspin.cli import _sample_success_flags
@@ -182,9 +180,8 @@ def test_criterion_08_chain_independence():
     worst_state = 0.0
     for n in (2, 3, 4, 5):
         cfg = ChainConfig(n, 0, ForwardScatterParams(t1), ForwardScatterParams(t2))
-        res = chain_selective_eo(cfg)
-        worst_state = max(worst_state, float(np.max(np.abs(res.rho.mat - base))))
         rep = chain_report(cfg)
+        worst_state = max(worst_state, float(np.max(np.abs(rep.resource.rho.mat - base))))
         for _, purity in rep.spectator_purities:
             assert abs(purity - 1.0) < 1e-12
         assert abs(rep.magnetization_after - rep.magnetization_before) < 1e-12

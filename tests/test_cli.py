@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import flyspin
-from flyspin.cli import main
+from flyspin.cli import _MAX_STEPS, _resolve, main
 from flyspin.metrics import concurrence
 from flyspin.protocol import generate_resource
+from flyspin.qcore import DensityMatrix
 
 from helpers import closed_form_concurrence
 
@@ -110,6 +111,41 @@ def test_main_twice_in_one_process_matches_fresh_processes(tmp_path, capsys):
         assert stdout_here.replace(str(here), str(fresh)) == stdout_fresh
         for name in (out, out + ".config"):
             assert read(here / name).replace(str(here), str(fresh)) == read(fresh / name)
+
+
+def test_eigvalsh_counts_repeat_across_runs_in_one_process(tmp_path, monkeypatch):
+    # a span tracer replaces np.linalg.eigvalsh and the DensityMatrix
+    # constructor at run time and requires each run of one input to repeat
+    # its counts; a name bound at import time or a cache kept across runs breaks that
+    calls = {"eigvalsh": 0, "density_matrix": 0}
+    eigvalsh, init = np.linalg.eigvalsh, DensityMatrix.__init__
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counted_init(self, mat):
+        calls["density_matrix"] += 1
+        init(self, mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(DensityMatrix, "__init__", counted_init)
+    rho = DensityMatrix(np.eye(4) / 4.0)
+    assert calls == {"eigvalsh": 1, "density_matrix": 1}
+    concurrence(rho)
+    assert calls == {"eigvalsh": 2, "density_matrix": 1}
+    argv = ["sweep-concurrence", "--theta1", "0:1:5", "--theta2", "0:1:4", "--eps-init", "0.01",
+            "--eps-z", "0.089", "--eps-relax", "0.02", "--out", str(tmp_path / "s.csv")]
+    counts = []
+    for _ in range(2):
+        before = dict(calls)
+        assert run(*argv) == 0
+        counts.append({key: calls[key] - before[key] for key in calls})
+    assert counts[0] == counts[1]
+    # 6 states shared by every row (init, gate 1, noise), then per row one
+    # state of its own, gate 2 and the trace; each validation runs one eigvalsh
+    # and each row's concurrence one more
+    assert counts[0] == {"density_matrix": 6 + 3 * 5, "eigvalsh": 6 + 4 * 5}
 
 
 def test_seeded_commands_are_byte_identical(tmp_path):
@@ -493,6 +529,20 @@ def test_single_angle_check_builds_no_grid(monkeypatch, capsys):
 
 def test_unwritable_output_path(tmp_path):
     assert run("eo-run", "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")) == 1
+
+
+def test_grid_steps_ceiling_is_checked_at_the_config_boundary(tmp_path, capsys):
+    # one step above the ceiling exits 1 before any work; the ceiling itself resolves
+    out = tmp_path / "big.csv"
+    for key in ("--theta1", "--theta2"):
+        assert run("sweep-concurrence", key, f"0:1:{_MAX_STEPS + 1}", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert f"{key[2:]}: grid has {_MAX_STEPS + 1} steps, above the ceiling of {_MAX_STEPS}" in err
+    assert not out.exists()
+    ceiling = f"0:1:{_MAX_STEPS}"
+    cfg = _resolve("sweep-concurrence", {"theta1": ceiling, "theta2": ceiling})
+    assert len(cfg.grid("theta1")) == len(cfg.grid("theta2")) == _MAX_STEPS
 
 
 def test_unknown_flag_exits_one(capsys):

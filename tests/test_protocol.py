@@ -14,18 +14,18 @@ from flyspin.protocol import (
     PUMP_FIRST_BLOCK,
     ChainConfig,
     EOResource,
+    ParityTree,
     PumpRecord,
     PumpState,
     chain_report,
-    chain_selective_eo,
     fresh_pair_fidelity,
     generate_resource,
     parity_success_output,
-    parity_success_probability,
     parity_tree,
     pump_probabilities,
     pump_step,
     pump_until,
+    resource_rows,
     _pump_lattice,
 )
 from flyspin.qcore import PAULI_X, apply_unitary, ket
@@ -156,6 +156,34 @@ def test_broadcast_angles_equal_single_transits_bit_for_bit():
         generate_resource(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
+def test_resource_rows_equal_generate_resource_bit_for_bit():
+    # the rows share one first leg over theta1's stack and one gate-2 channel;
+    # row i must still be generate_resource(theta1[i], theta2) exactly
+    rng = np.random.default_rng(1703)
+    grid = np.linspace(0.0, math.pi, 41)
+    cases = [
+        (grid, grid, NoiseParams(0.01, 0.089, 0.02)),  # the perfbench sweep
+        (rng.uniform(-7.0, 7.0, 6), np.append(rng.uniform(-7.0, 7.0, 5), 0.5 * math.pi), NoiseParams()),
+        (np.array([0.3]), grid, NoiseParams(0.2, 0.4, 0.6)),
+    ]
+    for theta1, theta2, noise in cases:
+        rows = list(resource_rows(theta1, theta2, noise))
+        assert len(rows) == len(theta1)
+        for t1, res in zip(theta1.tolist(), rows):
+            single = generate_resource(t1, theta2, noise)
+            assert _same_bits(res.rho.mat, single.rho.mat)
+            assert _same_bits(concurrence(res.rho), concurrence(single.rho))
+            for name in ("p1", "p2", "theta1", "theta2"):
+                assert _same_bits(getattr(res, name), getattr(single, name))
+    with pytest.raises(ValueError, match=r"theta1 must be a 1-D array, got shape \(\)"):
+        resource_rows(0.3, grid)
+    with pytest.raises(ValueError, match=r"theta2 must be a 1-D array, got shape \(2, 2\)"):
+        resource_rows(grid, np.zeros((2, 2)))
+    # the checks run at the call, before any row is read
+    with pytest.raises(ValueError, match=r"theta2 must be finite, got nan at stack index \(1,\)"):
+        resource_rows(grid, np.array([0.0, math.nan]))
+
+
 def test_stacked_resource_range_checks_name_the_index():
     good = generate_resource(np.full(3, OPT1), np.full(3, OPT2))
     with pytest.raises(ValueError, match="stacks differ"):
@@ -232,7 +260,7 @@ def test_success_probability_formula_100_random():
     for _ in range(100):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
         res = generate_resource(t1, t2)
-        assert abs(parity_success_probability(res) - res.p1 * res.p2 / 2.0) < 1e-12
+        assert abs(parity_success_output(res)[0] - res.p1 * res.p2 / 2.0) < 1e-12
 
 
 def test_optimal_point_success_half_with_psi_plus_output():
@@ -383,6 +411,16 @@ def test_born_sample_matches_generator_choice(name):
         expected = [drawn for (s, _), drawn in zip(keys, reference) if s == seed]
         assert list(zip(first.tolist(), second.tolist())) == expected
         assert all(tree.draw1[i] > 0 and tree.draw2[i][j] > 0 for i, j in zip(first, second))
+
+
+def test_born_sample_never_draws_a_cut_branch_at_a_zero_uniform():
+    # trial_uniforms can return exactly 0.0; with a zero-weight first branch
+    # the draw must skip it, as Generator.choice does (searchsorted side="right")
+    cut_first = np.array([0.0, 0.5, 0.5, 0.0])
+    tree = ParityTree(first=(), second=(), draw1=cut_first,
+                      draw2=(None, cut_first, None, None), truncated_mass=0.0)
+    first, second = tree.sample(np.array([0.0, 0.0]))
+    assert (int(first), int(second)) == (1, 1)
 
 
 def test_born_sample_rejects_bad_weights():
@@ -618,6 +656,18 @@ def test_pump_records_replay_pump_step():
     assert kinds == {True, False}
 
 
+def test_pumped_records_start_at_the_fresh_fidelity_bit_for_bit():
+    # record 0 of a walk with syndromes is read from the lattice at site 1;
+    # at these eps_z the rounded 1 / (1 + r^-1) misses fresh in the last bit
+    for eps_z, rounded in ((0.1, 0.8200000000000001), (0.05, 0.9049999999999999)):
+        fresh = fresh_pair_fidelity(eps_z)
+        r = fresh / (1.0 - fresh)
+        assert 1.0 / (1.0 + math.exp(-math.log(r))) == rounded != fresh
+        traj = pump_until(eps_z, 0.9999, 1000, trial_rng(17, 0))
+        assert traj.rounds >= 1
+        assert traj.records[0].fidelity == fresh
+
+
 def test_pump_until_matches_exact_chain():
     eps_z, target, max_rounds, n = 0.089, 1.0 - 1e-4, 1000, 10_000
     exact = pump_exact(eps_z, target, max_rounds)
@@ -646,7 +696,7 @@ def test_pump_until_matches_exact_chain():
 
 def test_chain_of_two_matches_generate_resource():
     cfg = ChainConfig(2, 0, ForwardScatterParams(OPT1), ForwardScatterParams(OPT2))
-    res = chain_selective_eo(cfg)
+    res = chain_report(cfg).resource
     base = generate_resource(OPT1, OPT2)
     assert np.max(np.abs(res.rho.mat - base.rho.mat)) < 1e-12
 
@@ -657,7 +707,7 @@ def test_chain_reduced_state_independent_of_length_and_position():
     for n in (2, 3, 4, 5):
         for i in range(n - 1):
             cfg = ChainConfig(n, i, ForwardScatterParams(t1), ForwardScatterParams(t2))
-            res = chain_selective_eo(cfg)
+            res = chain_report(cfg).resource
             assert np.max(np.abs(res.rho.mat - base.rho.mat)) < 1e-12
             # the angles lie in [0, 2 pi), so the chain's mod-2pi gate angles are the raw ones
             assert _same_bits(res.p1, base.p1) and _same_bits(res.p2, base.p2)
