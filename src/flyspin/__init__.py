@@ -8,7 +8,6 @@ from .protocol import (
     ChainReport,
     EOResource,
     ParityTree,
-    PumpState,
     PumpTrajectory,
     chain_report,
     fresh_pair_fidelity,
@@ -16,7 +15,6 @@ from .protocol import (
     parity_success_output,
     parity_tree,
     pump_probabilities,
-    pump_step,
     pump_until,
     resource_rows,
 )

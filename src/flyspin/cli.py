@@ -62,6 +62,15 @@ _SWEEP_POINT_S = 22e-6
 _SWEEP_BUDGET_S = 30.0
 _MAX_STEPS = math.isqrt(int(_SWEEP_BUDGET_S / _SWEEP_POINT_S))
 
+# trials and max_rounds ceilings: each key at its ceiling alone keeps a run within one memory
+# budget, at the peak bytes per unit measured with tracemalloc (README): a pump-sim or
+# eo-run trial, and a round of the pump-sim lattice table (2 max_rounds + 1 sites)
+_MEMORY_BUDGET_B = 500_000_000
+_TRIAL_B = {"eo-run": 37, "pump-sim": 610}
+_ROUND_B = 136
+_MAX_TRIALS = {command: _MEMORY_BUDGET_B // cost for command, cost in _TRIAL_B.items()}
+_MAX_ROUNDS = _MEMORY_BUDGET_B // _ROUND_B
+
 _COMMENT = re.compile(r"(?:^|\s)#.*")  # '#' opens a comment at a line's start or after whitespace
 
 
@@ -204,10 +213,14 @@ def _resolve(command: str, flags: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"seed must be a 64-bit value, got {cfg.seed}")
     if cfg.trials < 0:
         raise ConfigError(f"trials cannot be negative, got {cfg.trials}")
+    if cfg.trials > (ceiling := _MAX_TRIALS.get(cfg.command, 0)):
+        raise ConfigError(f"trials: {cfg.trials} is above the {cfg.command} ceiling of {ceiling}")
     if not (0.0 <= cfg.target_fidelity < 1.0):
         raise ConfigError(f"target_fidelity must lie in [0, 1), got {cfg.target_fidelity}")
     if cfg.max_rounds < 1:
         raise ConfigError(f"max_rounds must be at least 1, got {cfg.max_rounds}")
+    if cfg.max_rounds > _MAX_ROUNDS:
+        raise ConfigError(f"max_rounds: {cfg.max_rounds} is above the ceiling of {_MAX_ROUNDS}")
     cfg.noise()
     return cfg
 
@@ -261,14 +274,12 @@ _SUCCESS = np.array(
 )
 
 
-def _sample_success_flags(resource, trials: int, seed: int) -> list[bool]:
+def _sample_success_flags(tree: ParityTree, trials: int, seed: int) -> list[bool]:
     """Born-sample two-round attempts from the exact branch tree, one stream per trial.
 
     Trial t draws from the first two uniforms of its (seed, t) stream, all
-    computed in one pass. ``resource`` is an ``EOResource`` or the
-    ``ParityTree`` already built from it.
+    computed in one pass.
     """
-    tree = resource if isinstance(resource, ParityTree) else parity_tree(resource)
     first, second = tree.sample(trial_uniforms(seed, range(trials), 0, 2))
     return _SUCCESS[first, second].tolist()
 

@@ -43,9 +43,9 @@ F(1-f) / (F(1-f) + (1-F)f); both branches keep the pair. Each update
 multiplies the odds F/(1-F) by r = f/(1-f) or by 1/r, so the stored odds
 are always r^k for an integer k that starts at 1: the stored fidelity
 performs a random walk on this lattice, biased upward above F = 1/2.
-``pump_step`` is the one-round Bayesian update; ``pump_until`` walks the
-integer k directly, so the stored pair never underflows to an absorbing
-F = 0 however far below 1/2 it drifts. Far below 1/2 the even probability
+The lattice is the only pump model: ``pump_until`` walks the integer k
+directly, so the stored pair never underflows to an absorbing F = 0
+however far below 1/2 it drifts. Far below 1/2 the even probability
 of every site is one float (1 - f up to rounding), so below that floor
 every round is a draw against one constant: ``pump_until`` takes such
 rounds a block of uniforms at a time, and steps one round at a time only
@@ -347,20 +347,6 @@ def parity_success_output(
 
 
 @dataclass(frozen=True)
-class PumpState:
-    """Stored-pair fidelity after a number of pump rounds."""
-
-    fidelity: float
-    round: int = 0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.fidelity <= 1.0):
-            raise ValueError(f"fidelity must lie in [0, 1], got {self.fidelity}")
-        if self.round < 0:
-            raise ValueError("round count cannot be negative")
-
-
-@dataclass(frozen=True)
 class PumpRecord:
     round: int
     syndrome: str
@@ -417,32 +403,6 @@ def pump_probabilities(stored_fidelity: float, fresh_fidelity: float) -> tuple[f
     """(even, odd) syndrome probabilities for one pump round."""
     p_even = stored_fidelity * fresh_fidelity + (1.0 - stored_fidelity) * (1.0 - fresh_fidelity)
     return p_even, 1.0 - p_even
-
-
-def pump_step(
-    stored: PumpState,
-    fresh_fidelity: float,
-    syndrome: str,
-) -> PumpState:
-    """One pump round with the given syndrome ("even" or "odd").
-
-    The pair is retained for either syndrome; a syndrome whose probability
-    vanishes raises.
-    """
-    if not (0.0 <= fresh_fidelity <= 1.0):
-        raise ValueError(f"fresh fidelity must lie in [0, 1], got {fresh_fidelity}")
-    p_even, p_odd = pump_probabilities(stored.fidelity, fresh_fidelity)
-    if syndrome == "even":
-        if p_even <= 0.0:
-            raise ValueError("even syndrome has zero probability for these fidelities")
-        new_f = stored.fidelity * fresh_fidelity / p_even
-    elif syndrome == "odd":
-        if p_odd <= 0.0:
-            raise ValueError("odd syndrome has zero probability for these fidelities")
-        new_f = stored.fidelity * (1.0 - fresh_fidelity) / p_odd
-    else:
-        raise ValueError(f"syndrome must be 'even' or 'odd', got {syndrome!r}")
-    return PumpState(fidelity=min(new_f, 1.0), round=stored.round + 1)
 
 
 def _lattice_fidelity(k: np.ndarray, fresh: float) -> np.ndarray:

@@ -68,6 +68,60 @@ def dense_partial_trace(mat, keep) -> np.ndarray:
     return red
 
 
+def _kron_all(ops) -> np.ndarray:
+    out = np.eye(1, dtype=complex)
+    for op in ops:
+        out = np.kron(out, op)
+    return out
+
+
+def parity_leaves_dense(rho, ancillas, atol: float = 1e-12):
+    """Reference two-round parity tree, branch by branch, from dense 16x16 matrices.
+
+    The register is (a0, a1, r0, r1): node j holds ancilla j and resource
+    qubit j. A round puts a fresh copy of the resource ``rho`` on (r0, r1)
+    beside the ancillas, applies the CNOTs a0 -> r0 and a1 -> r1, projects
+    (r0, r1) onto the basis pair (o1, o2), outcome index 2 o1 + o2, and
+    traces the resource out. A branch of probability at most ``atol`` is
+    cut: it keeps no state, and a cut round-one branch gets no round two.
+
+    Returns (first, second, truncated): first[i] is (probability, ancilla
+    matrix or None) of round-one outcome i; second[i] lists the four
+    round-two branches on first[i]'s state, with their probabilities
+    conditional on it, and is empty when first[i] is cut; truncated is the
+    total probability of the cut leaves.
+    """
+    eye, x = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    proj = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+    def cnot(control, target):
+        flip = [eye] * 4
+        flip[control], flip[target] = proj[1], x
+        keep = [eye] * 4
+        keep[control] = proj[0]
+        return _kron_all(keep) + _kron_all(flip)
+
+    gates = cnot(1, 3) @ cnot(0, 2)
+
+    def round_(anc):
+        joint = gates @ np.kron(anc, rho) @ gates.conj().T
+        branches = []
+        for o1, o2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            p = _kron_all([eye, eye, proj[o1], proj[o2]])
+            block = p @ joint @ p
+            prob = float(np.trace(block).real)
+            state = dense_partial_trace(block, (0, 1)) / prob if prob > atol else None
+            branches.append((prob, state))
+        return branches
+
+    first = round_(np.asarray(ancillas, dtype=complex))
+    second = [round_(state) if state is not None else [] for _, state in first]
+    truncated = sum(p1 for p1, state in first if state is None) + sum(
+        p1 * p2 for (p1, _), branches in zip(first, second) for p2, state in branches if state is None
+    )
+    return first, second, truncated
+
+
 def random_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     d = 2**n_qubits
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

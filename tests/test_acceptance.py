@@ -15,13 +15,14 @@ from flyspin.cli import main as cli_main
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from flyspin.protocol import (
     ChainConfig,
-    PumpState,
     chain_report,
+    fresh_pair_fidelity,
     generate_resource,
     parity_success_output,
-    pump_probabilities,
-    pump_step,
+    parity_tree,
     pump_until,
+    _lattice_fidelity,
+    _pump_lattice,
 )
 from flyspin.qcore import PAULI_Z
 from flyspin.rng import trial_rng
@@ -97,7 +98,7 @@ def test_criterion_04_parity_projection_success_probability():
     # Born-sampled estimate from per-trial streams
     from flyspin.cli import _sample_success_flags
 
-    flags = _sample_success_flags(res, 10_000, seed=314159)
+    flags = _sample_success_flags(parity_tree(res), 10_000, seed=314159)
     estimate, se = success_stats(flags)
     assert abs(estimate - exact) <= 3.0 * se
     _report(4, f"max |Ps - P1P2/2| = {worst:.2e}; MC {estimate:.4f} vs exact 0.5 (se {se:.4f})")
@@ -141,17 +142,20 @@ def test_criterion_06_dephasing_closed_form():
 def test_criterion_07_pumping_convergence():
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
+    max_rounds = 60
     worst = 0.0
-    for _ in range(100):
-        stored, fresh = rng.uniform(0.05, 0.95, 2)
+    for eps_z, k in zip(rng.uniform(0.0, 0.5, 100).tolist(), rng.integers(-40, 61, 100).tolist()):
+        # site k of the lattice pump_until walks, with its even probability from the walked table
+        fresh = fresh_pair_fidelity(eps_z)
+        p_even = _pump_lattice(fresh, 0.9999, max_rounds)[0][k - 1 + max_rounds]
+        down, stored, up = _lattice_fidelity(np.array([k - 1, k, k + 1]), fresh).tolist()
         oracle = pump_round_oracle(stored, fresh)
-        p_even, p_odd = pump_probabilities(stored, fresh)
         worst = max(
             worst,
             abs(oracle["even"][0] - p_even),
-            abs(oracle["odd"][0] - p_odd),
-            abs(oracle["even"][1] - pump_step(PumpState(stored), fresh, "even").fidelity),
-            abs(oracle["odd"][1] - pump_step(PumpState(stored), fresh, "odd").fidelity),
+            abs(oracle["odd"][0] - (1.0 - p_even)),
+            abs(oracle["even"][1] - up),
+            abs(oracle["odd"][1] - down),
         )
     assert worst < 1e-12
     rounds = []

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flyspin
-from flyspin.cli import _MAX_STEPS, _resolve, main
+from flyspin.cli import _MAX_ROUNDS, _MAX_STEPS, _MAX_TRIALS, _resolve, main
 from flyspin.metrics import concurrence
 from flyspin.protocol import generate_resource
 from flyspin.qcore import DensityMatrix
@@ -543,6 +544,25 @@ def test_grid_steps_ceiling_is_checked_at_the_config_boundary(tmp_path, capsys):
     ceiling = f"0:1:{_MAX_STEPS}"
     cfg = _resolve("sweep-concurrence", {"theta1": ceiling, "theta2": ceiling})
     assert len(cfg.grid("theta1")) == len(cfg.grid("theta2")) == _MAX_STEPS
+
+
+def test_trials_and_max_rounds_ceilings_are_checked_at_the_config_boundary(tmp_path, capsys):
+    # one above each ceiling exits 1 within a second, before any work; the ceiling itself resolves
+    out = tmp_path / "big.csv"
+    cases = [
+        ("eo-run", "trials", _MAX_TRIALS["eo-run"]),
+        ("pump-sim", "trials", _MAX_TRIALS["pump-sim"]),
+        ("pump-sim", "max_rounds", _MAX_ROUNDS),
+    ]
+    for command, key, ceiling in cases:
+        start = time.perf_counter()
+        assert run(command, "--" + key.replace("_", "-"), str(ceiling + 1), "--out", str(out)) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert f"{key}: {ceiling + 1} is above the " in err and f"ceiling of {ceiling}\n" in err
+        assert getattr(_resolve(command, {key: str(ceiling)}), key) == ceiling
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -16,23 +16,28 @@ from flyspin.protocol import (
     EOResource,
     ParityTree,
     PumpRecord,
-    PumpState,
     chain_report,
     fresh_pair_fidelity,
     generate_resource,
     parity_success_output,
     parity_tree,
-    pump_probabilities,
-    pump_step,
     pump_until,
     resource_rows,
+    _lattice_fidelity,
     _pump_lattice,
 )
-from flyspin.qcore import PAULI_X, apply_unitary, ket
+from flyspin.qcore import PAULI_X, ZERO_PROBABILITY_ATOL, apply_unitary, ket
 from flyspin.rng import trial_rng, trial_streams, trial_uniforms
 from flyspin.scattering import ForwardScatterParams
 
-from helpers import closed_form_resource, pump_exact, pump_round_oracle, random_density
+from helpers import (
+    closed_form_resource,
+    parity_leaves_dense,
+    pump_exact,
+    pump_round_oracle,
+    random_density,
+    random_pure_density,
+)
 
 OPT1, OPT2 = math.pi / 4.0, math.pi / 2.0
 
@@ -255,6 +260,46 @@ def test_truncated_mass_closes_the_branch_sum():
     assert abs(kept + tree.truncated_mass - 1.0) < 1e-15
 
 
+def _assert_tree_matches_dense(res, ancillas=None):
+    """Every branch and leaf of ``parity_tree`` against ``parity_leaves_dense`` to 1e-12."""
+    tree = parity_tree(res, ancillas)
+    anc = np.full((4, 4), 0.25) if ancillas is None else ancillas.mat  # default |++>
+    first, second, truncated = parity_leaves_dense(res.rho.mat, anc, ZERO_PROBABILITY_ATOL)
+    dense_leaves = []
+    for i, (b1, (p1, s1)) in enumerate(zip(tree.first, first)):
+        assert abs(b1.probability - p1) < 1e-12
+        assert (b1.state is None) == (s1 is None)
+        if s1 is not None:
+            assert np.max(np.abs(b1.state.mat - s1)) < 1e-12
+        assert len(tree.second[i]) == len(second[i])
+        for j, (b2, (p2, s2)) in enumerate(zip(tree.second[i], second[i])):
+            assert (b2.state is None) == (s2 is None), (i, j)
+            if s2 is not None:
+                dense_leaves.append((divmod(i, 2), divmod(j, 2), p1 * p2, s2))  # index 2 o1 + o2
+    leaves = list(tree.leaves())
+    assert [leaf[:2] for leaf in leaves] == [leaf[:2] for leaf in dense_leaves]
+    for (*_, prob, state), (*_, p, s) in zip(leaves, dense_leaves):
+        assert abs(prob - p) < 1e-12
+        assert np.max(np.abs(state.mat - s)) < 1e-12
+    assert abs(tree.truncated_mass - truncated) < 1e-12
+    return tree, truncated
+
+
+def test_parity_tree_matches_dense_oracle_leaf_by_leaf():
+    rng = np.random.default_rng(51)
+    for _ in range(10):
+        t1, t2 = rng.uniform(0.0, math.pi, 2)
+        noise = NoiseParams(*rng.uniform(0.0, 0.3, 3))
+        res = generate_resource(t1, t2, noise)
+        for anc in (None, random_density(2, rng), random_pure_density(2, rng)):
+            _assert_tree_matches_dense(res, anc)
+    # the cut case: the success leaves fall below the zero-probability cut
+    cut = generate_resource(3e-7, OPT2)
+    for anc in (None, random_density(2, rng), random_pure_density(2, rng)):
+        tree, truncated = _assert_tree_matches_dense(cut, anc)
+        assert truncated > 0.0 and tree.truncated_mass == pytest.approx(truncated, rel=1e-9)
+
+
 def test_success_probability_formula_100_random():
     rng = np.random.default_rng(45)
     for _ in range(100):
@@ -444,69 +489,62 @@ def test_parity_rejects_wrong_sized_ancillas():
 # --- entanglement pumping ------------------------------------------------------
 
 
-def test_pump_fixed_point():
-    state = pump_step(PumpState(1.0), 1.0, "even")
-    assert state.fidelity == 1.0
-    assert state.round == 1
+def _lattice_round(eps_z, k, max_rounds=60):
+    """(fresh f, F_(k-1), F_k, F_(k+1), even probability at site k) on the walked lattice.
+
+    The even probability is read from the ``_pump_lattice`` table that
+    ``pump_until`` walks, at index k - 1 + max_rounds.
+    """
+    fresh = fresh_pair_fidelity(eps_z)
+    p_even, _, _ = _pump_lattice(fresh, 0.9999, max_rounds)
+    down, stored, up = _lattice_fidelity(np.array([k - 1, k, k + 1]), fresh).tolist()
+    return fresh, down, stored, up, p_even[k - 1 + max_rounds]
+
+
+def _random_sites(seed, n):
+    """n draws of (eps_z in (0, 1/2), site k in [-40, 60])."""
+    rng = np.random.default_rng(seed)
+    return zip(rng.uniform(0.0, 0.5, n).tolist(), rng.integers(-40, 61, n).tolist())
 
 
 def test_pump_even_update_arithmetic():
     f = 0.822
-    out = pump_step(PumpState(f), f, "even")
     expected = f * f / (f * f + (1.0 - f) ** 2)
-    assert out.fidelity == pytest.approx(expected, abs=1e-15)
+    assert float(_lattice_fidelity(np.array(2), f)) == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(0.9552, abs=1e-4)
 
 
-def test_pump_odd_outcome_is_setback():
-    out = pump_step(PumpState(0.99), 0.822, "odd")
-    expected = 0.99 * 0.178 / (0.99 * 0.178 + 0.01 * 0.822)
-    assert out.fidelity == pytest.approx(expected, abs=1e-15)
-    assert out.fidelity < 0.99
-
-
 def test_pump_recursion_matches_four_qubit_oracle():
-    rng = np.random.default_rng(48)
-    for _ in range(100):
-        stored, fresh = rng.uniform(0.05, 0.95, 2)
+    # the circuit's round on F_k moves the stored pair to the lattice sites the walk steps to
+    for eps_z, k in _random_sites(48, 100):
+        fresh, down, stored, up, p_even = _lattice_round(eps_z, k)
         oracle = pump_round_oracle(stored, fresh)
-        p_even, p_odd = pump_probabilities(stored, fresh)
-        assert abs(oracle["even"][0] - p_even) < 1e-12
-        assert abs(oracle["odd"][0] - p_odd) < 1e-12
-        assert abs(oracle["even"][1] - pump_step(PumpState(stored), fresh, "even").fidelity) < 1e-12
-        assert abs(oracle["odd"][1] - pump_step(PumpState(stored), fresh, "odd").fidelity) < 1e-12
+        assert abs(oracle["even"][0] - p_even) < 1e-12, (eps_z, k)
+        assert abs(oracle["odd"][0] - (1.0 - p_even)) < 1e-12, (eps_z, k)
+        assert abs(oracle["even"][1] - up) < 1e-12, (eps_z, k)
+        assert abs(oracle["odd"][1] - down) < 1e-12, (eps_z, k)
 
 
 def test_pump_walk_uses_upward_biased_steps():
     # the update is a Bayesian posterior, so the expected posterior fidelity
     # equals the prior exactly; the upward bias lives in the step
-    # probabilities: above fidelity 1/2 most rounds move up
-    rng = np.random.default_rng(49)
-    for _ in range(50):
-        stored, fresh = rng.uniform(0.5 + 1e-6, 1.0 - 1e-6, 2)
-        p_even, p_odd = pump_probabilities(stored, fresh)
-        up = pump_step(PumpState(stored), fresh, "even").fidelity
-        down = pump_step(PumpState(stored), fresh, "odd").fidelity
-        assert p_even > 0.5
-        assert up > stored > down
-        assert abs(p_even * up + p_odd * down - stored) < 1e-12
+    # probabilities: above fidelity 1/2 (sites k >= 1) most rounds move up
+    for eps_z, k in _random_sites(49, 200):
+        _, down, stored, up, p_even = _lattice_round(eps_z, k)
+        assert abs(p_even * up + (1.0 - p_even) * down - stored) < 1e-12, (eps_z, k)
+        # an odd round is a setback and an even one a gain, short of saturating at 1
+        assert down < stored or stored == 1.0, (eps_z, k)
+        assert stored < up or up == 1.0, (eps_z, k)
+        if k >= 1:
+            assert p_even > 0.5, (eps_z, k)
 
 
 def test_forced_even_sequence_is_monotone():
     fresh = fresh_pair_fidelity(0.089)
-    state = PumpState(fresh)
-    for _ in range(12):
-        new = pump_step(state, fresh, "even")
-        assert new.fidelity >= state.fidelity
-        state = new
-    assert state.fidelity > 1.0 - 1e-6
-
-
-def test_forced_impossible_syndrome_raises():
-    with pytest.raises(ValueError, match="zero probability"):
-        pump_step(PumpState(1.0), 0.0, "even")
-    with pytest.raises(ValueError, match="syndrome"):
-        pump_step(PumpState(0.5), 0.5, "sideways")
+    fid = _lattice_fidelity(np.arange(1, 14), fresh)
+    assert fid[0] == fresh
+    assert np.all(np.diff(fid) >= 0.0)
+    assert fid[-1] > 1.0 - 1e-6
 
 
 def test_pump_until_converges_at_round_zero_without_noise():
@@ -638,22 +676,29 @@ def test_pump_until_syndromes_are_pinned():
     assert climbed_and_fell > 0
 
 
-def test_pump_records_replay_pump_step():
-    # the lattice fidelities agree with the one-round Bayesian update, also
-    # deep below F = 1/2 where the float recursion underflows to 0
-    fresh = fresh_pair_fidelity(0.089)
-    kinds = set()
+def test_pump_records_follow_the_four_qubit_oracle():
+    # every recorded round is the circuit's round on the previous record,
+    # with the even probability the walk read from its table, also deep
+    # below F = 1/2 where the lattice fidelity saturates at 0
+    eps_z, target, max_rounds = 0.089, 1.0 - 1e-4, 1000
+    fresh = fresh_pair_fidelity(eps_z)
+    p_even, _, _ = _pump_lattice(fresh, target, max_rounds)
+    oracle, kinds = {}, set()
     for t in range(20):
-        traj = pump_until(0.089, 1.0 - 1e-4, 1000, trial_rng(777, t))
+        traj = pump_until(eps_z, target, max_rounds, trial_rng(777, t))
         kinds.add(traj.converged)
         assert traj.records[0] == PumpRecord(0, "init", fresh)
-        state = PumpState(fresh)
-        for rec in traj.records[1:]:
-            state = pump_step(state, fresh, rec.syndrome)
-            assert rec.round == state.round
-            assert abs(rec.fidelity - state.fidelity) < 1e-12
+        site = 1
+        for prev, rec in zip(traj.records, traj.records[1:]):
+            if site not in oracle:
+                oracle[site] = pump_round_oracle(prev.fidelity, fresh)
+                assert abs(oracle[site]["even"][0] - p_even[site - 1 + max_rounds]) < 1e-12
+            assert rec.round == prev.round + 1
+            assert abs(rec.fidelity - oracle[site][rec.syndrome][1]) < 1e-12, (t, rec)
+            site += 1 if rec.syndrome == "even" else -1
         assert (traj.records[-1].fidelity >= traj.target_fidelity) == traj.converged
     assert kinds == {True, False}
+    assert min(oracle) < -432  # exp(-k ln r) overflows there: F_k saturates at 0
 
 
 def test_pumped_records_start_at_the_fresh_fidelity_bit_for_bit():
