@@ -257,10 +257,13 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
     grid1 = cfg.grid("theta1")
     grid2 = np.array(cfg.grid("theta2"))
     rows = [_SWEEP_HEADER]
+    theta2_texts = [_fmt(t2) for t2 in grid2.tolist()]
+    herald = _fmt(_HERALD_PROB)
     for t1, res in zip(grid1, resource_rows(grid1, grid2, cfg.noise())):
-        columns = (grid2, concurrence(res.rho), res.p1, res.p2)
-        for t2, c, p1, p2 in zip(*(col.tolist() for col in columns)):
-            rows.append(",".join(_fmt(v) for v in (t1, t2, c, p1, p2, _HERALD_PROB)))
+        # p2 depends on theta1 alone, so it is one value along the row
+        head, tail = _fmt(t1), f"{_fmt(float(res.p2[0]))},{herald}"
+        for t2, c, p1 in zip(theta2_texts, concurrence(res.rho).tolist(), res.p1.tolist()):
+            rows.append(f"{head},{t2},{c:.17g},{p1:.17g},{tail}")
     out = cfg.out or "sweep.csv"
     _write_text(out, "\n".join(rows) + "\n")
     _echo_config(cfg, out)

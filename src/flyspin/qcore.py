@@ -18,7 +18,11 @@ Conventions used by the whole package:
   stack of matrices, shape ``(..., d, d)``, in the manner of numpy's
   ``matmul`` and ``eigvalsh``: the leading axes broadcast, and a single
   state is a stack of shape ``()``. Every validation runs on every state
-  of a stack and an error names the first failing stack index.
+  of a stack and an error names the first failing stack index. From
+  ``SUPPORT_MIN_DIM`` (32) on, a stack that is exactly zero outside its
+  support (the basis states with a nonzero diagonal entry in some state)
+  is checked on that support block; the rows left out are exact zero
+  eigenvalues.
   ``measure`` takes a single state only and leaves at least one qubit.
 
 All values are immutable after construction and every operation is a pure
@@ -41,6 +45,13 @@ NORM_ATOL = 1e-12
 COMPLETENESS_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 ZERO_PROBABILITY_ATOL = 1e-12
+# Dimension from which DensityMatrix checks a stack on its support block.
+# Measured on chain-demo states (2 shared cores, numpy 2.4.6): a 6-qubit
+# state with 1-3 support states validates in 54 us instead of 235 us; at
+# d = 32 the two break about even (30 us against 34 us); at d = 16 the
+# detour costs more than it saves (30 us against 22 us), and the eo-run
+# parity-tree states fill 9-12 of their 16 basis states besides.
+SUPPORT_MIN_DIM = 32
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -75,6 +86,24 @@ def _require(ok, message: str, *values) -> None:
     idx = tuple(int(i) for i in np.argwhere(~ok)[0])
     text = message.format(*(np.asarray(v)[idx] for v in values))
     raise ValueError(text + (f" at stack index {idx}" if idx else ""))
+
+
+def _support_block(m: np.ndarray) -> np.ndarray:
+    """The rows and columns of the stack ``m`` on which its states live, or ``m`` itself.
+
+    The support is every basis state whose diagonal entry is nonzero in some
+    state of the stack. It is split off only for ``d >= SUPPORT_MIN_DIM``
+    and only when every entry outside it is exactly zero, so that each row
+    left out is an exact zero eigenvalue of every state.
+    """
+    d = m.shape[-1]
+    if d < SUPPORT_MIN_DIM:
+        return m
+    support = np.flatnonzero(np.diagonal(m, axis1=-2, axis2=-1).reshape(-1, d).any(axis=0))
+    if not 0 < support.size < d:
+        return m
+    block = m[..., support[:, None], support]
+    return block if np.count_nonzero(block) == np.count_nonzero(m) else m
 
 
 def _per_state(x: np.ndarray):
@@ -131,7 +160,10 @@ class DensityMatrix:
     state has stack shape ``()``. Construction validates every state of the
     stack: Hermiticity and unit trace to 1e-12, and no eigenvalue below
     -1e-10 (one stacked ``eigvalsh``). Violations raise, naming the first
-    failing stack index, instead of being clipped.
+    failing stack index, instead of being clipped. For ``d >=
+    SUPPORT_MIN_DIM``, a stack that is exactly zero outside its support runs
+    the Hermiticity check and the ``eigvalsh`` on the support block alone,
+    and its lowest eigenvalue is min(block lowest, 0).
     """
 
     def __init__(self, mat) -> None:
@@ -139,11 +171,15 @@ class DensityMatrix:
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         self._n = _qubit_count(m.shape[-1], "density matrix")
-        herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        block = _support_block(m)
+        herm = np.max(np.abs(block - block.conj().swapaxes(-1, -2)), axis=(-2, -1))
         _require(herm <= HERMITICITY_ATOL, "density matrix is not Hermitian within 1e-12")
+        # the trace sums the whole diagonal: no dearer than the block's, and rounded as before
         tr = np.trace(m, axis1=-2, axis2=-1)
         _require(np.abs(tr - 1.0) <= TRACE_ATOL, "density matrix trace {} differs from 1 beyond 1e-12", tr)
-        lo = np.linalg.eigvalsh(m)[..., 0]
+        lo = np.linalg.eigvalsh(block)[..., 0]
+        if block.shape[-1] < m.shape[-1]:
+            lo = np.minimum(lo, 0.0)
         _require(lo >= EIGENVALUE_FLOOR, "density matrix has eigenvalue {} below -1e-10", lo)
         self._mat = _frozen(m)
 

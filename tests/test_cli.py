@@ -135,18 +135,28 @@ def test_eigvalsh_counts_repeat_across_runs_in_one_process(tmp_path, monkeypatch
     assert calls == {"eigvalsh": 1, "density_matrix": 1}
     concurrence(rho)
     assert calls == {"eigvalsh": 2, "density_matrix": 1}
-    argv = ["sweep-concurrence", "--theta1", "0:1:5", "--theta2", "0:1:4", "--eps-init", "0.01",
-            "--eps-z", "0.089", "--eps-relax", "0.02", "--out", str(tmp_path / "s.csv")]
-    counts = []
-    for _ in range(2):
-        before = dict(calls)
-        assert run(*argv) == 0
-        counts.append({key: calls[key] - before[key] for key in calls})
-    assert counts[0] == counts[1]
+
+    def repeated_counts(*argv):
+        counts = []
+        for _ in range(2):
+            before = dict(calls)
+            assert run(*argv) == 0
+            counts.append({key: calls[key] - before[key] for key in calls})
+        assert counts[0] == counts[1]
+        return counts[0]
+
     # 6 states shared by every row (init, gate 1, noise), then per row one
     # state of its own, gate 2 and the trace; each validation runs one eigvalsh
     # and each row's concurrence one more
-    assert counts[0] == {"density_matrix": 6 + 3 * 5, "eigvalsh": 6 + 4 * 5}
+    sweep = ["sweep-concurrence", "--theta1", "0:1:5", "--theta2", "0:1:4", "--eps-init", "0.01",
+             "--eps-z", "0.089", "--eps-relax", "0.02", "--out", str(tmp_path / "s.csv")]
+    assert repeated_counts(*sweep) == {"density_matrix": 6 + 3 * 5, "eigvalsh": 6 + 4 * 5}
+    # 6-qubit chain states are checked on their support block, still with
+    # one eigvalsh per validation, and one more for the target concurrence
+    chain = ["chain-demo", "--chain-size", "5", "--target-pair", "2", "--theta1", "0.25",
+             "--theta2", "0.5", "--out", str(tmp_path / "c.csv")]
+    counts = repeated_counts(*chain)
+    assert counts["eigvalsh"] == counts["density_matrix"] + 1
 
 
 def test_seeded_commands_are_byte_identical(tmp_path):

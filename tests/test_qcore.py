@@ -284,6 +284,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(np.eye(2))
+    with pytest.raises(ValueError, match="trace 0j"):
+        DensityMatrix(np.zeros((64, 64)))
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]))
 
@@ -303,6 +305,89 @@ def test_stacked_validation_names_the_first_failing_index():
     with pytest.raises(ValueError, match="single state"):
         measure(tensor_dm(DensityMatrix(np.stack([good, good])), ket("u").density()), (0,))
     assert DensityMatrix(np.stack([good, good])).purity().tolist() == [0.5, 0.5]
+
+
+def _on_support(block, support) -> np.ndarray:
+    """A 64 x 64 matrix holding ``block`` on the basis states ``support`` and zeros elsewhere."""
+    m = np.zeros((64, 64), dtype=complex)
+    m[np.ix_(support, support)] = block
+    return m
+
+
+def _psd_block(k: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(k, rank)) + 1j * rng.normal(size=(k, rank))
+    b = g @ g.conj().T
+    return b / np.trace(b).real
+
+
+def _large_cases(make, rng):
+    """``make(basis)`` alone, and as index 2 of a stack of three 64 x 64 states.
+
+    The other two states are random rank-3 states on disjoint basis states;
+    ``make`` gets the 58 basis states left over, so the supports differ.
+    """
+    perm = rng.permutation(64)
+    last = make(perm[6:])
+    stack = np.stack([_on_support(_psd_block(3, 3, rng), perm[i:i + 3]) for i in (0, 3)] + [last])
+    return [(last, ""), (stack, r" at stack index \(2,\)")]
+
+
+def test_large_states_on_a_few_basis_states_are_accepted():
+    # 6-qubit chain states live on at most 3 of their 64 basis states
+    rng = np.random.default_rng(47)
+    for k in range(1, 5):
+        for rank in range(1, k + 1):
+            for m, _ in _large_cases(lambda basis: _on_support(_psd_block(k, rank, rng), basis[:k]), rng):
+                assert np.array_equal(DensityMatrix(m).mat, m)
+
+
+@pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True)])
+def test_large_state_eigenvalue_floor_holds_on_its_support(lowest, accepted):
+    rng = np.random.default_rng(53)
+
+    def make(basis):
+        u = random_unitary(2, rng)
+        b = u @ np.diag([lowest, 0.2, 0.3, 0.5 - lowest]) @ u.conj().T
+        return _on_support((b + b.conj().T) / 2.0, basis[:4])
+
+    for m, where in _large_cases(make, rng):
+        if accepted:
+            DensityMatrix(m)
+        else:
+            with pytest.raises(ValueError, match=rf"eigenvalue -\S+ below -1e-10{where}$"):
+                DensityMatrix(m)
+
+
+@pytest.mark.parametrize("x, accepted", [(1e-3, False), (1e-6, True)])
+def test_large_state_coherence_on_a_zero_diagonal_row(x, accepted):
+    # [[1, x], [x, 0]] has lowest eigenvalue about -x^2: the zero diagonal
+    # entry does not make its row and column zero
+    rng = np.random.default_rng(59)
+
+    def make(basis):
+        m = _on_support([[1.0]], basis[:1])
+        m[basis[0], basis[1]] = m[basis[1], basis[0]] = x
+        return m
+
+    for m, where in _large_cases(make, rng):
+        if accepted:
+            DensityMatrix(m)
+        else:
+            with pytest.raises(ValueError, match=rf"eigenvalue -\S+ below -1e-10{where}$"):
+                DensityMatrix(m)
+
+
+def test_large_state_non_hermitian_entry_in_a_zero_row():
+    rng = np.random.default_rng(61)
+
+    def make(basis):
+        m = _on_support(_psd_block(2, 2, rng), basis[:2])
+        m[basis[2], basis[0]] = 1e-3
+        return m
+
+    for m, where in _large_cases(make, rng):
+        with pytest.raises(ValueError, match=rf"not Hermitian within 1e-12{where}$"):
+            DensityMatrix(m)
 
 
 def test_stacked_ops_equal_single_ops_bit_for_bit():
