@@ -2,7 +2,7 @@
 entanglement operations between static qubits."""
 
 from .channels import NoiseParams, dephasing, imperfect_init, relaxation
-from .metrics import BellLabel, bell_fidelity, bell_state, concurrence, success_stats
+from .metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from .protocol import (
     ChainConfig,
     ChainReport,
@@ -14,7 +14,6 @@ from .protocol import (
     generate_resource,
     parity_success_output,
     parity_tree,
-    pump_probabilities,
     pump_until,
     resource_rows,
 )

@@ -46,6 +46,7 @@ from .protocol import (
     parity_tree,
     pump_until,
     resource_rows,
+    transit_weights,
 )
 from .rng import trial_streams, trial_uniforms
 from .scattering import ForwardScatterParams
@@ -260,9 +261,10 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
     theta2_texts = [_fmt(t2) for t2 in grid2.tolist()]
     herald = _fmt(_HERALD_PROB)
     for t1, res in zip(grid1, resource_rows(grid1, grid2, cfg.noise())):
-        # p2 depends on theta1 alone, so it is one value along the row
-        head, tail = _fmt(t1), f"{_fmt(float(res.p2[0]))},{herald}"
-        for t2, c, p1 in zip(theta2_texts, concurrence(res.rho).tolist(), res.p1.tolist()):
+        # p1 per grid point, p2 once per row: it depends on theta1 alone
+        p1_row, p2 = transit_weights(t1, grid2)
+        head, tail = _fmt(t1), f"{_fmt(p2)},{herald}"
+        for t2, c, p1 in zip(theta2_texts, concurrence(res.rho).tolist(), p1_row.tolist()):
             rows.append(f"{head},{t2},{c:.17g},{p1:.17g},{tail}")
     out = cfg.out or "sweep.csv"
     _write_text(out, "\n".join(rows) + "\n")

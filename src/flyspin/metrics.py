@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PAULI_Y, DensityMatrix, PureState, _per_state
+from .qcore import PAULI_Y, DensityMatrix, _per_state
 
 _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
 _EIG_CLAMP = 1e-12
@@ -31,10 +31,6 @@ _BELL_VECTORS = {
     BellLabel.PHI_PLUS: np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex),
     BellLabel.PHI_MINUS: np.array([_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2], dtype=complex),
 }
-
-
-def bell_state(label: BellLabel) -> PureState:
-    return PureState(_BELL_VECTORS[label])
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:

@@ -64,6 +64,7 @@ import numpy as np
 
 from .channels import NoiseParams, dephasing, imperfect_init, relaxation
 from .qcore import (
+    MAX_QUBITS,
     DensityMatrix,
     KrausChannel,
     MeasurementBranch,
@@ -74,6 +75,7 @@ from .qcore import (
     measure,
     partial_trace,
     tensor_dm,
+    _frozen,
     _per_state,
     _require,
 )
@@ -118,19 +120,11 @@ class EOResource:
 
     @property
     def p1(self) -> float | np.ndarray:
-        return self._pointwise(lambda t1, t2: 2.0 * math.cos(t1) ** 2 * math.sin(t2) ** 2)
+        return transit_weights(self.theta1, self.theta2)[0]
 
     @property
     def p2(self) -> float | np.ndarray:
-        return self._pointwise(lambda t1, _: 2.0 * math.sin(t1) ** 2)
-
-    def _pointwise(self, weight: Callable[[float, float], float]) -> float | np.ndarray:
-        """``weight(theta1, theta2)`` at every stack index, with Python's math.
-
-        np.cos(x) ** 2 on an array differs from math.cos(x) ** 2 in the last bit for some x.
-        """
-        angles = zip(np.ravel(self.theta1).tolist(), np.ravel(self.theta2).tolist())
-        return _per_state(np.reshape([weight(a, b) for a, b in angles], np.shape(self.theta1)))
+        return transit_weights(self.theta1, self.theta2)[1]
 
     def corrected_rho(self) -> DensityMatrix:
         """Resource after the recorded local phase correction on the first qubit.
@@ -143,6 +137,27 @@ class EOResource:
         corr[..., 0, 0] = np.exp(-1j * np.asarray(self.theta2))
         corr[..., 1, 1] = 1.0
         return apply_unitary(self.rho, corr, (0,))
+
+
+def transit_weights(theta1: float | np.ndarray,
+                    theta2: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """The closed-form weights (P1, P2) = (2 cos^2(t1) sin^2(t2), 2 sin^2(t1)) of a transit.
+
+    The angles broadcast: P1 takes their broadcast shape and P2 that of
+    ``theta1``, each a Python float for scalar angles. Each cosine and sine
+    comes from Python's math, once per entry (np.cos(x) ** 2 misses
+    math.cos(x) ** 2 in the last bit for some x); the products round alike in
+    numpy and in Python, so P1 = (2 cos^2 t1) sin^2 t2 keeps the bits of the
+    scalar formula. A sweep row (scalar theta1) takes one sine for its P2.
+    """
+    p1 = 2.0 * _squares(math.cos, theta1) * _squares(math.sin, theta2)
+    return _per_state(p1), _per_state(2.0 * _squares(math.sin, theta1))
+
+
+def _squares(f: Callable[[float], float], theta: float | np.ndarray) -> np.ndarray:
+    """``f(t) ** 2`` at every entry t of ``theta``, with Python's math."""
+    t = np.asarray(theta, dtype=float)
+    return np.array([f(x) ** 2 for x in t.ravel().tolist()]).reshape(t.shape)
 
 
 def generate_resource(theta1: float | np.ndarray, theta2: float | np.ndarray,
@@ -568,11 +583,15 @@ class ChainReport:
     magnetization_after: float
 
 
+# the diagonal of Z_1 + ... + Z_n per register size n: n - 2 popcount(i) on basis state i
+_Z_TOTAL = {
+    n: _frozen(np.array([n - 2 * i.bit_count() for i in range(2**n)])) for n in range(1, MAX_QUBITS + 1)
+}
+
+
 def _magnetization(rho: DensityMatrix) -> float:
-    """<Z_1 + ... + Z_n>: Z_total is diagonal, n - 2 popcount(i) on basis state i."""
-    n = rho.n
-    z_total = np.array([n - 2 * i.bit_count() for i in range(2**n)])
-    return float(np.real(np.sum(np.diagonal(rho.mat) * z_total)))
+    """<Z_1 + ... + Z_n> of a single state."""
+    return float((rho.mat.diagonal() * _Z_TOTAL[rho.n]).sum().real)
 
 
 def chain_report(cfg: ChainConfig) -> ChainReport:

@@ -47,9 +47,9 @@ EIGENVALUE_FLOOR = -1e-10
 ZERO_PROBABILITY_ATOL = 1e-12
 # Dimension from which DensityMatrix checks a stack on its support block.
 # Measured on chain-demo states (2 shared cores, numpy 2.4.6): a 6-qubit
-# state with 1-3 support states validates in 54 us instead of 235 us; at
-# d = 32 the two break about even (30 us against 34 us); at d = 16 the
-# detour costs more than it saves (30 us against 22 us), and the eo-run
+# state with 3 support states validates in 35-40 us instead of 200-218 us;
+# at d = 32 the block saves a little (27 us against 34-37 us); at d = 16 the
+# detour costs more than it saves (24 us against 20-22 us), and the eo-run
 # parity-tree states fill 9-12 of their 16 basis states besides.
 SUPPORT_MIN_DIM = 32
 
@@ -57,7 +57,6 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def _qubit_count(dim: int, what: str) -> int:
@@ -74,15 +73,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# the identity on k qubits, for the completeness check of k-qubit Kraus operators
+_IDENTITY = {k: _frozen(np.eye(2**k)) for k in range(1, MAX_QUBITS + 1)}
+
+
 def _require(ok, message: str, *values) -> None:
     """Raise ``ValueError`` unless ``ok`` holds at every stack index.
 
     ``message`` is formatted with each of ``values`` taken at the first
     failing index, and a stacked check names that index.
     """
-    ok = np.asarray(ok)
-    if ok.all():
+    # a single state's check is one numpy bool, which needs no reduction
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
         return
+    ok = np.asarray(ok)
     idx = tuple(int(i) for i in np.argwhere(~ok)[0])
     text = message.format(*(np.asarray(v)[idx] for v in values))
     raise ValueError(text + (f" at stack index {idx}" if idx else ""))
@@ -99,7 +103,7 @@ def _support_block(m: np.ndarray) -> np.ndarray:
     d = m.shape[-1]
     if d < SUPPORT_MIN_DIM:
         return m
-    support = np.flatnonzero(np.diagonal(m, axis1=-2, axis2=-1).reshape(-1, d).any(axis=0))
+    support = m.diagonal(axis1=-2, axis2=-1).reshape(-1, d).any(axis=0).nonzero()[0]
     if not 0 < support.size < d:
         return m
     block = m[..., support[:, None], support]
@@ -108,7 +112,7 @@ def _support_block(m: np.ndarray) -> np.ndarray:
 
 def _per_state(x: np.ndarray):
     """A per-state value: a Python float for a single state, else an array."""
-    return float(x) if np.ndim(x) == 0 else x
+    return float(x) if x.ndim == 0 else x
 
 
 class PureState:
@@ -172,13 +176,13 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         self._n = _qubit_count(m.shape[-1], "density matrix")
         block = _support_block(m)
-        herm = np.max(np.abs(block - block.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        herm = abs(block - block.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         _require(herm <= HERMITICITY_ATOL, "density matrix is not Hermitian within 1e-12")
         # the trace sums the whole diagonal: no dearer than the block's, and rounded as before
-        tr = np.trace(m, axis1=-2, axis2=-1)
-        _require(np.abs(tr - 1.0) <= TRACE_ATOL, "density matrix trace {} differs from 1 beyond 1e-12", tr)
+        tr = m.trace(axis1=-2, axis2=-1)
+        _require(abs(tr - 1.0) <= TRACE_ATOL, "density matrix trace {} differs from 1 beyond 1e-12", tr)
         lo = np.linalg.eigvalsh(block)[..., 0]
-        if block.shape[-1] < m.shape[-1]:
+        if block is not m:
             lo = np.minimum(lo, 0.0)
         _require(lo >= EIGENVALUE_FLOOR, "density matrix has eigenvalue {} below -1e-10", lo)
         self._mat = _frozen(m)
@@ -193,7 +197,7 @@ class DensityMatrix:
 
     def purity(self):
         """tr(rho^2): a float for a single state, an array over a stack."""
-        return _per_state(np.real(np.trace(self._mat @ self._mat, axis1=-2, axis2=-1)))
+        return _per_state((self._mat @ self._mat).trace(axis1=-2, axis2=-1).real)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(n={self._n})"
@@ -216,12 +220,12 @@ def tensor_dm(*parts: DensityMatrix) -> DensityMatrix:
 def _check_targets(targets: Sequence[int], n: int) -> tuple[int, ...]:
     given = tuple(targets)
     try:
-        t = tuple(operator.index(q) for q in given)
+        t = tuple(map(operator.index, given))
     except TypeError:
         raise ValueError(f"targets {given} are not all integers") from None
     if len(set(t)) != len(t):
         raise ValueError(f"duplicate targets {t}")
-    if any(q < 0 or q >= n for q in t):
+    if min(t, default=0) < 0 or max(t, default=0) >= n:
         raise ValueError(f"targets {t} out of range for {n} qubits")
     return t
 
@@ -255,7 +259,7 @@ def partial_trace(state: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     dt, dk = 2 ** len(traced), 2 ** len(kept)
     # rows and columns ordered (traced, keep): the reduced state is the trace over the traced block axes
     blocks = _reorder(state.mat, traced + kept).reshape(state.mat.shape[:-2] + (dt, dk, dt, dk))
-    return DensityMatrix(np.trace(blocks, axis1=-4, axis2=-2))
+    return DensityMatrix(blocks.trace(axis1=-4, axis2=-2))
 
 
 class KrausChannel:
@@ -276,7 +280,7 @@ class KrausChannel:
                 raise ValueError("all Kraus operators must share one square shape")
         self._k = _qubit_count(dim, "Kraus operator")
         total = sum(k.conj().swapaxes(-1, -2) @ k for k in ops)
-        err = np.max(np.abs(total - np.eye(dim)), axis=(-2, -1))
+        err = abs(total - _IDENTITY[self._k]).max(axis=(-2, -1))
         _require(err <= COMPLETENESS_ATOL, "Kraus operators do not satisfy completeness within 1e-12")
         self._ops = tuple(_frozen(k) for k in ops)
 
@@ -301,6 +305,10 @@ def apply_channel(state: DensityMatrix, channel: KrausChannel, targets: Sequence
     # rows and columns ordered (targets, rest): each operator multiplies the leading 2^k rows
     order = t + tuple(q for q in range(n) if q not in t)
     rho = _reorder(state.mat, order)
+    # a zero array in rho's memory order, not a scalar 0: the sum takes its
+    # memory order from it. Started from 0, a channel on qubit 0 (or on a
+    # 1-qubit state) would return a Fortran-ordered state, and the matmuls
+    # downstream would round the seeded outputs differently in the last bit
     out = np.zeros_like(rho)
     for k in channel.operators:
         # K rho K^dagger = (conj(K) (K rho)^T)^T, ^T swapping the last two axes
@@ -349,7 +357,7 @@ def measure(state: DensityMatrix, targets: Sequence[int]) -> list[MeasurementBra
         block = blocks[b, :, b, :]
         # summed left to right and stored in Fortran order: the last bits of
         # the parity-tree states, and so the seeded outputs, depend on both
-        prob = float(np.cumsum(np.diagonal(block).real)[-1])
+        prob = float(block.diagonal().real.cumsum()[-1])
         if prob <= ZERO_PROBABILITY_ATOL:
             branches.append(MeasurementBranch(max(prob, 0.0), None))
         else:

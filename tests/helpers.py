@@ -9,9 +9,26 @@ import math
 
 import numpy as np
 
-from flyspin.qcore import HADAMARD, DensityMatrix, apply_unitary, measure
+from flyspin.metrics import BellLabel
+from flyspin.qcore import DensityMatrix, PureState, apply_unitary, measure
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 PSI_PLUS_VEC = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+
+# the Bell states from their definition, apart from the vectors in flyspin.metrics:
+# psi_pm = (|ud> +- |du>)/sqrt(2), phi_pm = (|uu> +- |dd>)/sqrt(2)
+_BELL_AMPLITUDES = {
+    BellLabel.PSI_PLUS: [0.0, 1.0, 1.0, 0.0],
+    BellLabel.PSI_MINUS: [0.0, 1.0, -1.0, 0.0],
+    BellLabel.PHI_PLUS: [1.0, 0.0, 0.0, 1.0],
+    BellLabel.PHI_MINUS: [1.0, 0.0, 0.0, -1.0],
+}
+
+
+def bell_state(label: BellLabel) -> PureState:
+    return PureState(np.array(_BELL_AMPLITUDES[label], dtype=complex) / np.sqrt(2.0))
+
 
 # control is the first qubit of the pair; flips the target when the control is down
 CNOT_MAT = np.array(

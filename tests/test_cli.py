@@ -232,6 +232,28 @@ def test_seeded_outputs_match_pinned_values(tmp_path, capsys):
     )
 
 
+def test_config_echoes_match_pinned_values(tmp_path, monkeypatch):
+    # one .config per command, recorded from an earlier version: the keys in
+    # sorted order, floats with 17 significant digits, the out path as given
+    monkeypatch.chdir(tmp_path)
+    runs = {
+        "pump.csv": (["pump-sim", "--eps-z", "0.089", "--trials", "200", "--seed", "777",
+                      "--max-rounds", "200"],
+                     "58ff03785dd44e89f09fbc9b1128b2b99678975c60d89685fb65e9b4c290df87"),
+        "eo.csv": (["eo-run", "--eps-z", "0.089", "--trials", "2000", "--seed", "42"],
+                   "8a6164d44b61f55e82cbe8b9ba3b9be8c39f6bf53b39f7d1d55dc961322586fa"),
+        "sweep.csv": (["sweep-concurrence", "--theta1", "-0.3:1.2:9", "--theta2", "0:2:9",
+                       "--eps-init", "0.01", "--eps-z", "0.089", "--eps-relax", "0.02"],
+                      "7c00253004186b93097503e3b7bee5b8b6c2ab1c1caf054e220bd9555baa73c5"),
+        "chain.txt": (["chain-demo", "--chain-size", "4", "--target-pair", "1", "--theta1", "0.7",
+                       "--theta2", "1.7"],
+                      "eb8fe91509b0465c931f467139cd71cc2640e444e79edbc00aeb2d1448c1bbf0"),
+    }
+    for out, (argv, digest) in runs.items():
+        assert run(*argv, "--out", out) == 0
+        assert hashlib.sha256((tmp_path / f"{out}.config").read_bytes()).hexdigest() == digest
+
+
 def test_eo_run_builds_no_generator_per_trial(tmp_path, monkeypatch):
     # every trial's uniforms come from one bulk pass, so no Philox is ever constructed
     plain, guarded = tmp_path / "plain.csv", tmp_path / "guarded.csv"
@@ -337,6 +359,12 @@ def test_pump_sim_all_nonconverged_exits_three(tmp_path):
     assert code == 3
     # eps_z = 1/2: fresh pairs of fidelity 1/2 leave the stored pair at 1/2 forever
     assert run("pump-sim", "--eps-z", "0.5", "--trials", "20", "--out", str(out)) == 3
+
+
+def test_pump_sim_single_nonconverged_trial_exits_three(tmp_path):
+    out = tmp_path / "pump_one.csv"
+    assert run("pump-sim", "--eps-z", "0.5", "--trials", "1", "--out", str(out)) == 3
+    assert read(out).splitlines()[1:] == ["0,1000,1001,0"]
 
 
 def test_chain_demo_report(tmp_path, capsys):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from flyspin.metrics import BellLabel, bell_fidelity, bell_state, concurrence, success_stats
+from flyspin.metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from flyspin.protocol import generate_resource
 from flyspin.qcore import DensityMatrix, PureState, apply_unitary, ket, tensor_dm
 
-from helpers import random_density, random_unitary
+from helpers import bell_state, random_density, random_unitary
 
 
 def test_bell_states_orthonormal():

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flyspin.channels import NoiseParams
-from flyspin.metrics import BellLabel, bell_fidelity, bell_state, concurrence
+from flyspin.metrics import BellLabel, bell_fidelity, concurrence
 from flyspin.protocol import (
     PUMP_FIRST_BLOCK,
     ChainConfig,
@@ -31,6 +31,7 @@ from flyspin.rng import trial_rng, trial_streams, trial_uniforms
 from flyspin.scattering import ForwardScatterParams
 
 from helpers import (
+    bell_state,
     closed_form_resource,
     parity_leaves_dense,
     pump_exact,

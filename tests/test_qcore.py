@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flyspin.qcore import (
-    HADAMARD,
     PAULI_X,
     PAULI_Z,
     DensityMatrix,
@@ -20,7 +19,7 @@ from flyspin.qcore import (
 )
 from flyspin.scattering import ForwardScatterParams, forward_unitary
 
-from helpers import dense_embed, dense_partial_trace, random_density, random_unitary
+from helpers import HADAMARD, dense_embed, dense_partial_trace, random_density, random_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -388,6 +387,118 @@ def test_large_state_non_hermitian_entry_in_a_zero_row():
     for m, where in _large_cases(make, rng):
         with pytest.raises(ValueError, match=rf"not Hermitian within 1e-12{where}$"):
             DensityMatrix(m)
+
+
+# --- each tolerance at its threshold: an error of 2e-12 fails a 1e-12 check, one of 5e-13 passes
+
+_ABOVE_AND_BELOW = [(2e-12, False), (-2e-12, False), (5e-13, True), (-5e-13, True)]
+
+
+def _at_threshold(perturb):
+    """A valid state changed by ``perturb(m, i, j)``, in every layout that DensityMatrix checks.
+
+    The state is [[0.6, 0.2], [0.2, 0.4]] on the basis states (i, j): (1, 2)
+    of a 4 x 4 matrix, and (17, 40) of a 64 x 64 one, which is checked on its
+    support block. Each comes alone and as index 2 of a stack of three whose
+    other states are left unchanged. Returns (matrix, message suffix) pairs.
+    """
+    cases = []
+    for d, (i, j) in ((4, (1, 2)), (64, (17, 40))):
+        good = np.zeros((d, d), dtype=complex)
+        good[np.ix_((i, j), (i, j))] = [[0.6, 0.2], [0.2, 0.4]]
+        bad = good.copy()
+        perturb(bad, i, j)
+        cases += [(bad, ""), (np.stack([good, good, bad]), r" at stack index \(2,\)")]
+    return cases
+
+
+@pytest.mark.parametrize("err, accepted", _ABOVE_AND_BELOW)
+def test_hermiticity_tolerance_at_its_threshold(err, accepted):
+    def perturb(m, i, j):
+        m[i, j] += err  # only the upper entry: m - m^dagger is err there
+
+    for m, where in _at_threshold(perturb):
+        if accepted:
+            assert np.array_equal(DensityMatrix(m).mat, m)
+        else:
+            with pytest.raises(ValueError, match=rf"not Hermitian within 1e-12{where}$"):
+                DensityMatrix(m)
+
+
+@pytest.mark.parametrize("err, accepted", _ABOVE_AND_BELOW)
+def test_trace_tolerance_at_its_threshold(err, accepted):
+    def perturb(m, i, j):
+        m[i, i] += err
+
+    for m, where in _at_threshold(perturb):
+        if accepted:
+            assert np.array_equal(DensityMatrix(m).mat, m)
+        else:
+            with pytest.raises(ValueError, match=rf"trace \S+ differs from 1 beyond 1e-12{where}$"):
+                DensityMatrix(m)
+
+
+@pytest.mark.parametrize("err, accepted", _ABOVE_AND_BELOW)
+def test_completeness_tolerance_at_its_threshold(err, accepted):
+    # K^dagger K is the identity but for 1 + err on one basis state, on 1 and on 6 qubits
+    for k in (1, 6):
+        good = np.eye(2**k, dtype=complex)
+        bad = good.copy()
+        bad[1, 1] = math.sqrt(1.0 + err)
+        for op, where in ((bad, ""), (np.stack([good, good, bad]), r" at stack index \(2,\)")):
+            if accepted:
+                assert KrausChannel([op]).n == k
+            else:
+                with pytest.raises(ValueError, match=rf"completeness within 1e-12{where}$"):
+                    KrausChannel([op])
+
+
+@pytest.mark.parametrize("err, accepted", _ABOVE_AND_BELOW)
+def test_norm_tolerance_at_its_threshold(err, accepted):
+    # a state vector has no stack axes; it is checked on 1 and on 6 qubits
+    for n in (1, 6):
+        vec = np.zeros(2**n, dtype=complex)
+        vec[1] = 1.0 + err
+        if accepted:
+            assert PureState(vec).n == n
+        else:
+            with pytest.raises(ValueError, match="norm .* differs from 1 beyond 1e-12$"):
+                PureState(vec)
+
+
+def test_output_memory_order_is_pinned():
+    # the last bits of the seeded outputs depend on the memory order of each
+    # op's output, since a matmul, a trace or an eigvalsh reads its operands in
+    # that order: the ops return C-ordered states for C-ordered inputs, and
+    # measure returns Fortran-ordered branch states, which an op on their
+    # leading qubits passes on
+    rng = np.random.default_rng(71)
+    one, three = random_density(1, rng), random_density(3, rng)
+    stack = DensityMatrix(np.stack([random_density(2, rng).mat for _ in range(3)]))
+    dephase = KrausChannel([np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * PAULI_Z])
+    branch = measure(three, (1,))[0].state
+    c_ordered = [
+        apply_channel(one, dephase, (0,)),
+        apply_channel(three, dephase, (0,)),
+        apply_channel(three, dephase, (2,)),
+        apply_unitary(three, random_unitary(2, rng), (2, 0)),
+        apply_unitary(stack, PAULI_X, (0,)),
+        apply_unitary(stack, PAULI_X, (1,)),
+        apply_unitary(branch, PAULI_X, (1,)),
+        partial_trace(three, (0, 1)),
+        partial_trace(three, (1, 2)),
+        partial_trace(three, (2,)),
+        partial_trace(stack, (1,)),
+        tensor_dm(one, three),
+        tensor_dm(stack, one),
+        tensor_dm(branch, one),
+    ]
+    for rho in c_ordered:
+        assert rho.mat.flags.c_contiguous
+    f_ordered = [*(b.state for b in measure(three, (1,))), *(b.state for b in measure(three, (2, 0))),
+                 apply_unitary(branch, PAULI_X, (0,)), apply_channel(branch, dephase, (0,))]
+    for rho in f_ordered:
+        assert rho.mat.flags.f_contiguous and not rho.mat.flags.c_contiguous
 
 
 def test_stacked_ops_equal_single_ops_bit_for_bit():
