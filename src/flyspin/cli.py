@@ -260,11 +260,11 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
     rows = [_SWEEP_HEADER]
     theta2_texts = [_fmt(t2) for t2 in grid2.tolist()]
     herald = _fmt(_HERALD_PROB)
-    for t1, res in zip(grid1, resource_rows(grid1, grid2, cfg.noise())):
+    for t1, rho in zip(grid1, resource_rows(grid1, grid2, cfg.noise())):
         # p1 per grid point, p2 once per row: it depends on theta1 alone
         p1_row, p2 = transit_weights(t1, grid2)
         head, tail = _fmt(t1), f"{_fmt(p2)},{herald}"
-        for t2, c, p1 in zip(theta2_texts, concurrence(res.rho).tolist(), p1_row.tolist()):
+        for t2, c, p1 in zip(theta2_texts, concurrence(rho).tolist(), p1_row.tolist()):
             rows.append(f"{head},{t2},{c:.17g},{p1:.17g},{tail}")
     out = cfg.out or "sweep.csv"
     _write_text(out, "\n".join(rows) + "\n")

@@ -62,11 +62,11 @@ def concurrence(rho: DensityMatrix):
     return _per_state(np.minimum(np.maximum(c, 0.0), 1.0))
 
 
-def bell_fidelity(rho: DensityMatrix, label: BellLabel):
-    """Overlap <bell| rho |bell> per state, a (1, 4) @ (4, 1) dot so a stack keeps each state's bits."""
+def bell_fidelity(rho: DensityMatrix, label: BellLabel) -> float:
+    """Overlap <bell| rho |bell> of a single two-qubit state."""
     _require_two_qubits(rho)
     v = _BELL_VECTORS[label]
-    return _per_state(np.real((v.conj() @ rho.mat)[..., None, :] @ v[:, None])[..., 0, 0])
+    return float(np.real(v.conj() @ rho.mat @ v))
 
 
 def success_stats(outcomes: Sequence[bool]) -> tuple[float, float]:

@@ -7,13 +7,14 @@ leaves the static pair in a mixed resource state
 
 with P1 = 2 cos^2(t1) sin^2(t2), P2 = 2 sin^2(t1) and
 |chi> ~ sqrt(P1/(P1+P2)) |du> + e^{i t2} sqrt(P2/(P1+P2)) |ud>.
-``generate_resource`` always produces this state by full register
+``resource_rows`` is the one builder of this state: full register
 simulation (init, first gate, inter-gate noise, second gate, trace); the
 closed-form state lives in the tests as an independent oracle, and only
 the weights P1 and P2 are computed from the angles. The first leg of the
 transit (gate 1, then the noise) depends on theta1 alone and gate 2 on
 theta2 alone, so ``resource_rows`` builds a (theta1, theta2) grid row by
 row from one first leg and one gate-2 channel shared by every row.
+``generate_resource`` is its one-point row.
 
 Two such resources enact a heralded parity projection on one ancilla per
 node. Per round, each node applies a CNOT from its ancilla onto its
@@ -97,33 +98,29 @@ ROUND_OUTCOMES: tuple[Syndrome, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 @dataclass(frozen=True)
 class EOResource:
-    """Two-static-qubit resource state with the gate angles of its transit.
+    """One two-static-qubit resource state with the gate angles of its transit.
 
-    ``rho`` may hold a stack of resources; ``theta1`` and ``theta2`` are then
-    arrays of the stack's shape (``generate_resource`` broadcasts its angles
-    to it). The closed-form weights ``p1`` and ``p2`` follow from the angles.
+    ``rho`` is a single state; the closed-form weights ``p1`` and ``p2``
+    follow from the angles.
     """
 
     rho: DensityMatrix
-    theta1: float | np.ndarray
-    theta2: float | np.ndarray
+    theta1: float
+    theta2: float
 
     def __post_init__(self) -> None:
-        if self.rho.n != 2:
-            raise ValueError("resource state must live on two qubits")
-        stack = self.rho.mat.shape[:-2]
+        if self.rho.mat.shape != (4, 4):
+            raise ValueError(f"resource must be one two-qubit state, got shape {self.rho.mat.shape}")
         for name in ("theta1", "theta2"):
             val = np.asarray(getattr(self, name), dtype=float)
-            if val.shape != stack:
-                raise ValueError(f"{name} {val.shape} and rho {stack} stacks differ")
             _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
 
     @property
-    def p1(self) -> float | np.ndarray:
+    def p1(self) -> float:
         return transit_weights(self.theta1, self.theta2)[0]
 
     @property
-    def p2(self) -> float | np.ndarray:
+    def p2(self) -> float:
         return transit_weights(self.theta1, self.theta2)[1]
 
     def corrected_rho(self) -> DensityMatrix:
@@ -133,10 +130,7 @@ class EOResource:
         carries relative to |du>, so that at the optimal working point the
         state aligns with (|du> + |ud>)/sqrt(2).
         """
-        corr = np.zeros(np.shape(self.theta2) + (2, 2), dtype=complex)
-        corr[..., 0, 0] = np.exp(-1j * np.asarray(self.theta2))
-        corr[..., 1, 1] = 1.0
-        return apply_unitary(self.rho, corr, (0,))
+        return apply_unitary(self.rho, np.diag([np.exp(-1j * self.theta2), 1.0]), (0,))
 
 
 def transit_weights(theta1: float | np.ndarray,
@@ -160,54 +154,45 @@ def _squares(f: Callable[[float], float], theta: float | np.ndarray) -> np.ndarr
     return np.array([f(x) ** 2 for x in t.ravel().tolist()]).reshape(t.shape)
 
 
-def generate_resource(theta1: float | np.ndarray, theta2: float | np.ndarray,
+def generate_resource(theta1: float, theta2: float,
                       noise: NoiseParams | None = None) -> EOResource:
     """Simulate one flying-qubit transit and return the static-pair resource.
 
+    The angles are scalars; the resource is the one-point row of
+    ``resource_rows``.
+    """
+    for name, val in (("theta1", theta1), ("theta2", theta2)):
+        if np.ndim(val) != 0:
+            raise ValueError(f"{name} must be a scalar, got shape {np.shape(val)}")
+    (rho,) = resource_rows([theta1], theta2, noise)
+    return EOResource(rho, float(theta1), float(theta2))
+
+
+def resource_rows(theta1: np.ndarray, theta2: float | np.ndarray,
+                  noise: NoiseParams | None = None) -> Iterator[DensityMatrix]:
+    """The static-pair resource of every (theta1[i], theta2) transit, one row per theta1 entry.
+
     The register (flying, s1, s2) starts as init(eps_init) x |dd>; the
     flying qubit meets s1, the inter-gate noise and s2, and is traced out.
-
-    The angles may be arrays that broadcast to one stack shape, the resource's;
-    the first leg (gate 1 and the noise) runs on theta1's stack alone, once
-    for a scalar theta1, and gate 2 and the trace on the broadcast stack.
+    theta1 is a 1-D array and theta2 a scalar or a 1-D array; row i is a
+    state with theta2's stack shape. The call checks the angles, runs the
+    first leg (gate 1 and the noise) on theta1's stack and builds gate 2's
+    channel on theta2's, once for every row. Row i is made when it is read:
+    that channel on the row's state, then the trace, so one row is held at
+    a time.
     """
     t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
-    try:
-        angles = [_per_state(t) for t in np.broadcast_arrays(t1, t2)]
-    except ValueError:
-        raise ValueError(f"theta1 {t1.shape} and theta2 {t2.shape} cannot share one shape") from None
-    rho = _resource_first_leg(t1, t2, noise)
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(t2)), (0, 2))
-    return EOResource(partial_trace(rho, (1, 2)), *angles)
-
-
-def resource_rows(theta1: np.ndarray, theta2: np.ndarray,
-                  noise: NoiseParams | None = None) -> Iterator[EOResource]:
-    """``generate_resource(theta1[i], theta2, noise)`` for every i in turn, bit for bit.
-
-    Both angles are 1-D arrays. The call checks them, runs the first leg on
-    theta1's stack and builds gate 2's channel on theta2's stack, once for
-    every row. Row i is made when it is read: that channel on the row's
-    state, then the trace, so one row's resources are held at a time.
-    """
-    t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
-    for name, val in (("theta1", t1), ("theta2", t2)):
-        if val.ndim != 1:
-            raise ValueError(f"{name} must be a 1-D array, got shape {val.shape}")
-    first = _resource_first_leg(t1, t2, noise)
-    gate2 = KrausChannel([forward_unitary(ForwardScatterParams(t2))])
-    rows = (apply_channel(DensityMatrix(m), gate2, (0, 2)) for m in first.mat)
-    return (EOResource(partial_trace(rho, (1, 2)), *np.broadcast_arrays(a, t2))
-            for a, rho in zip(t1, rows))
-
-
-def _resource_first_leg(t1: np.ndarray, t2: np.ndarray, noise: NoiseParams | None) -> DensityMatrix:
-    """(flying, s1, s2) from init(eps_init) x |dd> through the first leg, after the angle checks."""
+    if t1.ndim != 1:
+        raise ValueError(f"theta1 must be a 1-D array, got shape {t1.shape}")
+    if t2.ndim > 1:
+        raise ValueError(f"theta2 must be a scalar or a 1-D array, got shape {t2.shape}")
     for name, val in (("theta1", t1), ("theta2", t2)):
         _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
     noise = noise if noise is not None else NoiseParams()
     rho = tensor_dm(imperfect_init(noise.eps_init), ket("dd").density())
-    return _first_leg(rho, 1, ForwardScatterParams(t1), noise)
+    first = _first_leg(rho, 1, ForwardScatterParams(t1), noise)
+    gate2 = KrausChannel([forward_unitary(ForwardScatterParams(t2))])
+    return (partial_trace(apply_channel(DensityMatrix(m), gate2, (0, 2)), (1, 2)) for m in first.mat)
 
 
 def _first_leg(rho: DensityMatrix, static: int, gate1: ForwardScatterParams,

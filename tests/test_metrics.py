@@ -83,20 +83,6 @@ def test_bell_fidelities_sum_to_one_on_bell_diagonal():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bell_fidelity_of_a_stack_equals_single_states_bit_for_bit():
-    rng = np.random.default_rng(35)
-    mats = np.array([[random_density(2, rng).mat for _ in range(4)] for _ in range(3)])
-    mats[0, 0] = bell_state(BellLabel.PHI_MINUS).density().mat
-    stack = DensityMatrix(mats)
-    for label in BellLabel:
-        stacked = bell_fidelity(stack, label)
-        assert stacked.shape == (3, 4)
-        for idx in np.ndindex(3, 4):
-            single = bell_fidelity(DensityMatrix(mats[idx]), label)
-            assert type(single) is float
-            assert stacked[idx].tobytes() == np.float64(single).tobytes()
-
-
 def test_success_stats():
     assert success_stats([True] * 10) == (1.0, 0.0)
     assert success_stats([False] * 10) == (0.0, 0.0)

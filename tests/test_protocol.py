@@ -23,10 +23,11 @@ from flyspin.protocol import (
     parity_tree,
     pump_until,
     resource_rows,
+    transit_weights,
     _lattice_fidelity,
     _pump_lattice,
 )
-from flyspin.qcore import PAULI_X, ZERO_PROBABILITY_ATOL, apply_unitary, ket
+from flyspin.qcore import PAULI_X, ZERO_PROBABILITY_ATOL, DensityMatrix, apply_unitary, ket
 from flyspin.rng import trial_rng, trial_streams, trial_uniforms
 from flyspin.scattering import ForwardScatterParams
 
@@ -99,109 +100,99 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _assert_rows_equal_single_transits(theta1, theta2, noise):
+    # row point (i, j) of resource_rows must be generate_resource(theta1[i],
+    # theta2[j]) exactly, and p1, p2 must stay on Python's math
+    rows = list(resource_rows(theta1, theta2, noise))
+    assert len(rows) == len(theta1)
+    for t1, rho in zip(theta1.tolist(), rows):
+        assert rho.mat.shape == np.shape(theta2) + (4, 4)
+        c = concurrence(rho)
+        p1_row, p2 = transit_weights(t1, theta2)
+        for j in np.ndindex(np.shape(theta2)):
+            t2 = float(np.asarray(theta2)[j])
+            single = generate_resource(t1, t2, noise)
+            assert _same_bits(rho.mat[j], single.rho.mat)
+            assert _same_bits(np.asarray(c)[j], concurrence(single.rho))
+            assert _same_bits(np.asarray(p1_row)[j], single.p1)
+            assert _same_bits(p2, single.p2)
+            assert _same_bits(single.p1, 2.0 * math.cos(t1) ** 2 * math.sin(t2) ** 2)
+            assert _same_bits(single.p2, 2.0 * math.sin(t1) ** 2)
+
+
 def test_stacked_transits_equal_single_transits_bit_for_bit():
-    # one stacked pass must reproduce every single transit exactly; angles
-    # below 0 and above 2 pi exercise the mod 2 pi reduction, exact multiples
-    # of pi/2 the degenerate points, and eps of 0 and 1 every channel's edges.
-    # Row 2 starts with angles where numpy's cos(x) ** 2 (or sin) misses
-    # Python's math in the last bit, so p1 and p2 must stay on math.
+    # 7x7 grids over nine noise settings, eps of 0 and 1 at every channel's
+    # edges: theta1 holds the six angles and theta2 the first three where
+    # numpy's cos(x) ** 2 (or sin) misses Python's math in the last bit, so
+    # p1 and p2 must stay on math; the rest are multiples of pi/2 (the
+    # degenerate points) and angles outside [0, 2 pi] (the mod 2 pi reduction)
     rng = np.random.default_rng(20110215)
+    special1 = [5.215353836340649, 4.67879830034482, -1.7333735774792238,
+                5.150345059613125, -3.979968439817835, -7.710104007368115]
+    theta2 = np.array([-3.9259753584093593, -6.737736549800015, 4.630165492836438,
+                       0.0, 0.5 * math.pi, -math.pi, 4.0 * math.pi])
     noises = [NoiseParams(), NoiseParams(1.0, 1.0, 1.0), NoiseParams(0.0, 1.0, 0.0),
               NoiseParams(1.0, 0.0, 0.5), NoiseParams(0.0, 0.3, 1.0)]
     noises += [NoiseParams(*rng.uniform(0.0, 1.0, 3)) for _ in range(4)]
-    for noise in noises:
-        t1, t2 = rng.uniform(-3.0 * math.pi, 3.0 * math.pi, (2, 3, 7))
-        t1[0, :5] = np.array([0.0, 0.5, 1.0, 2.0, -1.5]) * math.pi
-        t2[1, :5] = np.array([0.0, 0.5, 1.0, -2.0, 4.0]) * math.pi
-        t1[2, :6] = [5.215353836340649, 4.67879830034482, -1.7333735774792238,
-                     5.150345059613125, -3.979968439817835, -7.710104007368115]
-        t2[2, :3] = [-3.9259753584093593, -6.737736549800015, 4.630165492836438]
-        stacked = generate_resource(t1, t2, noise)
-        c = concurrence(stacked.rho)
-        assert stacked.rho.mat.shape == (3, 7, 4, 4) and c.shape == (3, 7)
-        for idx in np.ndindex(t1.shape):
-            single = generate_resource(float(t1[idx]), float(t2[idx]), noise)
-            c_single = concurrence(single.rho)
-            assert type(c_single) is float and type(single.p1) is float
-            assert _same_bits(stacked.rho.mat[idx], single.rho.mat)
-            assert _same_bits(c[idx], c_single)
-            a, b = float(t1[idx]), float(t2[idx])
-            assert _same_bits(stacked.p1[idx], 2.0 * math.cos(a) ** 2 * math.sin(b) ** 2)
-            assert _same_bits(stacked.p2[idx], 2.0 * math.sin(a) ** 2)
-            assert _same_bits(stacked.p1[idx], single.p1)
-            assert _same_bits(stacked.p2[idx], single.p2)
-            assert _same_bits(stacked.theta2[idx], single.theta2)
-            assert _same_bits(stacked.corrected_rho().mat[idx], single.corrected_rho().mat)
+    multiples1 = [0.0, 0.5, 1.0, 2.0, -1.5]
+    for k, noise in enumerate(noises):
+        _assert_rows_equal_single_transits(
+            np.array(special1 + [multiples1[k % 5] * math.pi]), theta2, noise)
 
 
 def test_broadcast_angles_equal_single_transits_bit_for_bit():
-    # a scalar or (3, 1) theta1 runs gate 1 and the noise once per theta1 and
-    # broadcasts only at gate 2; every point must still equal its own transit
+    # a one-row theta1, a scalar theta2 and multiples of pi/2 on theta2 each
+    # share the first leg or the gate-2 channel; every point must still equal
+    # its own transit
     rng = np.random.default_rng(1102)
     cases = [
-        (1.234, rng.uniform(-3.0, 3.0, 7)),
-        (rng.uniform(-3.0, 3.0, (3, 1)), rng.uniform(-3.0, 3.0, 7)),
+        (np.array([1.234]), rng.uniform(-3.0, 3.0, 7)),
+        (rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 7)),
         (rng.uniform(-3.0, 3.0, 5), -0.789),
-        (0.5 * math.pi, np.array([0.0, 0.5, 1.0, 2.0]) * math.pi),
+        (np.array([0.5 * math.pi]), np.array([0.0, 0.5, 1.0, 2.0]) * math.pi),
     ]
     for noise in (NoiseParams(), NoiseParams(0.01, 0.089, 0.02), NoiseParams(1.0, 1.0, 1.0)):
-        for t1, t2 in cases:
-            shape = np.broadcast_shapes(np.shape(t1), np.shape(t2))
-            res = generate_resource(t1, t2, noise)
-            c, corrected = concurrence(res.rho), res.corrected_rho().mat
-            assert res.rho.mat.shape == shape + (4, 4) and c.shape == shape
-            a1, a2 = np.broadcast_arrays(t1, t2)
-            for idx in np.ndindex(shape):
-                single = generate_resource(float(a1[idx]), float(a2[idx]), noise)
-                assert _same_bits(res.rho.mat[idx], single.rho.mat)
-                assert _same_bits(c[idx], concurrence(single.rho))
-                for name in ("p1", "p2", "theta1", "theta2"):
-                    assert _same_bits(getattr(res, name)[idx], getattr(single, name))
-                assert _same_bits(corrected[idx], single.corrected_rho().mat)
-    with pytest.raises(ValueError, match=r"theta1 \(2, 3\) and theta2 \(3, 2\) cannot share one shape"):
-        generate_resource(np.zeros((2, 3)), np.zeros((3, 2)))
+        for theta1, theta2 in cases:
+            _assert_rows_equal_single_transits(theta1, theta2, noise)
+    with pytest.raises(ValueError, match=r"theta1 must be a 1-D array, got shape \(2, 3\)"):
+        resource_rows(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_resource_rows_equal_generate_resource_bit_for_bit():
     # the rows share one first leg over theta1's stack and one gate-2 channel;
-    # row i must still be generate_resource(theta1[i], theta2) exactly
+    # row point (i, j) must still be generate_resource(theta1[i], theta2[j]) exactly
     rng = np.random.default_rng(1703)
     grid = np.linspace(0.0, math.pi, 41)
     cases = [
-        (grid, grid, NoiseParams(0.01, 0.089, 0.02)),  # the perfbench sweep
+        (grid, grid[::4], NoiseParams(0.01, 0.089, 0.02)),  # the perfbench sweep's first leg
         (rng.uniform(-7.0, 7.0, 6), np.append(rng.uniform(-7.0, 7.0, 5), 0.5 * math.pi), NoiseParams()),
         (np.array([0.3]), grid, NoiseParams(0.2, 0.4, 0.6)),
+        (np.append(rng.uniform(-7.0, 7.0, 4), math.pi), 1.234, NoiseParams(0.01, 0.089, 0.02)),
     ]
     for theta1, theta2, noise in cases:
-        rows = list(resource_rows(theta1, theta2, noise))
-        assert len(rows) == len(theta1)
-        for t1, res in zip(theta1.tolist(), rows):
-            single = generate_resource(t1, theta2, noise)
-            assert _same_bits(res.rho.mat, single.rho.mat)
-            assert _same_bits(concurrence(res.rho), concurrence(single.rho))
-            for name in ("p1", "p2", "theta1", "theta2"):
-                assert _same_bits(getattr(res, name), getattr(single, name))
+        _assert_rows_equal_single_transits(theta1, theta2, noise)
     with pytest.raises(ValueError, match=r"theta1 must be a 1-D array, got shape \(\)"):
         resource_rows(0.3, grid)
-    with pytest.raises(ValueError, match=r"theta2 must be a 1-D array, got shape \(2, 2\)"):
+    with pytest.raises(ValueError, match=r"theta2 must be a scalar or a 1-D array, got shape \(2, 2\)"):
         resource_rows(grid, np.zeros((2, 2)))
-    # the checks run at the call, before any row is read
-    with pytest.raises(ValueError, match=r"theta2 must be finite, got nan at stack index \(1,\)"):
-        resource_rows(grid, np.array([0.0, math.nan]))
 
 
 def test_stacked_resource_range_checks_name_the_index():
-    good = generate_resource(np.full(3, OPT1), np.full(3, OPT2))
-    with pytest.raises(ValueError, match="stacks differ"):
-        EOResource(rho=good.rho, theta1=OPT1, theta2=OPT2)
-    with pytest.raises(ValueError, match="stacks differ"):
-        EOResource(rho=good.rho, theta1=np.full(4, OPT1), theta2=np.full(4, OPT2))
-    with pytest.raises(ValueError, match=r"theta1 must be finite, got inf at stack index \(2,\)"):
-        EOResource(rho=good.rho, theta1=np.array([OPT1, OPT1, math.inf]), theta2=good.theta2)
-    with pytest.raises(ValueError, match="share one shape"):
-        generate_resource(np.zeros(3), np.zeros(4))
+    good = generate_resource(OPT1, OPT2)
+    stack = DensityMatrix(np.stack([good.rho.mat] * 3))
+    with pytest.raises(ValueError, match=r"one two-qubit state, got shape \(3, 4, 4\)"):
+        EOResource(rho=stack, theta1=OPT1, theta2=OPT2)
+    with pytest.raises(ValueError, match=r"theta1 must be finite, got inf"):
+        EOResource(rho=good.rho, theta1=math.inf, theta2=OPT2)
+    with pytest.raises(ValueError, match=r"theta1 must be a scalar, got shape \(3,\)"):
+        generate_resource(np.full(3, OPT1), OPT2)
+    with pytest.raises(ValueError, match=r"theta2 must be a scalar, got shape \(1,\)"):
+        generate_resource(OPT1, np.full(1, OPT2))
+    # the checks run at the call, before any row is read
+    with pytest.raises(ValueError, match=r"theta1 must be finite, got nan at stack index \(2,\)"):
+        resource_rows(np.array([0.0, 1.0, math.nan]), np.zeros(2))
     with pytest.raises(ValueError, match=r"theta2 must be finite, got nan at stack index \(1,\)"):
-        generate_resource(np.zeros(2), np.array([0.0, math.nan]))
+        resource_rows(np.zeros(2), np.array([0.0, math.nan]))
 
 
 def test_concurrence_law_random_angles():
@@ -257,7 +248,7 @@ def test_truncated_mass_closes_the_branch_sum():
     res = generate_resource(3e-7, math.pi / 2.0)
     tree = parity_tree(res)
     kept = sum(prob for _, _, prob, _ in tree.leaves())
-    assert tree.truncated_mass == pytest.approx(res.p1 * res.p2 / 2.0, rel=1e-9)
+    assert tree.truncated_mass == pytest.approx(res.p1 * res.p2 / 2.0, rel=1e-9, abs=0.0)
     assert abs(kept + tree.truncated_mass - 1.0) < 1e-15
 
 
@@ -298,7 +289,45 @@ def test_parity_tree_matches_dense_oracle_leaf_by_leaf():
     cut = generate_resource(3e-7, OPT2)
     for anc in (None, random_density(2, rng), random_pure_density(2, rng)):
         tree, truncated = _assert_tree_matches_dense(cut, anc)
-        assert truncated > 0.0 and tree.truncated_mass == pytest.approx(truncated, rel=1e-9)
+        assert truncated > 0.0 and tree.truncated_mass == pytest.approx(truncated, rel=1e-9, abs=0.0)
+    # the round-one cut: a 1e-13 ancilla weight leaves round-one branches (0, 0)
+    # and (1, 1) 5e-14 each, below the cut; the 1e-12 tolerance above (and
+    # approx's default abs) would pass a tree that dropped their mass
+    anc = DensityMatrix(np.diag([1.0 - 1e-13, 1e-13, 0.0, 0.0]))
+    tree, truncated = _assert_tree_matches_dense(generate_resource(OPT1, OPT2), anc)
+    assert [b.state is None for b in tree.first] == [True, False, False, True]
+    assert truncated > 0.0 and tree.truncated_mass == pytest.approx(truncated, rel=1e-9, abs=0.0)
+
+
+def test_near_degenerate_angles_through_the_one_builder():
+    # 15 x 14 = 210 grid points within 1e-9 of 0, pi/2 and pi on both angles,
+    # where the weights vanish or saturate and the parity leaves fall to the cut
+    rng = np.random.default_rng(1110)
+    centers = np.array([0.0, 0.5, 1.0]) * math.pi
+    theta1 = np.repeat(centers, 5) + rng.uniform(-1e-9, 1e-9, 15)
+    theta2 = np.tile(centers, 5)[:14] + rng.uniform(-1e-9, 1e-9, 14)
+    for t1, rho in zip(theta1.tolist(), resource_rows(theta1, theta2)):
+        for j, t2 in enumerate(theta2.tolist()):
+            res = generate_resource(t1, t2)
+            assert _same_bits(rho.mat[j], res.rho.mat)
+            assert np.max(np.abs(res.rho.mat - closed_form_resource(t1, t2))) < 1e-12
+            tree, _ = _assert_tree_matches_dense(res)
+            prob, _ = parity_success_output(tree)
+            assert abs(prob - res.p1 * res.p2 / 2.0) <= tree.truncated_mass + 1e-12
+
+
+def test_success_state_is_the_fresh_pair_that_pumping_assumes():
+    # pump-sim's lattice takes one number, fresh_pair_fidelity(eps_z): at any
+    # angles and noise the success state must be f psi+ + (1 - f) psi-
+    rng = np.random.default_rng(1102)
+    psi_plus = bell_state(BellLabel.PSI_PLUS).density().mat
+    psi_minus = bell_state(BellLabel.PSI_MINUS).density().mat
+    for _ in range(300):
+        t1, t2 = rng.uniform(0.1, math.pi - 0.1, 2)
+        eps_init, eps_z, eps_relax = rng.uniform(0.0, 0.3, 3)
+        _, state = parity_success_output(generate_resource(t1, t2, NoiseParams(eps_init, eps_z, eps_relax)))
+        f = fresh_pair_fidelity(eps_z)
+        assert np.max(np.abs(state.mat - (f * psi_plus + (1.0 - f) * psi_minus))) < 1e-12
 
 
 def test_success_probability_formula_100_random():
