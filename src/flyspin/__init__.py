@@ -6,7 +6,6 @@ from .metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from .protocol import (
     ChainConfig,
     ChainReport,
-    EOResource,
     ParityTree,
     PumpTrajectory,
     chain_report,

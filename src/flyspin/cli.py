@@ -41,6 +41,7 @@ from .protocol import (
     ChainConfig,
     ParityTree,
     chain_report,
+    corrected_rho,
     generate_resource,
     parity_success_output,
     parity_tree,
@@ -292,16 +293,18 @@ def _sample_success_flags(tree: ParityTree, trials: int, seed: int) -> list[bool
 def cmd_eo_run(cfg: ExperimentConfig) -> int:
     """One entanglement operation: exact statistics plus optional sampling."""
     noise = cfg.noise()
-    res = generate_resource(cfg.angle("theta1"), cfg.angle("theta2"), noise)
-    tree = parity_tree(res)
+    theta1, theta2 = cfg.angle("theta1"), cfg.angle("theta2")
+    rho = generate_resource(theta1, theta2, noise)
+    p1, p2 = transit_weights(theta1, theta2)
+    tree = parity_tree(rho)
     p_success, success_state = parity_success_output(tree)
     metrics: list[tuple[str, float]] = [
-        ("theta1", cfg.angle("theta1")),
-        ("theta2", cfg.angle("theta2")),
-        ("p1", res.p1),
-        ("p2", res.p2),
+        ("theta1", theta1),
+        ("theta2", theta2),
+        ("p1", p1),
+        ("p2", p2),
         ("herald_prob", _HERALD_PROB),
-        ("resource_concurrence", concurrence(res.rho)),
+        ("resource_concurrence", concurrence(rho)),
         ("success_prob_exact", p_success),
     ]
     for label in BellLabel:
@@ -377,13 +380,13 @@ def cmd_chain_demo(cfg: ExperimentConfig) -> int:
         raise ConfigError(str(exc)) from exc
     rep = chain_report(chain)
     baseline = generate_resource(cfg.angle("theta1"), cfg.angle("theta2"))
-    deviation = float(np.max(np.abs(rep.resource.rho.mat - baseline.rho.mat)))
-    corrected = rep.resource.corrected_rho()
+    deviation = float(np.max(np.abs(rep.resource.mat - baseline.mat)))
+    corrected = corrected_rho(rep.resource, chain.gate2.theta)
     lines = [
         "chain demo report",
         f"  n_static = {cfg.chain_size}",
         f"  target_pair = ({cfg.target_pair}, {cfg.target_pair + 1})",
-        f"  target_concurrence = {_fmt(concurrence(rep.resource.rho))}",
+        f"  target_concurrence = {_fmt(concurrence(rep.resource))}",
         f"  corrected_fidelity_psi_plus = {_fmt(bell_fidelity(corrected, BellLabel.PSI_PLUS))}",
         f"  deviation_from_two_qubit_case = {_fmt(deviation)}",
         f"  magnetization_before = {_fmt(rep.magnetization_before)}",

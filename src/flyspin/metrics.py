@@ -65,6 +65,8 @@ def concurrence(rho: DensityMatrix):
 def bell_fidelity(rho: DensityMatrix, label: BellLabel) -> float:
     """Overlap <bell| rho |bell> of a single two-qubit state."""
     _require_two_qubits(rho)
+    if rho.mat.ndim != 2:
+        raise ValueError(f"bell_fidelity takes a single state, got a stack of shape {rho.mat.shape[:-2]}")
     v = _BELL_VECTORS[label]
     return float(np.real(v.conj() @ rho.mat @ v))
 

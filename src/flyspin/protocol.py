@@ -14,7 +14,9 @@ the weights P1 and P2 are computed from the angles. The first leg of the
 transit (gate 1, then the noise) depends on theta1 alone and gate 2 on
 theta2 alone, so ``resource_rows`` builds a (theta1, theta2) grid row by
 row from one first leg and one gate-2 channel shared by every row.
-``generate_resource`` is its one-point row.
+``generate_resource`` is its one-point row. Every state here is a plain
+``DensityMatrix``: the caller keeps the angles, ``transit_weights`` gives
+P1 and P2 from them, and ``corrected_rho`` undoes the phase of theta2.
 
 Two such resources enact a heralded parity projection on one ancilla per
 node. Per round, each node applies a CNOT from its ancilla onto its
@@ -96,43 +98,6 @@ Syndrome = tuple[int, int]
 ROUND_OUTCOMES: tuple[Syndrome, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class EOResource:
-    """One two-static-qubit resource state with the gate angles of its transit.
-
-    ``rho`` is a single state; the closed-form weights ``p1`` and ``p2``
-    follow from the angles.
-    """
-
-    rho: DensityMatrix
-    theta1: float
-    theta2: float
-
-    def __post_init__(self) -> None:
-        if self.rho.mat.shape != (4, 4):
-            raise ValueError(f"resource must be one two-qubit state, got shape {self.rho.mat.shape}")
-        for name in ("theta1", "theta2"):
-            val = np.asarray(getattr(self, name), dtype=float)
-            _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
-
-    @property
-    def p1(self) -> float:
-        return transit_weights(self.theta1, self.theta2)[0]
-
-    @property
-    def p2(self) -> float:
-        return transit_weights(self.theta1, self.theta2)[1]
-
-    def corrected_rho(self) -> DensityMatrix:
-        """Resource after the recorded local phase correction on the first qubit.
-
-        Removes the e^{i theta2} phase that the |ud> component of |chi>
-        carries relative to |du>, so that at the optimal working point the
-        state aligns with (|du> + |ud>)/sqrt(2).
-        """
-        return apply_unitary(self.rho, np.diag([np.exp(-1j * self.theta2), 1.0]), (0,))
-
-
 def transit_weights(theta1: float | np.ndarray,
                     theta2: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """The closed-form weights (P1, P2) = (2 cos^2(t1) sin^2(t2), 2 sin^2(t1)) of a transit.
@@ -155,17 +120,28 @@ def _squares(f: Callable[[float], float], theta: float | np.ndarray) -> np.ndarr
 
 
 def generate_resource(theta1: float, theta2: float,
-                      noise: NoiseParams | None = None) -> EOResource:
-    """Simulate one flying-qubit transit and return the static-pair resource.
+                      noise: NoiseParams | None = None) -> DensityMatrix:
+    """Simulate one flying-qubit transit and return the static-pair state.
 
-    The angles are scalars; the resource is the one-point row of
-    ``resource_rows``.
+    The angles are scalars; the state is the one-point row of
+    ``resource_rows``, a single two-qubit state. Its weights P1 and P2 are
+    ``transit_weights(theta1, theta2)``.
     """
     for name, val in (("theta1", theta1), ("theta2", theta2)):
         if np.ndim(val) != 0:
             raise ValueError(f"{name} must be a scalar, got shape {np.shape(val)}")
     (rho,) = resource_rows([theta1], theta2, noise)
-    return EOResource(rho, float(theta1), float(theta2))
+    return rho
+
+
+def corrected_rho(rho: DensityMatrix, theta2: float) -> DensityMatrix:
+    """Resource after the recorded local phase correction on the first qubit.
+
+    Removes the e^{i theta2} phase that the |ud> component of |chi>
+    carries relative to |du>, so that at the optimal working point the
+    state aligns with (|du> + |ud>)/sqrt(2).
+    """
+    return apply_unitary(rho, np.diag([np.exp(-1j * theta2), 1.0]), (0,))
 
 
 def resource_rows(theta1: np.ndarray, theta2: float | np.ndarray,
@@ -298,12 +274,14 @@ def _ancillas(ancillas: DensityMatrix | None) -> DensityMatrix:
     return ancillas
 
 
-def parity_tree(resource: EOResource, ancillas: DensityMatrix | None = None) -> ParityTree:
+def parity_tree(rho: DensityMatrix, ancillas: DensityMatrix | None = None) -> ParityTree:
     """Exact two-round branch tree on the given ancillas (default |++>).
 
-    Each round consumes one copy of ``resource``.
+    Each round consumes one copy of the resource ``rho``, a single
+    two-qubit state; a stack or another register size raises ``ValueError``.
     """
-    rho = resource.rho
+    if rho.mat.shape != (4, 4):
+        raise ValueError(f"resource must be one two-qubit state, got shape {rho.mat.shape}")
     first = _parity_round(_ancillas(ancillas), rho)
     second = tuple(_parity_round(b.state, rho) if b.state is not None else () for b in first)
     truncated = sum(b.probability for b in first if b.state is None) + sum(
@@ -316,19 +294,15 @@ def parity_tree(resource: EOResource, ancillas: DensityMatrix | None = None) -> 
     )
 
 
-def parity_success_output(
-    resource: EOResource | ParityTree,
-) -> tuple[float, Optional[DensityMatrix]]:
-    """Success probability and the success-conditioned ancilla state.
+def parity_success_output(tree: ParityTree) -> tuple[float, Optional[DensityMatrix]]:
+    """Success probability and the success-conditioned ancilla state of a ``parity_tree``.
 
-    ``resource`` may also be a tree already built by ``parity_tree``. The
-    state pools every success leaf weighted by its probability. A success
+    The state pools every success leaf weighted by its probability. A success
     whose round one reported odd outcome parity heralded the even-parity
     projector; the recorded bit flip on ancilla a1 maps it onto the odd
     projection before pooling. Returns ``None`` for the state when the
     success probability vanishes (degenerate resources).
     """
-    tree = resource if isinstance(resource, ParityTree) else parity_tree(resource)
     branches = []
     for first, second, prob, anc in tree.leaves():
         if ParityTree.is_success(first, second):
@@ -347,13 +321,6 @@ def parity_success_output(
 
 
 @dataclass(frozen=True)
-class PumpRecord:
-    round: int
-    syndrome: str
-    fidelity: float
-
-
-@dataclass(frozen=True)
 class PumpTrajectory:
     """Syndrome record of one pumping run.
 
@@ -361,8 +328,6 @@ class PumpTrajectory:
     which moves the stored pair one lattice site up, 0 for an odd one.
     """
 
-    eps_z: float
-    target_fidelity: float
     syndromes: bytes
     converged: bool
 
@@ -381,28 +346,10 @@ class PumpTrajectory:
         """Fresh heralded pairs used, counting the initial stored pair."""
         return self.rounds + 1
 
-    @property
-    def records(self) -> tuple[PumpRecord, ...]:
-        """(round, syndrome, stored fidelity) per round; round 0 is the fresh pair."""
-        fresh = fresh_pair_fidelity(self.eps_z)
-        fidelities = [fresh]
-        if self.syndromes:
-            steps = np.frombuffer(self.syndromes, dtype=np.uint8).astype(np.int64) * 2 - 1
-            sites = np.concatenate(([1], 1 + np.cumsum(steps)))
-            fidelities = _lattice_fidelity(sites, fresh).tolist()
-        names = ("init", *("even" if s else "odd" for s in self.syndromes))
-        return tuple(PumpRecord(i, name, f) for i, (name, f) in enumerate(zip(names, fidelities)))
-
 
 def fresh_pair_fidelity(eps_z: float) -> float:
     """Fidelity of one heralded pair produced under inter-gate dephasing."""
     return 1.0 - 2.0 * eps_z * (1.0 - eps_z)
-
-
-def pump_probabilities(stored_fidelity: float, fresh_fidelity: float) -> tuple[float, float]:
-    """(even, odd) syndrome probabilities for one pump round."""
-    p_even = stored_fidelity * fresh_fidelity + (1.0 - stored_fidelity) * (1.0 - fresh_fidelity)
-    return p_even, 1.0 - p_even
 
 
 def _lattice_fidelity(k: np.ndarray, fresh: float) -> np.ndarray:
@@ -437,7 +384,7 @@ def _pump_lattice(
     the table is not monotone in its last bit.
     """
     fid = _lattice_fidelity(np.arange(1 - max_rounds, max_rounds + 2), fresh)
-    p_even, _ = pump_probabilities(fid, fresh)
+    p_even = fid * fresh + (1.0 - fid) * (1.0 - fresh)
     differs = np.flatnonzero(p_even != p_even[0])
     floor = int(differs[0]) if differs.size else len(p_even)
     return tuple(p_even.tolist()), int(np.searchsorted(fid, target)), floor
@@ -524,12 +471,7 @@ def pump_until(
                         if site < floor:
                             break
         converged = site == stop
-    return PumpTrajectory(
-        eps_z=float(eps_z),
-        target_fidelity=float(target_fidelity),
-        syndromes=bytes(syndromes),
-        converged=converged,
-    )
+    return PumpTrajectory(syndromes=bytes(syndromes), converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +502,14 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Chain transit diagnostics used by the command-line surface."""
+    """Chain transit diagnostics used by the command-line surface.
 
-    resource: EOResource
+    ``resource`` is the reduced state of the target pair, a single two-qubit
+    state; its phase correction is ``corrected_rho(resource, cfg.gate2.theta)``,
+    with the gate angle reduced mod 2 pi.
+    """
+
+    resource: DensityMatrix
     spectator_purities: tuple[tuple[int, float], ...]
     magnetization_before: float
     magnetization_after: float
@@ -595,5 +542,4 @@ def chain_report(cfg: ChainConfig) -> ChainReport:
     purities = tuple(
         (j, partial_trace(statics, (j,)).purity()) for j in range(cfg.n_static) if j not in pair
     )
-    resource = EOResource(partial_trace(statics, pair), cfg.gate1.theta, cfg.gate2.theta)
-    return ChainReport(resource, purities, mag_before, _magnetization(rho))
+    return ChainReport(partial_trace(statics, pair), purities, mag_before, _magnetization(rho))

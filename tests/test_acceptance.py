@@ -16,11 +16,13 @@ from flyspin.metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from flyspin.protocol import (
     ChainConfig,
     chain_report,
+    corrected_rho,
     fresh_pair_fidelity,
     generate_resource,
     parity_success_output,
     parity_tree,
     pump_until,
+    transit_weights,
     _lattice_fidelity,
     _pump_lattice,
 )
@@ -41,8 +43,8 @@ def _report(number: int, text: str) -> None:
 def test_criterion_01_perfect_bell_point():
     start = time.perf_counter()
     res = generate_resource(OPT1, OPT2)
-    c = concurrence(res.rho)
-    fid = bell_fidelity(res.corrected_rho(), BellLabel.PSI_PLUS)
+    c = concurrence(res)
+    fid = bell_fidelity(corrected_rho(res, OPT2), BellLabel.PSI_PLUS)
     elapsed = time.perf_counter() - start
     assert abs(c - 1.0) < 1e-10
     assert abs(fid - 1.0) < 1e-10
@@ -58,9 +60,10 @@ def test_criterion_02_concurrence_surface():
     for t1 in grid:
         for t2 in grid:
             res = generate_resource(t1, t2)
-            c = concurrence(res.rho)
+            p1, p2 = transit_weights(t1, t2)
+            c = concurrence(res)
             surface[(t1, t2)] = c
-            worst = max(worst, abs(c - math.sqrt(res.p1 * res.p2)))
+            worst = max(worst, abs(c - math.sqrt(p1 * p2)))
     assert worst < 1e-10
     top = max(surface.values())
     at_optimum = surface[(grid[10], grid[20])]  # (pi/4, pi/2)
@@ -90,10 +93,11 @@ def test_criterion_04_parity_projection_success_probability():
     for _ in range(100):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
         res = generate_resource(t1, t2)
-        worst = max(worst, abs(parity_success_output(res)[0] - res.p1 * res.p2 / 2.0))
+        p1, p2 = transit_weights(t1, t2)
+        worst = max(worst, abs(parity_success_output(parity_tree(res))[0] - p1 * p2 / 2.0))
     assert worst < 1e-12
     res = generate_resource(OPT1, OPT2)
-    exact = parity_success_output(res)[0]
+    exact = parity_success_output(parity_tree(res))[0]
     assert abs(exact - 0.5) < 1e-12
     # Born-sampled estimate from per-trial streams
     from flyspin.cli import _sample_success_flags
@@ -109,8 +113,9 @@ def test_criterion_05_imperfect_initialization():
     for eps in (0.05, 0.1, 0.2):
         for t1, t2 in ((OPT1, OPT2), (0.6, 1.3)):
             res = generate_resource(t1, t2, NoiseParams(eps_init=eps))
-            prob, state = parity_success_output(res)
-            expected = 0.5 * (1.0 - eps) ** 2 * res.p1 * res.p2
+            p1, p2 = transit_weights(t1, t2)
+            prob, state = parity_success_output(parity_tree(res))
+            expected = 0.5 * (1.0 - eps) ** 2 * p1 * p2
             assert abs(prob - expected) < 1e-12
             fid = bell_fidelity(state, BellLabel.PSI_PLUS)
             assert abs(fid - 1.0) < 1e-10
@@ -125,13 +130,13 @@ def test_criterion_06_dephasing_closed_form():
     for _ in range(100):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
         eps_z = float(rng.uniform(0.0, 1.0))
-        clean = generate_resource(t1, t2).rho.mat
+        clean = generate_resource(t1, t2).mat
         expected = (1.0 - eps_z) * clean + eps_z * z1 @ clean @ z1
-        sim = generate_resource(t1, t2, NoiseParams(eps_z=eps_z)).rho.mat
+        sim = generate_resource(t1, t2, NoiseParams(eps_z=eps_z)).mat
         worst = max(worst, float(np.max(np.abs(sim - expected))))
     assert worst < 1e-12
     eps_z = 0.089
-    _, state = parity_success_output(generate_resource(OPT1, OPT2, NoiseParams(eps_z=eps_z)))
+    _, state = parity_success_output(parity_tree(generate_resource(OPT1, OPT2, NoiseParams(eps_z=eps_z))))
     fid = bell_fidelity(state, BellLabel.PSI_PLUS)
     exact = 1.0 - 2.0 * eps_z * (1.0 - eps_z)
     assert abs(fid - exact) < 1e-12
@@ -180,12 +185,12 @@ def test_criterion_07_pumping_convergence():
 
 def test_criterion_08_chain_independence():
     t1, t2 = 0.7, 1.9
-    base = generate_resource(t1, t2).rho.mat
+    base = generate_resource(t1, t2).mat
     worst_state = 0.0
     for n in (2, 3, 4, 5):
         cfg = ChainConfig(n, 0, ForwardScatterParams(t1), ForwardScatterParams(t2))
         rep = chain_report(cfg)
-        worst_state = max(worst_state, float(np.max(np.abs(rep.resource.rho.mat - base))))
+        worst_state = max(worst_state, float(np.max(np.abs(rep.resource.mat - base))))
         for _, purity in rep.spectator_purities:
             assert abs(purity - 1.0) < 1e-12
         assert abs(rep.magnetization_after - rep.magnetization_before) < 1e-12
@@ -194,13 +199,13 @@ def test_criterion_08_chain_independence():
 
 
 def test_criterion_09_relaxation_property():
-    base_prob, base_state = parity_success_output(generate_resource(OPT1, OPT2))
+    base_prob, base_state = parity_success_output(parity_tree(generate_resource(OPT1, OPT2)))
     base_fid = bell_fidelity(base_state, BellLabel.PSI_PLUS)
     last = base_prob
     probs = []
     for eps in (0.1, 0.3):
         res = generate_resource(OPT1, OPT2, NoiseParams(eps_relax=eps))
-        prob, state = parity_success_output(res)
+        prob, state = parity_success_output(parity_tree(res))
         fid = bell_fidelity(state, BellLabel.PSI_PLUS)
         assert prob < last - 1e-9
         assert abs(fid - base_fid) < 1e-10

@@ -94,7 +94,7 @@ def test_pipeline_equivalence_closed_form():
     for _ in range(100):
         t1, t2 = rng.uniform(0, np.pi, 2)
         eps_z = float(rng.uniform(0, 1))
-        noiseless = generate_resource(t1, t2).rho.mat
+        noiseless = generate_resource(t1, t2).mat
         expected = (1.0 - eps_z) * noiseless + eps_z * z1 @ noiseless @ z1
-        simulated = generate_resource(t1, t2, NoiseParams(eps_z=eps_z)).rho.mat
+        simulated = generate_resource(t1, t2, NoiseParams(eps_z=eps_z)).mat
         assert np.max(np.abs(simulated - expected)) < 1e-12

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import itertools
 import math
 import os
@@ -70,7 +72,7 @@ def test_sweep_reread_recomputes_concurrence(tmp_path):
                "--out", str(out)) == 0
     for line in read(out).strip().splitlines()[1:]:
         t1, t2, c, *_ = (float(x) for x in line.split(","))
-        assert abs(concurrence(generate_resource(t1, t2).rho) - c) < 1e-10
+        assert abs(concurrence(generate_resource(t1, t2)) - c) < 1e-10
 
 
 def test_sweep_noise_boundaries_match_closed_form(tmp_path):
@@ -230,6 +232,32 @@ def test_seeded_outputs_match_pinned_values(tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "548488ba6c3e4080a9063994315f6314c17996f634c31cff1781f0805250ecc0"
     )
+
+
+def test_chain_demo_corrects_with_the_reduced_angle(capsys):
+    # theta2 = 3.7 pi: the phase correction uses the gate's angle reduced mod
+    # 2 pi (1.7 pi); the unreduced angle moves corrected_fidelity_psi_plus in
+    # its last digits. Recorded from an earlier version.
+    assert run("chain-demo", "--chain-size", "3", "--target-pair", "0", "--theta1", "0.37",
+               "--theta2", "3.7") == 0
+    out = capsys.readouterr().out
+    assert "corrected_fidelity_psi_plus = 0.17787942241513485" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4926a7416a5e7abc053d3fa0d06bc7a984fbf4cd7d55c67abeae67ce557edb5a"
+    )
+
+
+def test_perfbench_tracer_self_test_passes():
+    # the benchmark's traced runs wrap every public function of the seven
+    # layers and must restore every binding; a public flyspin function bound
+    # from outside those layers, or a binding that cannot be restored, ends
+    # each traced run with correct: false
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    layers = {layer: importlib.import_module(f"flyspin.{layer}") for layer in tracer.LAYERS}
+    assert tracer.self_test(layers, [flyspin, *layers.values()]) == []
 
 
 def test_config_echoes_match_pinned_values(tmp_path, monkeypatch):

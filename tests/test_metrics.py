@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence, success_stats
-from flyspin.protocol import generate_resource
+from flyspin.protocol import generate_resource, transit_weights
 from flyspin.qcore import DensityMatrix, PureState, apply_unitary, ket, tensor_dm
 
 from helpers import bell_state, random_density, random_unitary
@@ -51,10 +51,10 @@ def test_concurrence_local_unitary_invariance():
 
 
 def test_concurrence_of_generated_resource():
-    res = generate_resource(math.pi / 6.0, math.pi / 3.0)
-    assert res.p1 == pytest.approx(9.0 / 8.0, abs=1e-12)
-    assert res.p2 == pytest.approx(0.5, abs=1e-12)
-    assert concurrence(res.rho) == pytest.approx(0.75, abs=1e-10)
+    p1, p2 = transit_weights(math.pi / 6.0, math.pi / 3.0)
+    assert p1 == pytest.approx(9.0 / 8.0, abs=1e-12)
+    assert p2 == pytest.approx(0.5, abs=1e-12)
+    assert concurrence(generate_resource(math.pi / 6.0, math.pi / 3.0)) == pytest.approx(0.75, abs=1e-10)
 
 
 def test_concurrence_rejects_wrong_size():
@@ -68,6 +68,14 @@ def test_bell_fidelity_values():
     psi_plus = bell_state(BellLabel.PSI_PLUS).density()
     assert bell_fidelity(psi_plus, BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-12)
     assert bell_fidelity(psi_plus, BellLabel.PSI_MINUS) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_bell_fidelity_rejects_a_stack():
+    psi_plus = bell_state(BellLabel.PSI_PLUS).density().mat
+    for shape in ((1,), (3,)):
+        stack = DensityMatrix(np.broadcast_to(psi_plus, shape + (4, 4)).copy())
+        with pytest.raises(ValueError, match=rf"bell_fidelity takes a single state, got a stack of shape \({shape[0]},\)"):
+            bell_fidelity(stack, BellLabel.PSI_PLUS)
 
 
 def test_bell_fidelities_sum_to_one_on_bell_diagonal():

@@ -13,10 +13,9 @@ from flyspin.metrics import BellLabel, bell_fidelity, concurrence
 from flyspin.protocol import (
     PUMP_FIRST_BLOCK,
     ChainConfig,
-    EOResource,
     ParityTree,
-    PumpRecord,
     chain_report,
+    corrected_rho,
     fresh_pair_fidelity,
     generate_resource,
     parity_success_output,
@@ -53,25 +52,26 @@ PI_ODD = np.diag([0.0, 1.0, 1.0, 0.0])
 
 
 def test_optimal_angles_give_maximally_entangled_pair():
-    res = generate_resource(OPT1, OPT2)
-    assert res.p1 == pytest.approx(1.0, abs=1e-12)
-    assert res.p2 == pytest.approx(1.0, abs=1e-12)
-    assert concurrence(res.rho) == pytest.approx(1.0, abs=1e-10)
-    assert res.rho.purity() == pytest.approx(1.0, abs=1e-10)
-    assert bell_fidelity(res.corrected_rho(), BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-10)
+    rho = generate_resource(OPT1, OPT2)
+    p1, p2 = transit_weights(OPT1, OPT2)
+    assert p1 == pytest.approx(1.0, abs=1e-12)
+    assert p2 == pytest.approx(1.0, abs=1e-12)
+    assert concurrence(rho) == pytest.approx(1.0, abs=1e-10)
+    assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+    assert bell_fidelity(corrected_rho(rho, OPT2), BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_no_interaction_leaves_static_pair_down_down():
-    res = generate_resource(0.0, 0.0)
-    assert_allclose(res.rho.mat, ket("dd").density().mat, atol=1e-12)
-    assert res.p1 + res.p2 == 0.0
+    rho = generate_resource(0.0, 0.0)
+    assert_allclose(rho.mat, ket("dd").density().mat, atol=1e-12)
+    assert sum(transit_weights(0.0, 0.0)) == 0.0
 
 
 def test_derived_angle_weights():
-    res = generate_resource(math.pi / 6.0, math.pi / 3.0)
-    assert res.p1 == pytest.approx(9.0 / 8.0, abs=1e-12)
-    assert res.p2 == pytest.approx(0.5, abs=1e-12)
-    assert concurrence(res.rho) == pytest.approx(0.75, abs=1e-10)
+    p1, p2 = transit_weights(math.pi / 6.0, math.pi / 3.0)
+    assert p1 == pytest.approx(9.0 / 8.0, abs=1e-12)
+    assert p2 == pytest.approx(0.5, abs=1e-12)
+    assert concurrence(generate_resource(math.pi / 6.0, math.pi / 3.0)) == pytest.approx(0.75, abs=1e-10)
 
 
 def test_simulation_matches_closed_form_1000_random():
@@ -79,7 +79,7 @@ def test_simulation_matches_closed_form_1000_random():
     worst = 0.0
     for _ in range(1000):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
-        sim = generate_resource(t1, t2).rho.mat
+        sim = generate_resource(t1, t2).mat
         worst = max(worst, float(np.max(np.abs(sim - closed_form_resource(t1, t2)))))
     assert worst < 1e-12
 
@@ -90,7 +90,7 @@ def test_noisy_simulation_matches_closed_form():
         t1, t2 = rng.uniform(0.0, math.pi, 2)
         eps_init, eps_z, eps_relax = rng.uniform(0.0, 1.0, 3)
         noise = NoiseParams(eps_init=eps_init, eps_z=eps_z, eps_relax=eps_relax)
-        sim = generate_resource(t1, t2, noise).rho.mat
+        sim = generate_resource(t1, t2, noise).mat
         expected = closed_form_resource(t1, t2, eps_init, eps_z, eps_relax)
         assert np.max(np.abs(sim - expected)) < 1e-12
 
@@ -112,12 +112,13 @@ def _assert_rows_equal_single_transits(theta1, theta2, noise):
         for j in np.ndindex(np.shape(theta2)):
             t2 = float(np.asarray(theta2)[j])
             single = generate_resource(t1, t2, noise)
-            assert _same_bits(rho.mat[j], single.rho.mat)
-            assert _same_bits(np.asarray(c)[j], concurrence(single.rho))
-            assert _same_bits(np.asarray(p1_row)[j], single.p1)
-            assert _same_bits(p2, single.p2)
-            assert _same_bits(single.p1, 2.0 * math.cos(t1) ** 2 * math.sin(t2) ** 2)
-            assert _same_bits(single.p2, 2.0 * math.sin(t1) ** 2)
+            single_p1, single_p2 = transit_weights(t1, t2)
+            assert _same_bits(rho.mat[j], single.mat)
+            assert _same_bits(np.asarray(c)[j], concurrence(single))
+            assert _same_bits(np.asarray(p1_row)[j], single_p1)
+            assert _same_bits(p2, single_p2)
+            assert _same_bits(single_p1, 2.0 * math.cos(t1) ** 2 * math.sin(t2) ** 2)
+            assert _same_bits(single_p2, 2.0 * math.sin(t1) ** 2)
 
 
 def test_stacked_transits_equal_single_transits_bit_for_bit():
@@ -179,11 +180,14 @@ def test_resource_rows_equal_generate_resource_bit_for_bit():
 
 def test_stacked_resource_range_checks_name_the_index():
     good = generate_resource(OPT1, OPT2)
-    stack = DensityMatrix(np.stack([good.rho.mat] * 3))
+    stack = DensityMatrix(np.stack([good.mat] * 3))
     with pytest.raises(ValueError, match=r"one two-qubit state, got shape \(3, 4, 4\)"):
-        EOResource(rho=stack, theta1=OPT1, theta2=OPT2)
+        parity_tree(stack)
+    # a 3-qubit resource would run the CNOTs and measure on a 5-qubit register
+    with pytest.raises(ValueError, match=r"one two-qubit state, got shape \(8, 8\)"):
+        parity_tree(ket("udd").density())
     with pytest.raises(ValueError, match=r"theta1 must be finite, got inf"):
-        EOResource(rho=good.rho, theta1=math.inf, theta2=OPT2)
+        generate_resource(math.inf, OPT2)
     with pytest.raises(ValueError, match=r"theta1 must be a scalar, got shape \(3,\)"):
         generate_resource(np.full(3, OPT1), OPT2)
     with pytest.raises(ValueError, match=r"theta2 must be a scalar, got shape \(1,\)"):
@@ -199,23 +203,21 @@ def test_concurrence_law_random_angles():
     rng = np.random.default_rng(43)
     for _ in range(200):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
-        res = generate_resource(t1, t2)
-        assert abs(concurrence(res.rho) - math.sqrt(res.p1 * res.p2)) < 1e-10
+        p1, p2 = transit_weights(t1, t2)
+        assert abs(concurrence(generate_resource(t1, t2)) - math.sqrt(p1 * p2)) < 1e-10
 
 
 def test_imperfect_init_scales_entangled_weight():
     eps = 0.3
-    res = generate_resource(OPT1, OPT2, NoiseParams(eps_init=eps))
+    rho = generate_resource(OPT1, OPT2, NoiseParams(eps_init=eps))
     clean = generate_resource(OPT1, OPT2)
-    expected = (1.0 - eps) * clean.rho.mat + eps * ket("dd").density().mat
-    assert_allclose(res.rho.mat, expected, atol=1e-12)
+    expected = (1.0 - eps) * clean.mat + eps * ket("dd").density().mat
+    assert_allclose(rho.mat, expected, atol=1e-12)
 
 
 def test_degenerate_resource_flagged_separable():
-    res = generate_resource(math.pi, 0.0)
-    assert res.p1 + res.p2 <= 1e-12
-    opt = generate_resource(OPT1, OPT2)
-    assert opt.p1 + opt.p2 == pytest.approx(2.0, abs=1e-12)
+    assert sum(transit_weights(math.pi, 0.0)) <= 1e-12
+    assert sum(transit_weights(OPT1, OPT2)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_rejects_nonfinite_angles():
@@ -224,6 +226,11 @@ def test_rejects_nonfinite_angles():
 
 
 # --- two-round parity projection ---------------------------------------------
+
+
+def _success(rho):
+    """``parity_success_output`` of the tree of one resource state."""
+    return parity_success_output(parity_tree(rho))
 
 
 def _leaf(tree, syndromes):
@@ -245,18 +252,18 @@ def test_branch_probabilities_sum_to_one():
 def test_truncated_mass_closes_the_branch_sum():
     # at theta1 = 3e-7 the success leaves (P1 P2 / 2 = 1.8e-13) fall below the
     # zero-probability cut; the tree reports their mass instead of dropping it
-    res = generate_resource(3e-7, math.pi / 2.0)
-    tree = parity_tree(res)
+    tree = parity_tree(generate_resource(3e-7, math.pi / 2.0))
+    p1, p2 = transit_weights(3e-7, math.pi / 2.0)
     kept = sum(prob for _, _, prob, _ in tree.leaves())
-    assert tree.truncated_mass == pytest.approx(res.p1 * res.p2 / 2.0, rel=1e-9, abs=0.0)
+    assert tree.truncated_mass == pytest.approx(p1 * p2 / 2.0, rel=1e-9, abs=0.0)
     assert abs(kept + tree.truncated_mass - 1.0) < 1e-15
 
 
-def _assert_tree_matches_dense(res, ancillas=None):
+def _assert_tree_matches_dense(rho, ancillas=None):
     """Every branch and leaf of ``parity_tree`` against ``parity_leaves_dense`` to 1e-12."""
-    tree = parity_tree(res, ancillas)
+    tree = parity_tree(rho, ancillas)
     anc = np.full((4, 4), 0.25) if ancillas is None else ancillas.mat  # default |++>
-    first, second, truncated = parity_leaves_dense(res.rho.mat, anc, ZERO_PROBABILITY_ATOL)
+    first, second, truncated = parity_leaves_dense(rho.mat, anc, ZERO_PROBABILITY_ATOL)
     dense_leaves = []
     for i, (b1, (p1, s1)) in enumerate(zip(tree.first, first)):
         assert abs(b1.probability - p1) < 1e-12
@@ -282,9 +289,9 @@ def test_parity_tree_matches_dense_oracle_leaf_by_leaf():
     for _ in range(10):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
         noise = NoiseParams(*rng.uniform(0.0, 0.3, 3))
-        res = generate_resource(t1, t2, noise)
+        rho = generate_resource(t1, t2, noise)
         for anc in (None, random_density(2, rng), random_pure_density(2, rng)):
-            _assert_tree_matches_dense(res, anc)
+            _assert_tree_matches_dense(rho, anc)
     # the cut case: the success leaves fall below the zero-probability cut
     cut = generate_resource(3e-7, OPT2)
     for anc in (None, random_density(2, rng), random_pure_density(2, rng)):
@@ -308,12 +315,13 @@ def test_near_degenerate_angles_through_the_one_builder():
     theta2 = np.tile(centers, 5)[:14] + rng.uniform(-1e-9, 1e-9, 14)
     for t1, rho in zip(theta1.tolist(), resource_rows(theta1, theta2)):
         for j, t2 in enumerate(theta2.tolist()):
-            res = generate_resource(t1, t2)
-            assert _same_bits(rho.mat[j], res.rho.mat)
-            assert np.max(np.abs(res.rho.mat - closed_form_resource(t1, t2))) < 1e-12
-            tree, _ = _assert_tree_matches_dense(res)
+            single = generate_resource(t1, t2)
+            p1, p2 = transit_weights(t1, t2)
+            assert _same_bits(rho.mat[j], single.mat)
+            assert np.max(np.abs(single.mat - closed_form_resource(t1, t2))) < 1e-12
+            tree, _ = _assert_tree_matches_dense(single)
             prob, _ = parity_success_output(tree)
-            assert abs(prob - res.p1 * res.p2 / 2.0) <= tree.truncated_mass + 1e-12
+            assert abs(prob - p1 * p2 / 2.0) <= tree.truncated_mass + 1e-12
 
 
 def test_success_state_is_the_fresh_pair_that_pumping_assumes():
@@ -325,7 +333,7 @@ def test_success_state_is_the_fresh_pair_that_pumping_assumes():
     for _ in range(300):
         t1, t2 = rng.uniform(0.1, math.pi - 0.1, 2)
         eps_init, eps_z, eps_relax = rng.uniform(0.0, 0.3, 3)
-        _, state = parity_success_output(generate_resource(t1, t2, NoiseParams(eps_init, eps_z, eps_relax)))
+        _, state = _success(generate_resource(t1, t2, NoiseParams(eps_init, eps_z, eps_relax)))
         f = fresh_pair_fidelity(eps_z)
         assert np.max(np.abs(state.mat - (f * psi_plus + (1.0 - f) * psi_minus))) < 1e-12
 
@@ -334,13 +342,12 @@ def test_success_probability_formula_100_random():
     rng = np.random.default_rng(45)
     for _ in range(100):
         t1, t2 = rng.uniform(0.0, math.pi, 2)
-        res = generate_resource(t1, t2)
-        assert abs(parity_success_output(res)[0] - res.p1 * res.p2 / 2.0) < 1e-12
+        p1, p2 = transit_weights(t1, t2)
+        assert abs(_success(generate_resource(t1, t2))[0] - p1 * p2 / 2.0) < 1e-12
 
 
 def test_optimal_point_success_half_with_psi_plus_output():
-    res = generate_resource(OPT1, OPT2)
-    prob, state = parity_success_output(res)
+    prob, state = _success(generate_resource(OPT1, OPT2))
     assert prob == pytest.approx(0.5, abs=1e-12)
     assert bell_fidelity(state, BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-10)
 
@@ -351,9 +358,9 @@ def test_success_branches_implement_odd_parity_projection():
     rng = np.random.default_rng(46)
     for _ in range(20):
         t1, t2 = rng.uniform(0.3, math.pi / 2.0, 2)
-        res = generate_resource(t1, t2)
+        rho = generate_resource(t1, t2)
         anc = random_density(2, rng)
-        _, state = _leaf(parity_tree(res, anc), ODD_SYNDROME)
+        _, state = _leaf(parity_tree(rho, anc), ODD_SYNDROME)
         expected = PI_ODD @ anc.mat @ PI_ODD
         expected /= np.trace(expected)
         assert np.max(np.abs(state.mat - expected)) < 1e-10
@@ -392,26 +399,24 @@ def test_parity_mismatched_syndrome_unreachable_for_pure_resource():
 
 def test_success_branch_map_is_idempotent():
     rng = np.random.default_rng(47)
-    res = generate_resource(0.9, 1.7)
+    rho = generate_resource(0.9, 1.7)
     for _ in range(5):
         anc = random_density(2, rng)
-        _, once = _leaf(parity_tree(res, anc), ODD_SYNDROME)
-        _, twice = _leaf(parity_tree(res, once), ODD_SYNDROME)
+        _, once = _leaf(parity_tree(rho, anc), ODD_SYNDROME)
+        _, twice = _leaf(parity_tree(rho, once), ODD_SYNDROME)
         assert np.max(np.abs(twice.mat - once.mat)) < 1e-10
 
 
 def test_imperfect_init_scales_success_not_fidelity():
     for eps in (0.05, 0.1, 0.2):
-        res = generate_resource(OPT1, OPT2, NoiseParams(eps_init=eps))
-        prob, state = parity_success_output(res)
+        prob, state = _success(generate_resource(OPT1, OPT2, NoiseParams(eps_init=eps)))
         assert abs(prob - 0.5 * (1.0 - eps) ** 2 * 1.0) < 1e-12
         assert abs(bell_fidelity(state, BellLabel.PSI_PLUS) - 1.0) < 1e-10
 
 
 def test_dephasing_gives_exact_bell_mixture():
     eps_z = 0.089
-    res = generate_resource(OPT1, OPT2, NoiseParams(eps_z=eps_z))
-    prob, state = parity_success_output(res)
+    prob, state = _success(generate_resource(OPT1, OPT2, NoiseParams(eps_z=eps_z)))
     q = 2.0 * eps_z * (1.0 - eps_z)
     assert prob == pytest.approx(0.5, abs=1e-12)
     assert bell_fidelity(state, BellLabel.PSI_PLUS) == pytest.approx(1.0 - q, abs=1e-12)
@@ -426,8 +431,7 @@ def test_dephasing_gives_exact_bell_mixture():
 def test_relaxation_decreases_success_probability_only():
     prev = 0.5
     for eps in (0.1, 0.3):
-        res = generate_resource(OPT1, OPT2, NoiseParams(eps_relax=eps))
-        prob, state = parity_success_output(res)
+        prob, state = _success(generate_resource(OPT1, OPT2, NoiseParams(eps_relax=eps)))
         assert prob < prev - 1e-6
         assert abs(bell_fidelity(state, BellLabel.PSI_PLUS) - 1.0) < 1e-10
         prev = prob
@@ -439,7 +443,7 @@ def test_relaxed_success_matches_absolute_oracle():
     for eps, (t1, t2) in itertools.product(
         (0.1, 0.3, 0.9), ((OPT1, OPT2), (0.6, 1.3), (0.2, 2.9))
     ):
-        prob, state = parity_success_output(generate_resource(t1, t2, NoiseParams(eps_relax=eps)))
+        prob, state = _success(generate_resource(t1, t2, NoiseParams(eps_relax=eps)))
         p1 = 2.0 * math.cos(t1) ** 2 * math.sin(t2) ** 2
         p2 = 2.0 * math.sin(t1) ** 2
         assert abs(prob - 0.5 * (1.0 - eps) * p1 * p2) < 1e-12
@@ -447,15 +451,13 @@ def test_relaxed_success_matches_absolute_oracle():
 
 
 def test_degenerate_resource_never_succeeds():
-    res = generate_resource(0.0, 0.0)
-    prob, state = parity_success_output(res)
+    prob, state = _success(generate_resource(0.0, 0.0))
     assert prob == 0.0
     assert state is None
 
 
 def test_sampled_projection_is_deterministic_per_seed():
-    res = generate_resource(OPT1, OPT2, NoiseParams(eps_z=0.05))
-    tree = parity_tree(res)
+    tree = parity_tree(generate_resource(OPT1, OPT2, NoiseParams(eps_z=0.05)))
     runs = [tuple(int(i) for i in tree.sample(trial_rng(99, 0).random(2))) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
@@ -470,8 +472,7 @@ SAMPLED_TREES = {
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_TREES))
 def test_born_sample_matches_generator_choice(name):
-    res = generate_resource(*SAMPLED_TREES[name])
-    tree = parity_tree(res)
+    tree = parity_tree(generate_resource(*SAMPLED_TREES[name]))
     keys = [(seed, t) for seed in (3, 2**64 - 1) for t in range(120)]
     reference = []
     for seed, t in keys:
@@ -511,9 +512,9 @@ def test_born_sample_rejects_bad_weights():
 
 
 def test_parity_rejects_wrong_sized_ancillas():
-    res = generate_resource(OPT1, OPT2)
+    rho = generate_resource(OPT1, OPT2)
     with pytest.raises(ValueError, match="two qubits"):
-        parity_tree(res, ket("u").density())
+        parity_tree(rho, ket("u").density())
 
 
 # --- entanglement pumping ------------------------------------------------------
@@ -584,24 +585,29 @@ def test_pump_until_converges_at_round_zero_without_noise():
     assert traj.pairs_consumed == 1
 
 
+def _walk_sites(syndromes):
+    """Lattice site of the stored pair before round 1 (the fresh pair, site 1) and after each round."""
+    steps = np.frombuffer(syndromes, dtype=np.uint8).astype(np.int64) * 2 - 1
+    return np.concatenate(([1], 1 + np.cumsum(steps)))
+
+
 def test_pump_until_trajectory_structure():
     traj = pump_until(0.089, 1.0 - 1e-4, 200, trial_rng(7, 0))
-    assert traj.records[0].syndrome == "init"
-    assert traj.records[0].fidelity == pytest.approx(fresh_pair_fidelity(0.089))
-    rounds = [r.round for r in traj.records]
-    assert rounds == list(range(len(rounds)))
+    fid = _lattice_fidelity(_walk_sites(traj.syndromes), fresh_pair_fidelity(0.089))
+    assert set(traj.syndromes) <= {0, 1}
+    assert len(fid) == traj.rounds + 1 == traj.pairs_consumed
+    assert fid[0] == pytest.approx(fresh_pair_fidelity(0.089))
     if traj.converged:
-        assert traj.records[-1].fidelity >= traj.target_fidelity
+        assert fid[-1] >= 1.0 - 1e-4
     # same seed reruns identically
-    again = pump_until(0.089, 1.0 - 1e-4, 200, trial_rng(7, 0))
-    assert [r.fidelity for r in again.records] == [r.fidelity for r in traj.records]
+    assert pump_until(0.089, 1.0 - 1e-4, 200, trial_rng(7, 0)) == traj
 
 
 def test_pump_until_marks_nonconvergence():
     traj = pump_until(0.4, 1.0 - 1e-9, 3, trial_rng(2, 0))
     assert not traj.converged
     assert traj.rounds_to_target is None
-    assert traj.records[-1].round == 3
+    assert traj.rounds == 3
 
 
 def test_pump_until_input_checks_and_edge_walks():
@@ -618,11 +624,11 @@ def test_pump_until_input_checks_and_edge_walks():
     numpy_int = pump_until(0.089, 0.9999, np.int64(30), trial_rng(4, 0))
     assert numpy_int == pump_until(0.089, 0.9999, 30, trial_rng(4, 0))
     idle = pump_until(0.089, 0.9999, 0, trial_rng(0, 0))
-    assert not idle.converged and idle.rounds == 0 and len(idle.records) == 1
+    assert not idle.converged and idle.rounds == 0 and idle.syndromes == b""
     # r = 1: every syndrome leaves the stored fidelity at 1/2
     flat = pump_until(0.5, 0.9, 50, trial_rng(3, 0))
     assert not flat.converged and flat.rounds == 50
-    assert {r.fidelity for r in flat.records} == {0.5}
+    assert set(_lattice_fidelity(_walk_sites(flat.syndromes), 0.5).tolist()) == {0.5}
 
 
 def test_pump_lattice_floor_is_the_first_entry_that_differs():
@@ -707,9 +713,10 @@ def test_pump_until_syndromes_are_pinned():
 
 
 def test_pump_records_follow_the_four_qubit_oracle():
-    # every recorded round is the circuit's round on the previous record,
-    # with the even probability the walk read from its table, also deep
-    # below F = 1/2 where the lattice fidelity saturates at 0
+    # every round of the syndrome record is the circuit's round on the
+    # lattice fidelity of the site before it, with the even probability the
+    # walk read from its table, also deep below F = 1/2 where the lattice
+    # fidelity saturates at 0
     eps_z, target, max_rounds = 0.089, 1.0 - 1e-4, 1000
     fresh = fresh_pair_fidelity(eps_z)
     p_even, _, _ = _pump_lattice(fresh, target, max_rounds)
@@ -717,30 +724,30 @@ def test_pump_records_follow_the_four_qubit_oracle():
     for t in range(20):
         traj = pump_until(eps_z, target, max_rounds, trial_rng(777, t))
         kinds.add(traj.converged)
-        assert traj.records[0] == PumpRecord(0, "init", fresh)
-        site = 1
-        for prev, rec in zip(traj.records, traj.records[1:]):
+        sites = _walk_sites(traj.syndromes)
+        fid = _lattice_fidelity(sites, fresh).tolist()
+        assert fid[0] == fresh
+        for site, prev, after, even in zip(sites.tolist(), fid, fid[1:], traj.syndromes):
             if site not in oracle:
-                oracle[site] = pump_round_oracle(prev.fidelity, fresh)
+                oracle[site] = pump_round_oracle(prev, fresh)
                 assert abs(oracle[site]["even"][0] - p_even[site - 1 + max_rounds]) < 1e-12
-            assert rec.round == prev.round + 1
-            assert abs(rec.fidelity - oracle[site][rec.syndrome][1]) < 1e-12, (t, rec)
-            site += 1 if rec.syndrome == "even" else -1
-        assert (traj.records[-1].fidelity >= traj.target_fidelity) == traj.converged
+            syndrome = "even" if even else "odd"
+            assert abs(after - oracle[site][syndrome][1]) < 1e-12, (t, site, syndrome)
+        assert (fid[-1] >= target) == traj.converged
     assert kinds == {True, False}
     assert min(oracle) < -432  # exp(-k ln r) overflows there: F_k saturates at 0
 
 
 def test_pumped_records_start_at_the_fresh_fidelity_bit_for_bit():
-    # record 0 of a walk with syndromes is read from the lattice at site 1;
-    # at these eps_z the rounded 1 / (1 + r^-1) misses fresh in the last bit
+    # the walk's first site is read from the lattice at site 1; at these
+    # eps_z the rounded 1 / (1 + r^-1) misses fresh in the last bit
     for eps_z, rounded in ((0.1, 0.8200000000000001), (0.05, 0.9049999999999999)):
         fresh = fresh_pair_fidelity(eps_z)
         r = fresh / (1.0 - fresh)
         assert 1.0 / (1.0 + math.exp(-math.log(r))) == rounded != fresh
         traj = pump_until(eps_z, 0.9999, 1000, trial_rng(17, 0))
         assert traj.rounds >= 1
-        assert traj.records[0].fidelity == fresh
+        assert _lattice_fidelity(_walk_sites(traj.syndromes), fresh)[0] == fresh
 
 
 def test_pump_until_matches_exact_chain():
@@ -773,7 +780,7 @@ def test_chain_of_two_matches_generate_resource():
     cfg = ChainConfig(2, 0, ForwardScatterParams(OPT1), ForwardScatterParams(OPT2))
     res = chain_report(cfg).resource
     base = generate_resource(OPT1, OPT2)
-    assert np.max(np.abs(res.rho.mat - base.rho.mat)) < 1e-12
+    assert np.max(np.abs(res.mat - base.mat)) < 1e-12
 
 
 def test_chain_reduced_state_independent_of_length_and_position():
@@ -783,9 +790,10 @@ def test_chain_reduced_state_independent_of_length_and_position():
         for i in range(n - 1):
             cfg = ChainConfig(n, i, ForwardScatterParams(t1), ForwardScatterParams(t2))
             res = chain_report(cfg).resource
-            assert np.max(np.abs(res.rho.mat - base.rho.mat)) < 1e-12
+            assert np.max(np.abs(res.mat - base.mat)) < 1e-12
             # the angles lie in [0, 2 pi), so the chain's mod-2pi gate angles are the raw ones
-            assert _same_bits(res.p1, base.p1) and _same_bits(res.p2, base.p2)
+            chain_weights = transit_weights(cfg.gate1.theta, cfg.gate2.theta)
+            assert all(map(_same_bits, chain_weights, transit_weights(t1, t2)))
 
 
 def test_chain_spectators_stay_pure():
@@ -794,7 +802,7 @@ def test_chain_spectators_stay_pure():
     assert [idx for idx, _ in rep.spectator_purities] == [0, 3]
     for _, purity in rep.spectator_purities:
         assert purity == pytest.approx(1.0, abs=1e-12)
-    assert bell_fidelity(rep.resource.corrected_rho(), BellLabel.PSI_PLUS) == pytest.approx(
+    assert bell_fidelity(corrected_rho(rep.resource, OPT2), BellLabel.PSI_PLUS) == pytest.approx(
         1.0, abs=1e-10
     )
 
