@@ -4,7 +4,6 @@ entanglement operations between static qubits."""
 from .channels import NoiseParams, dephasing, imperfect_init, relaxation
 from .metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from .protocol import (
-    ChainConfig,
     ChainReport,
     ParityTree,
     PumpTrajectory,
@@ -20,7 +19,6 @@ from .qcore import (
     DensityMatrix,
     KrausChannel,
     MeasurementBranch,
-    PureState,
     apply_channel,
     apply_unitary,
     ket,
@@ -30,7 +28,6 @@ from .qcore import (
 )
 from .rng import trial_rng, trial_streams, trial_uniforms
 from .scattering import (
-    ForwardScatterParams,
     FullScatterParams,
     forward_unitary,
     full_scatter,

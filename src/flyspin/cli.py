@@ -38,8 +38,8 @@ from .metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from .protocol import (
     PUMP_FIRST_BLOCK,
     ROUND_OUTCOMES,
-    ChainConfig,
     ParityTree,
+    _check_chain,
     chain_report,
     corrected_rho,
     generate_resource,
@@ -50,7 +50,6 @@ from .protocol import (
     transit_weights,
 )
 from .rng import trial_streams, trial_uniforms
-from .scattering import ForwardScatterParams
 
 _SWEEP_HEADER = "theta1,theta2,concurrence,p1,p2,herald_prob"
 _HERALD_PROB = 1.0  # forward scattering reflects nothing, so every transit is heralded
@@ -369,19 +368,15 @@ def cmd_pump_sim(cfg: ExperimentConfig) -> int:
 
 def cmd_chain_demo(cfg: ExperimentConfig) -> int:
     """Selective operation on a chain; spectator and conservation diagnostics."""
+    theta1, theta2 = cfg.angle("theta1"), cfg.angle("theta2")
     try:
-        chain = ChainConfig(
-            n_static=cfg.chain_size,
-            target_pair=cfg.target_pair,
-            gate1=ForwardScatterParams(cfg.angle("theta1")),
-            gate2=ForwardScatterParams(cfg.angle("theta2")),
-        )
+        _check_chain(cfg.chain_size, cfg.target_pair)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rep = chain_report(chain)
-    baseline = generate_resource(cfg.angle("theta1"), cfg.angle("theta2"))
+    rep = chain_report(cfg.chain_size, cfg.target_pair, theta1, theta2)
+    baseline = generate_resource(theta1, theta2)
     deviation = float(np.max(np.abs(rep.resource.mat - baseline.mat)))
-    corrected = corrected_rho(rep.resource, chain.gate2.theta)
+    corrected = corrected_rho(rep.resource, theta2)
     lines = [
         "chain demo report",
         f"  n_static = {cfg.chain_size}",

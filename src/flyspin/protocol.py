@@ -82,7 +82,7 @@ from .qcore import (
     _per_state,
     _require,
 )
-from .scattering import ForwardScatterParams, forward_unitary
+from .scattering import _gate_angle, forward_unitary
 
 _SEPARABLE_ATOL = 1e-12
 
@@ -130,6 +130,8 @@ def generate_resource(theta1: float, theta2: float,
     for name, val in (("theta1", theta1), ("theta2", theta2)):
         if np.ndim(val) != 0:
             raise ValueError(f"{name} must be a scalar, got shape {np.shape(val)}")
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val}")
     (rho,) = resource_rows([theta1], theta2, noise)
     return rho
 
@@ -139,9 +141,9 @@ def corrected_rho(rho: DensityMatrix, theta2: float) -> DensityMatrix:
 
     Removes the e^{i theta2} phase that the |ud> component of |chi>
     carries relative to |du>, so that at the optimal working point the
-    state aligns with (|du> + |ud>)/sqrt(2).
+    state aligns with (|du> + |ud>)/sqrt(2); theta2 is reduced mod 2 pi.
     """
-    return apply_unitary(rho, np.diag([np.exp(-1j * theta2), 1.0]), (0,))
+    return apply_unitary(rho, np.diag([np.exp(-1j * _gate_angle(theta2)), 1.0]), (0,))
 
 
 def resource_rows(theta1: np.ndarray, theta2: float | np.ndarray,
@@ -165,20 +167,20 @@ def resource_rows(theta1: np.ndarray, theta2: float | np.ndarray,
     for name, val in (("theta1", t1), ("theta2", t2)):
         _require(np.isfinite(val), f"{name} must be finite, got {{}}", val)
     noise = noise if noise is not None else NoiseParams()
-    rho = tensor_dm(imperfect_init(noise.eps_init), ket("dd").density())
-    first = _first_leg(rho, 1, ForwardScatterParams(t1), noise)
-    gate2 = KrausChannel([forward_unitary(ForwardScatterParams(t2))])
+    rho = tensor_dm(imperfect_init(noise.eps_init), ket("dd"))
+    first = _first_leg(rho, 1, t1, noise)
+    gate2 = KrausChannel([forward_unitary(t2)])
     return (partial_trace(apply_channel(DensityMatrix(m), gate2, (0, 2)), (1, 2)) for m in first.mat)
 
 
-def _first_leg(rho: DensityMatrix, static: int, gate1: ForwardScatterParams,
+def _first_leg(rho: DensityMatrix, static: int, theta1: float | np.ndarray,
                noise: NoiseParams) -> DensityMatrix:
     """Flying qubit 0 meets ``static`` and then the inter-gate noise; other qubits are left alone.
 
-    gate1 acts on (0, static), then dephasing and then relaxation act on
-    qubit 0. Gate 2 on (0, the second static) completes the transit.
+    theta1's gate acts on (0, static), then dephasing and then relaxation act
+    on qubit 0. Gate 2 on (0, the second static) completes the transit.
     """
-    rho = apply_unitary(rho, forward_unitary(gate1), (0, static))
+    rho = apply_unitary(rho, forward_unitary(theta1), (0, static))
     if noise.eps_z > 0.0:
         rho = apply_channel(rho, dephasing(noise.eps_z), (0,))
     if noise.eps_relax > 0.0:
@@ -479,34 +481,11 @@ def pump_until(
 
 
 @dataclass(frozen=True)
-class ChainConfig:
-    """Chain of static qubits with the gate pair applied at one target pair.
-
-    The flying qubit meets only the target pair; the spectators are untouched.
-    """
-
-    n_static: int
-    target_pair: int
-    gate1: ForwardScatterParams
-    gate2: ForwardScatterParams
-
-    def __post_init__(self) -> None:
-        if not (2 <= self.n_static <= 5):
-            raise ValueError(f"chain size must lie in [2, 5], got {self.n_static}")
-        if not (0 <= self.target_pair and self.target_pair + 1 < self.n_static):
-            raise ValueError(
-                f"target pair ({self.target_pair}, {self.target_pair + 1}) "
-                f"out of range for {self.n_static} static qubits"
-            )
-
-
-@dataclass(frozen=True)
 class ChainReport:
     """Chain transit diagnostics used by the command-line surface.
 
     ``resource`` is the reduced state of the target pair, a single two-qubit
-    state; its phase correction is ``corrected_rho(resource, cfg.gate2.theta)``,
-    with the gate angle reduced mod 2 pi.
+    state; its phase correction is ``corrected_rho(resource, theta2)``.
     """
 
     resource: DensityMatrix
@@ -526,20 +505,32 @@ def _magnetization(rho: DensityMatrix) -> float:
     return float((rho.mat.diagonal() * _Z_TOTAL[rho.n]).sum().real)
 
 
-def chain_report(cfg: ChainConfig) -> ChainReport:
+def _check_chain(n_static: int, target_pair: int) -> None:
+    """Raise ``ValueError`` unless 2 <= n_static <= 5 and the chain holds the target pair."""
+    if not (2 <= n_static <= 5):
+        raise ValueError(f"chain size must lie in [2, 5], got {n_static}")
+    if not (0 <= target_pair and target_pair + 1 < n_static):
+        raise ValueError(
+            f"target pair ({target_pair}, {target_pair + 1}) "
+            f"out of range for {n_static} static qubits"
+        )
+
+
+def chain_report(n_static: int, target_pair: int, theta1: float, theta2: float) -> ChainReport:
     """Chain transit with spectator purities and magnetization bookkeeping.
 
-    The register is the flying qubit (up) followed by the static chain, the
-    target pair down and every spectator up. The transit is
-    ``generate_resource``'s without noise, its gates on the target pair.
+    The register is the flying qubit (up) and ``n_static`` static qubits, 2
+    to 5, the pair (target_pair, target_pair + 1) down and the rest up. The
+    transit is ``generate_resource``'s at theta1 and theta2 without noise.
     """
-    pair = (cfg.target_pair, cfg.target_pair + 1)
-    rho = ket("u" + "".join("d" if j in pair else "u" for j in range(cfg.n_static))).density()
+    _check_chain(n_static, target_pair)
+    pair = (target_pair, target_pair + 1)
+    rho = ket("u" + "".join("d" if j in pair else "u" for j in range(n_static)))
     mag_before = _magnetization(rho)
-    rho = _first_leg(rho, pair[0] + 1, cfg.gate1, NoiseParams())
-    rho = apply_unitary(rho, forward_unitary(cfg.gate2), (0, pair[1] + 1))
-    statics = partial_trace(rho, tuple(range(1, cfg.n_static + 1)))
+    rho = _first_leg(rho, pair[0] + 1, theta1, NoiseParams())
+    rho = apply_unitary(rho, forward_unitary(theta2), (0, pair[1] + 1))
+    statics = partial_trace(rho, tuple(range(1, n_static + 1)))
     purities = tuple(
-        (j, partial_trace(statics, (j,)).purity()) for j in range(cfg.n_static) if j not in pair
+        (j, partial_trace(statics, (j,)).purity()) for j in range(n_static) if j not in pair
     )
     return ChainReport(partial_trace(statics, pair), purities, mag_before, _magnetization(rho))

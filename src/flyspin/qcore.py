@@ -7,6 +7,7 @@ Conventions used by the whole package:
   "udd" therefore sits at basis index 0b011 = 3.
 * Registers hold at most ``MAX_QUBITS`` qubits, so every matrix is a
   small dense array (at most 64 x 64).
+* Every state is a ``DensityMatrix``; ``ket`` builds basis states as one.
 * Every operator is a local k-qubit matrix plus ``targets`` (axis j acts on
   ``targets[j]``); a unitary is applied as a one-operator channel. Every
   operation puts the register's rows and columns in ``(targets, rest)``
@@ -41,7 +42,6 @@ MAX_QUBITS = 6
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
-NORM_ATOL = 1e-12
 COMPLETENESS_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 ZERO_PROBABILITY_ATOL = 1e-12
@@ -115,34 +115,8 @@ def _per_state(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-class PureState:
-    """Normalized state vector on 1..6 qubits."""
-
-    def __init__(self, amplitudes) -> None:
-        vec = np.array(amplitudes, dtype=complex).reshape(-1)
-        self._n = _qubit_count(vec.size, "state vector")
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            raise ValueError(f"state vector norm {norm} differs from 1 beyond {NORM_ATOL}")
-        self._vec = _frozen(vec)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._vec
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self._vec, self._vec.conj()))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PureState(n={self._n})"
-
-
-def ket(spins: str) -> PureState:
-    """Computational basis ket from a spin string, e.g. ket("udd").
+def ket(spins: str) -> DensityMatrix:
+    """Computational basis state |spins><spins| from a spin string, e.g. ket("udd").
 
     'u' (up) is bit 0, 'd' (down) is bit 1; the first character is the most
     significant qubit.
@@ -154,7 +128,7 @@ def ket(spins: str) -> PureState:
         idx = 2 * idx + (1 if c == "d" else 0)
     vec = np.zeros(2 ** len(spins), dtype=complex)
     vec[idx] = 1.0
-    return PureState(vec)
+    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 class DensityMatrix:

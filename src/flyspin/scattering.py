@@ -13,7 +13,8 @@ with t = (theta_T - theta_S)/2. The physical gate carries one more factor
 e^{i (theta_T + theta_S)/2} on every entry; that global phase cancels in
 every state U rho U^dagger, so it is left out. Parallel spins only pick up
 a phase; anti-parallel spins mix without spin flips, conserving total
-magnetization.
+magnetization. A gate is given by its plain angle t, a float or an array;
+``_gate_angle`` is the one place that checks it and reduces it mod 2 pi.
 
 ``full_scatter`` keeps the reflected branch of the outgoing electron as an
 extra two-level direction mode (transmitted/reflected), so that heralding
@@ -39,22 +40,6 @@ _TRIPLET = np.eye(4, dtype=complex) - _SINGLET
 
 
 @dataclass(frozen=True)
-class ForwardScatterParams:
-    """Mixing angle t = (theta_T - theta_S)/2 of the forward-scattering gate, reduced mod 2*pi.
-
-    The angle may be an array, one gate per stack index; a scalar angle is
-    stored as a Python float.
-    """
-
-    theta: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        val = np.asarray(self.theta, dtype=float)
-        _require(np.isfinite(val), "theta must be finite, got {}", val)
-        object.__setattr__(self, "theta", _per_state(val % _TWO_PI))
-
-
-@dataclass(frozen=True)
 class FullScatterParams:
     """Complex transmission/reflection amplitudes for the heralded model."""
 
@@ -70,16 +55,24 @@ class FullScatterParams:
                 raise ValueError(f"{label} amplitudes not normalized: |t|^2+|r|^2 = {total}")
 
 
-def forward_unitary(p: ForwardScatterParams) -> np.ndarray:
-    """4x4 unitary on (flying, static) for the reflection-free regime.
+def _gate_angle(theta: float | np.ndarray) -> float | np.ndarray:
+    """The finite gate angle ``theta`` mod 2*pi: a Python float for a scalar, else an array."""
+    val = np.asarray(theta, dtype=float)
+    _require(np.isfinite(val), "theta must be finite, got {}", val)
+    return _per_state(val % _TWO_PI)
 
-    An array angle gives a stack of unitaries, shape ``(..., 4, 4)``.
+
+def forward_unitary(theta: float | np.ndarray) -> np.ndarray:
+    """4x4 unitary on (flying, static) at mixing angle ``theta``, reduced mod 2*pi.
+
+    An array angle gives a stack of unitaries, shape ``theta.shape + (4, 4)``.
     """
-    c = np.cos(p.theta)
+    t = _gate_angle(theta)
+    c = np.cos(t)
     u = np.zeros(np.shape(c) + (4, 4), dtype=complex)
-    u[..., 0, 0] = u[..., 3, 3] = np.exp(1j * p.theta)
+    u[..., 0, 0] = u[..., 3, 3] = np.exp(1j * t)
     u[..., 1, 1] = u[..., 2, 2] = c
-    u[..., 1, 2] = u[..., 2, 1] = 1j * np.sin(p.theta)
+    u[..., 1, 2] = u[..., 2, 1] = 1j * np.sin(t)
     return u
 
 

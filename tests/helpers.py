@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from flyspin.metrics import BellLabel
-from flyspin.qcore import DensityMatrix, PureState, apply_unitary, measure
+from flyspin.qcore import DensityMatrix, apply_unitary, measure
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -26,8 +26,14 @@ _BELL_AMPLITUDES = {
 }
 
 
-def bell_state(label: BellLabel) -> PureState:
-    return PureState(np.array(_BELL_AMPLITUDES[label], dtype=complex) / np.sqrt(2.0))
+def bell_state(label: BellLabel) -> np.ndarray:
+    return np.array(_BELL_AMPLITUDES[label], dtype=complex) / np.sqrt(2.0)
+
+
+def pure(vec) -> DensityMatrix:
+    """The density matrix |vec><vec| of a normalized state vector."""
+    vec = np.asarray(vec, dtype=complex)
+    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 # control is the first qubit of the pair; flips the target when the control is down

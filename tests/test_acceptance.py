@@ -14,7 +14,6 @@ from flyspin.channels import NoiseParams
 from flyspin.cli import main as cli_main
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from flyspin.protocol import (
-    ChainConfig,
     chain_report,
     corrected_rho,
     fresh_pair_fidelity,
@@ -28,7 +27,7 @@ from flyspin.protocol import (
 )
 from flyspin.qcore import PAULI_Z
 from flyspin.rng import trial_rng
-from flyspin.scattering import ForwardScatterParams, FullScatterParams, full_scatter, herald_transmission
+from flyspin.scattering import FullScatterParams, full_scatter, herald_transmission
 from flyspin.qcore import ket
 
 from helpers import pump_round_oracle
@@ -80,7 +79,7 @@ def test_criterion_02_concurrence_surface():
 
 def test_criterion_03_heralded_transmission():
     params = FullScatterParams(t_s=1.0, r_s=0.0, t_t=0.0, r_t=1.0)
-    prob, conditional = herald_transmission(full_scatter(ket("ud").density(), params))
+    prob, conditional = herald_transmission(full_scatter(ket("ud"), params))
     assert abs(prob - 0.5) < 1e-12
     fid = bell_fidelity(conditional, BellLabel.PSI_MINUS)
     assert abs(fid - 1.0) < 1e-10
@@ -188,8 +187,7 @@ def test_criterion_08_chain_independence():
     base = generate_resource(t1, t2).mat
     worst_state = 0.0
     for n in (2, 3, 4, 5):
-        cfg = ChainConfig(n, 0, ForwardScatterParams(t1), ForwardScatterParams(t2))
-        rep = chain_report(cfg)
+        rep = chain_report(n, 0, t1, t2)
         worst_state = max(worst_state, float(np.max(np.abs(rep.resource.mat - base))))
         for _, purity in rep.spectator_purities:
             assert abs(purity - 1.0) < 1e-12

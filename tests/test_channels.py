@@ -43,12 +43,12 @@ def test_dephasing_composition_law():
 
 def test_relaxation_limits():
     assert_allclose(
-        apply_channel(ket("u").density(), relaxation(1.0), (0,)).mat,
-        ket("d").density().mat,
+        apply_channel(ket("u"), relaxation(1.0), (0,)).mat,
+        ket("d").mat,
         atol=1e-15,
     )
     assert_allclose(
-        apply_channel(ket("u").density(), relaxation(0.2), (0,)).mat,
+        apply_channel(ket("u"), relaxation(0.2), (0,)).mat,
         np.diag([0.8, 0.2]),
         atol=1e-15,
     )
@@ -59,8 +59,8 @@ def test_relaxation_limits():
 
 def test_relaxation_direction():
     # down stays down; only the up population decays
-    out = apply_channel(ket("d").density(), relaxation(0.7), (0,))
-    assert_allclose(out.mat, ket("d").density().mat, atol=1e-15)
+    out = apply_channel(ket("d"), relaxation(0.7), (0,))
+    assert_allclose(out.mat, ket("d").mat, atol=1e-15)
 
 
 def test_completeness_1000_random_params():

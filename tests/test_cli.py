@@ -379,6 +379,13 @@ def test_runtime_error_exits_two(monkeypatch):
     monkeypatch.setattr("flyspin.cli.generate_resource", singular)
     assert run("eo-run") == 2
 
+    # a ValueError from inside the chain simulation is no config error either
+    def invalid(*args, **kwargs):
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+
+    monkeypatch.setattr("flyspin.cli.chain_report", invalid)
+    assert run("chain-demo") == 2
+
 
 def test_pump_sim_all_nonconverged_exits_three(tmp_path):
     out = tmp_path / "pump_fail.csv"
@@ -410,8 +417,14 @@ def test_chain_demo_report(tmp_path, capsys):
     assert values["target_pair"] == "(1, 2)"
 
 
-def test_chain_demo_rejects_oversized_chain(tmp_path):
+def test_chain_demo_rejects_oversized_chain(tmp_path, capsys):
     assert run("chain-demo", "--chain-size", "9") == 1
+    assert capsys.readouterr().err == "config error: chain size must lie in [2, 5], got 9\n"
+    assert run("chain-demo", "--chain-size", "3", "--target-pair", "2") == 1
+    assert "target pair (2, 3) out of range for 3 static qubits" in capsys.readouterr().err
+    # the angles are parsed first, so a bad angle is reported before a bad chain
+    assert run("chain-demo", "--theta1", "0:1:3", "--chain-size", "9") == 1
+    assert capsys.readouterr().err == "config error: theta1: chain-demo expects a single angle, not a grid\n"
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence, success_stats
-from flyspin.protocol import generate_resource, transit_weights
-from flyspin.qcore import DensityMatrix, PureState, apply_unitary, ket, tensor_dm
+from flyspin.qcore import DensityMatrix, apply_unitary, ket, tensor_dm
 
-from helpers import bell_state, random_density, random_unitary
+from helpers import bell_state, pure, random_density, random_unitary
 
 
 def test_bell_states_orthonormal():
-    vecs = [bell_state(label).amplitudes for label in BellLabel]
+    vecs = [bell_state(label) for label in BellLabel]
     gram = np.array([[abs(np.vdot(a, b)) for b in vecs] for a in vecs])
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-15)
 
 
 def test_concurrence_of_bell_states_is_one():
     for label in BellLabel:
-        assert concurrence(bell_state(label).density()) == pytest.approx(1.0, abs=1e-10)
+        assert concurrence(pure(bell_state(label))) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_concurrence_of_product_states_is_zero():
@@ -37,7 +36,7 @@ def test_concurrence_two_term_pure_state():
         norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
         a, b = a / norm, b / norm
         vec = np.array([0.0, a, b, 0.0], dtype=complex)
-        c = concurrence(PureState(vec).density())
+        c = concurrence(pure(vec))
         assert abs(c - 2.0 * abs(a) * abs(b)) < 1e-12
 
 
@@ -50,28 +49,21 @@ def test_concurrence_local_unitary_invariance():
         assert abs(concurrence(rho) - concurrence(rotated)) < 1e-10
 
 
-def test_concurrence_of_generated_resource():
-    p1, p2 = transit_weights(math.pi / 6.0, math.pi / 3.0)
-    assert p1 == pytest.approx(9.0 / 8.0, abs=1e-12)
-    assert p2 == pytest.approx(0.5, abs=1e-12)
-    assert concurrence(generate_resource(math.pi / 6.0, math.pi / 3.0)) == pytest.approx(0.75, abs=1e-10)
-
-
 def test_concurrence_rejects_wrong_size():
     with pytest.raises(ValueError, match="two-qubit"):
-        concurrence(ket("u").density())
+        concurrence(ket("u"))
     with pytest.raises(ValueError, match="two-qubit"):
-        bell_fidelity(ket("udd").density(), BellLabel.PSI_PLUS)
+        bell_fidelity(ket("udd"), BellLabel.PSI_PLUS)
 
 
 def test_bell_fidelity_values():
-    psi_plus = bell_state(BellLabel.PSI_PLUS).density()
+    psi_plus = pure(bell_state(BellLabel.PSI_PLUS))
     assert bell_fidelity(psi_plus, BellLabel.PSI_PLUS) == pytest.approx(1.0, abs=1e-12)
     assert bell_fidelity(psi_plus, BellLabel.PSI_MINUS) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bell_fidelity_rejects_a_stack():
-    psi_plus = bell_state(BellLabel.PSI_PLUS).density().mat
+    psi_plus = pure(bell_state(BellLabel.PSI_PLUS)).mat
     for shape in ((1,), (3,)):
         stack = DensityMatrix(np.broadcast_to(psi_plus, shape + (4, 4)).copy())
         with pytest.raises(ValueError, match=rf"bell_fidelity takes a single state, got a stack of shape \({shape[0]},\)"):
@@ -83,7 +75,7 @@ def test_bell_fidelities_sum_to_one_on_bell_diagonal():
     weights = rng.uniform(0, 1, 4)
     weights /= weights.sum()
     mat = sum(
-        w * np.outer(bell_state(l).amplitudes, bell_state(l).amplitudes.conj())
+        w * np.outer(bell_state(l), bell_state(l).conj())
         for w, l in zip(weights, BellLabel)
     )
     rho = DensityMatrix(mat)

@@ -12,7 +12,6 @@ from flyspin.channels import NoiseParams
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence
 from flyspin.protocol import (
     PUMP_FIRST_BLOCK,
-    ChainConfig,
     ParityTree,
     chain_report,
     corrected_rho,
@@ -28,7 +27,7 @@ from flyspin.protocol import (
 )
 from flyspin.qcore import PAULI_X, ZERO_PROBABILITY_ATOL, DensityMatrix, apply_unitary, ket
 from flyspin.rng import trial_rng, trial_streams, trial_uniforms
-from flyspin.scattering import ForwardScatterParams
+from flyspin.scattering import _gate_angle
 
 from helpers import (
     bell_state,
@@ -36,6 +35,7 @@ from helpers import (
     parity_leaves_dense,
     pump_exact,
     pump_round_oracle,
+    pure,
     random_density,
     random_pure_density,
 )
@@ -63,7 +63,7 @@ def test_optimal_angles_give_maximally_entangled_pair():
 
 def test_no_interaction_leaves_static_pair_down_down():
     rho = generate_resource(0.0, 0.0)
-    assert_allclose(rho.mat, ket("dd").density().mat, atol=1e-12)
+    assert_allclose(rho.mat, ket("dd").mat, atol=1e-12)
     assert sum(transit_weights(0.0, 0.0)) == 0.0
 
 
@@ -72,6 +72,18 @@ def test_derived_angle_weights():
     assert p1 == pytest.approx(9.0 / 8.0, abs=1e-12)
     assert p2 == pytest.approx(0.5, abs=1e-12)
     assert concurrence(generate_resource(math.pi / 6.0, math.pi / 3.0)) == pytest.approx(0.75, abs=1e-10)
+
+
+def test_corrected_rho_reduces_theta2_mod_two_pi():
+    # the correction takes gate 2's angle as the gate does, reduced mod 2 pi, so
+    # a theta2 outside [0, 2 pi) gives the bits of its reduced angle
+    rho = generate_resource(0.9, 2.2, NoiseParams(eps_z=0.05))
+    for t in (0.37, 1.3, 2.6, 3.7, 5.9):
+        for k in (-2, -1, 1, 3):
+            theta2 = t + 2.0 * math.pi * k
+            got = corrected_rho(rho, theta2).mat
+            assert _same_bits(got, corrected_rho(rho, theta2 % (2.0 * math.pi)).mat)
+            assert_allclose(got, corrected_rho(rho, t).mat, atol=1e-12)
 
 
 def test_simulation_matches_closed_form_1000_random():
@@ -185,8 +197,8 @@ def test_stacked_resource_range_checks_name_the_index():
         parity_tree(stack)
     # a 3-qubit resource would run the CNOTs and measure on a 5-qubit register
     with pytest.raises(ValueError, match=r"one two-qubit state, got shape \(8, 8\)"):
-        parity_tree(ket("udd").density())
-    with pytest.raises(ValueError, match=r"theta1 must be finite, got inf"):
+        parity_tree(ket("udd"))
+    with pytest.raises(ValueError, match=r"theta1 must be finite, got inf$"):
         generate_resource(math.inf, OPT2)
     with pytest.raises(ValueError, match=r"theta1 must be a scalar, got shape \(3,\)"):
         generate_resource(np.full(3, OPT1), OPT2)
@@ -211,7 +223,7 @@ def test_imperfect_init_scales_entangled_weight():
     eps = 0.3
     rho = generate_resource(OPT1, OPT2, NoiseParams(eps_init=eps))
     clean = generate_resource(OPT1, OPT2)
-    expected = (1.0 - eps) * clean.mat + eps * ket("dd").density().mat
+    expected = (1.0 - eps) * clean.mat + eps * ket("dd").mat
     assert_allclose(rho.mat, expected, atol=1e-12)
 
 
@@ -328,8 +340,8 @@ def test_success_state_is_the_fresh_pair_that_pumping_assumes():
     # pump-sim's lattice takes one number, fresh_pair_fidelity(eps_z): at any
     # angles and noise the success state must be f psi+ + (1 - f) psi-
     rng = np.random.default_rng(1102)
-    psi_plus = bell_state(BellLabel.PSI_PLUS).density().mat
-    psi_minus = bell_state(BellLabel.PSI_MINUS).density().mat
+    psi_plus = pure(bell_state(BellLabel.PSI_PLUS)).mat
+    psi_minus = pure(bell_state(BellLabel.PSI_MINUS)).mat
     for _ in range(300):
         t1, t2 = rng.uniform(0.1, math.pi - 0.1, 2)
         eps_init, eps_z, eps_relax = rng.uniform(0.0, 0.3, 3)
@@ -422,9 +434,9 @@ def test_dephasing_gives_exact_bell_mixture():
     assert bell_fidelity(state, BellLabel.PSI_PLUS) == pytest.approx(1.0 - q, abs=1e-12)
     assert bell_fidelity(state, BellLabel.PSI_MINUS) == pytest.approx(q, abs=1e-12)
     # the full output is exactly the two-state mixture
-    expected = (1.0 - q) * bell_state(BellLabel.PSI_PLUS).density().mat + q * bell_state(
-        BellLabel.PSI_MINUS
-    ).density().mat
+    expected = (1.0 - q) * pure(bell_state(BellLabel.PSI_PLUS)).mat + q * pure(
+        bell_state(BellLabel.PSI_MINUS)
+    ).mat
     assert np.max(np.abs(state.mat - expected)) < 1e-12
 
 
@@ -514,7 +526,7 @@ def test_born_sample_rejects_bad_weights():
 def test_parity_rejects_wrong_sized_ancillas():
     rho = generate_resource(OPT1, OPT2)
     with pytest.raises(ValueError, match="two qubits"):
-        parity_tree(rho, ket("u").density())
+        parity_tree(rho, ket("u"))
 
 
 # --- entanglement pumping ------------------------------------------------------
@@ -777,8 +789,7 @@ def test_pump_until_matches_exact_chain():
 
 
 def test_chain_of_two_matches_generate_resource():
-    cfg = ChainConfig(2, 0, ForwardScatterParams(OPT1), ForwardScatterParams(OPT2))
-    res = chain_report(cfg).resource
+    res = chain_report(2, 0, OPT1, OPT2).resource
     base = generate_resource(OPT1, OPT2)
     assert np.max(np.abs(res.mat - base.mat)) < 1e-12
 
@@ -788,17 +799,15 @@ def test_chain_reduced_state_independent_of_length_and_position():
     base = generate_resource(t1, t2)
     for n in (2, 3, 4, 5):
         for i in range(n - 1):
-            cfg = ChainConfig(n, i, ForwardScatterParams(t1), ForwardScatterParams(t2))
-            res = chain_report(cfg).resource
+            res = chain_report(n, i, t1, t2).resource
             assert np.max(np.abs(res.mat - base.mat)) < 1e-12
             # the angles lie in [0, 2 pi), so the chain's mod-2pi gate angles are the raw ones
-            chain_weights = transit_weights(cfg.gate1.theta, cfg.gate2.theta)
+            chain_weights = transit_weights(_gate_angle(t1), _gate_angle(t2))
             assert all(map(_same_bits, chain_weights, transit_weights(t1, t2)))
 
 
 def test_chain_spectators_stay_pure():
-    cfg = ChainConfig(4, 1, ForwardScatterParams(OPT1), ForwardScatterParams(OPT2))
-    rep = chain_report(cfg)
+    rep = chain_report(4, 1, OPT1, OPT2)
     assert [idx for idx, _ in rep.spectator_purities] == [0, 3]
     for _, purity in rep.spectator_purities:
         assert purity == pytest.approx(1.0, abs=1e-12)
@@ -812,16 +821,14 @@ def test_chain_magnetization_conserved_for_random_angles():
     for _ in range(20):
         t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
         pair = int(rng.integers(0, 4))
-        cfg = ChainConfig(5, pair, ForwardScatterParams(t1), ForwardScatterParams(t2))
-        rep = chain_report(cfg)
+        rep = chain_report(5, pair, t1, t2)
         # flying qubit and three spectators up, the target pair down
         assert rep.magnetization_before == 2.0
         assert abs(rep.magnetization_after - rep.magnetization_before) < 1e-12
 
 
 def test_chain_config_validation():
-    g = ForwardScatterParams(0.3)
     with pytest.raises(ValueError, match="chain size"):
-        ChainConfig(6, 0, g, g)
+        chain_report(6, 0, 0.3, 0.3)
     with pytest.raises(ValueError, match="target pair"):
-        ChainConfig(3, 2, g, g)
+        chain_report(3, 2, 0.3, 0.3)

@@ -9,7 +9,6 @@ from flyspin.qcore import (
     PAULI_Z,
     DensityMatrix,
     KrausChannel,
-    PureState,
     apply_channel,
     apply_unitary,
     ket,
@@ -17,9 +16,9 @@ from flyspin.qcore import (
     partial_trace,
     tensor_dm,
 )
-from flyspin.scattering import ForwardScatterParams, forward_unitary
+from flyspin.scattering import forward_unitary
 
-from helpers import HADAMARD, dense_embed, dense_partial_trace, random_density, random_unitary
+from helpers import HADAMARD, dense_embed, dense_partial_trace, pure, random_density, random_unitary
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -38,45 +37,45 @@ def test_embed_z_on_qubit1_of_two():
 
 
 def test_embed_swap_permutes_basis_ket():
-    state = ket("udd").density()
+    state = ket("udd")
     swapped = apply_unitary(state, SWAP, (0, 1))
-    assert_allclose(swapped.mat, ket("dud").density().mat, atol=1e-15)
+    assert_allclose(swapped.mat, ket("dud").mat, atol=1e-15)
 
 
 def test_embed_rejects_nonunitary():
     # a unitary is a one-operator Kraus channel, so its check is completeness
     with pytest.raises(ValueError, match="completeness"):
-        apply_unitary(ket("uu").density(), np.array([[1, 0], [0, 2]]), (0,))
+        apply_unitary(ket("uu"), np.array([[1, 0], [0, 2]]), (0,))
     with pytest.raises(ValueError, match="square"):
-        apply_unitary(ket("u").density(), 1.0, (0,))
+        apply_unitary(ket("u"), 1.0, (0,))
 
 
 def test_embed_rejects_bad_targets():
     with pytest.raises(ValueError, match="duplicate"):
-        apply_channel(ket("udd").density(), KrausChannel([SWAP]), (1, 1))
+        apply_channel(ket("udd"), KrausChannel([SWAP]), (1, 1))
     with pytest.raises(ValueError, match="range"):
-        apply_channel(ket("ud").density(), KrausChannel([PAULI_X]), (-1,))
+        apply_channel(ket("ud"), KrausChannel([PAULI_X]), (-1,))
     with pytest.raises(ValueError, match="duplicate"):
-        apply_unitary(ket("udd").density(), SWAP, (1, 1))
+        apply_unitary(ket("udd"), SWAP, (1, 1))
     with pytest.raises(ValueError, match="range"):
-        apply_unitary(ket("ud").density(), PAULI_X, (3,))
+        apply_unitary(ket("ud"), PAULI_X, (3,))
     with pytest.raises(ValueError, match="acts on 2 qubits but 1 targets given"):
-        apply_unitary(ket("udd").density(), SWAP, (0,))
+        apply_unitary(ket("udd"), SWAP, (0,))
     # a fractional target is an error, not truncated to a qubit index
     with pytest.raises(ValueError, match=r"targets \(0\.9,\) are not all integers"):
-        apply_unitary(ket("ud").density(), PAULI_X, (0.9,))
+        apply_unitary(ket("ud"), PAULI_X, (0.9,))
     with pytest.raises(ValueError, match="not all integers"):
-        apply_channel(ket("ud").density(), KrausChannel([PAULI_X]), (np.float64(1.0),))
+        apply_channel(ket("ud"), KrausChannel([PAULI_X]), (np.float64(1.0),))
     with pytest.raises(ValueError, match=r"targets \(1\.5,\) are not all integers"):
-        partial_trace(ket("ud").density(), (1.5,))
+        partial_trace(ket("ud"), (1.5,))
     with pytest.raises(ValueError, match="duplicate"):
-        partial_trace(ket("udd").density(), (1, 1))
+        partial_trace(ket("udd"), (1, 1))
     with pytest.raises(ValueError, match="range"):
-        partial_trace(ket("udd").density(), (0, 3))
+        partial_trace(ket("udd"), (0, 3))
     with pytest.raises(ValueError, match="range"):
-        partial_trace(ket("udd").density(), (-1,))
+        partial_trace(ket("udd"), (-1,))
     # numpy integers are integers
-    assert partial_trace(ket("ud").density(), (np.int64(1),)).n == 1
+    assert partial_trace(ket("ud"), (np.int64(1),)).n == 1
 
 
 def test_embed_times_inverse_is_identity():
@@ -101,16 +100,16 @@ def test_apply_z_twice_is_identity():
 
 
 def test_apply_hadamard_to_up():
-    plus = apply_unitary(ket("u").density(), HADAMARD, (0,))
+    plus = apply_unitary(ket("u"), HADAMARD, (0,))
     assert_allclose(plus.mat, np.full((2, 2), 0.5), atol=1e-15)
 
 
 def test_two_gate_populations():
     # flying qubit crosses both static qubits; populations follow the gate angles
     t1, t2 = 0.7, 1.1
-    rho = ket("udd").density()
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(t1)), (0, 1))
-    rho = apply_unitary(rho, forward_unitary(ForwardScatterParams(t2)), (0, 2))
+    rho = ket("udd")
+    rho = apply_unitary(rho, forward_unitary(t1), (0, 1))
+    rho = apply_unitary(rho, forward_unitary(t2), (0, 2))
     pops = np.real(np.diag(rho.mat))
     assert abs(pops[0b011] - math.cos(t1) ** 2 * math.cos(t2) ** 2) < 1e-12
     assert abs(pops[0b110] - math.cos(t1) ** 2 * math.sin(t2) ** 2) < 1e-12
@@ -118,7 +117,7 @@ def test_two_gate_populations():
 
 
 def test_partial_trace_bell_gives_mixed():
-    bell = PureState(np.array([0, 1, 1, 0]) / np.sqrt(2)).density()
+    bell = pure(np.array([0, 1, 1, 0]) / np.sqrt(2))
     reduced = partial_trace(bell, (0,))
     assert_allclose(reduced.mat, np.eye(2) / 2, atol=1e-15)
 
@@ -143,7 +142,7 @@ def test_partial_trace_keep_order():
 
 def test_partial_trace_empty_keep_raises():
     with pytest.raises(ValueError, match="nonempty"):
-        partial_trace(ket("ud").density(), ())
+        partial_trace(ket("ud"), ())
 
 
 def test_partial_trace_commutes_with_disjoint_channel():
@@ -174,7 +173,7 @@ def test_apply_two_qubit_channel():
 
 
 def test_full_dephasing_on_plus_gives_mixed():
-    plus = apply_unitary(ket("u").density(), HADAMARD, (0,))
+    plus = apply_unitary(ket("u"), HADAMARD, (0,))
     ch = KrausChannel([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * PAULI_Z])
     assert_allclose(apply_channel(plus, ch, (0,)).mat, np.eye(2) / 2, atol=1e-15)
 
@@ -196,23 +195,23 @@ def test_incomplete_kraus_set_rejected():
 
 
 def test_measure_up_state():
-    up, down = measure(ket("ud").density(), (0,))
+    up, down = measure(ket("ud"), (0,))
     assert up.probability == pytest.approx(1.0, abs=1e-12)
-    assert_allclose(up.state.mat, ket("d").density().mat, atol=1e-12)
+    assert_allclose(up.state.mat, ket("d").mat, atol=1e-12)
     assert down.probability == pytest.approx(0.0, abs=1e-12)
     assert down.state is None  # flagged, not renormalized garbage
 
 
 def test_measure_maximally_mixed():
     # qubit 1 of the classically correlated mixture follows the outcome on qubit 0
-    rho = DensityMatrix((ket("uu").density().mat + ket("dd").density().mat) / 2)
+    rho = DensityMatrix((ket("uu").mat + ket("dd").mat) / 2)
     for branch, spin in zip(measure(rho, (0,)), "ud"):
         assert branch.probability == pytest.approx(0.5, abs=1e-12)
-        assert_allclose(branch.state.mat, ket(spin).density().mat, atol=1e-12)
+        assert_allclose(branch.state.mat, ket(spin).mat, atol=1e-12)
 
 
 def test_measure_rejects_bad_targets():
-    rho = ket("uu").density()
+    rho = ket("uu")
     with pytest.raises(ValueError, match="duplicate"):
         measure(rho, (0, 0))
     with pytest.raises(ValueError, match="out of range"):
@@ -302,7 +301,7 @@ def test_stacked_validation_names_the_first_failing_index():
     with pytest.raises(ValueError, match=r"completeness within 1e-12 at stack index \(1,\)"):
         KrausChannel([np.stack([np.eye(2), 2.0 * np.eye(2)])])
     with pytest.raises(ValueError, match="single state"):
-        measure(tensor_dm(DensityMatrix(np.stack([good, good])), ket("u").density()), (0,))
+        measure(tensor_dm(DensityMatrix(np.stack([good, good])), ket("u")), (0,))
     assert DensityMatrix(np.stack([good, good])).purity().tolist() == [0.5, 0.5]
 
 
@@ -453,19 +452,6 @@ def test_completeness_tolerance_at_its_threshold(err, accepted):
                     KrausChannel([op])
 
 
-@pytest.mark.parametrize("err, accepted", _ABOVE_AND_BELOW)
-def test_norm_tolerance_at_its_threshold(err, accepted):
-    # a state vector has no stack axes; it is checked on 1 and on 6 qubits
-    for n in (1, 6):
-        vec = np.zeros(2**n, dtype=complex)
-        vec[1] = 1.0 + err
-        if accepted:
-            assert PureState(vec).n == n
-        else:
-            with pytest.raises(ValueError, match="norm .* differs from 1 beyond 1e-12$"):
-                PureState(vec)
-
-
 def test_output_memory_order_is_pinned():
     # the last bits of the seeded outputs depend on the memory order of each
     # op's output, since a matmul, a trace or an eigvalsh reads its operands in
@@ -533,14 +519,10 @@ def test_stacked_ops_equal_single_ops_bit_for_bit():
 
 
 def test_pure_state_validation():
-    with pytest.raises(ValueError, match="norm"):
-        PureState([1.0, 1.0])
-    with pytest.raises(ValueError, match="norm"):
-        PureState([math.nan, 0.0])
     with pytest.raises(ValueError, match="spin string"):
         ket("ux")
 
 
 def test_register_ceiling():
     with pytest.raises(ValueError, match="ceiling"):
-        PureState(np.eye(2**7)[0])
+        ket("u" * 7)

@@ -5,45 +5,47 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence
-from flyspin.qcore import PureState, apply_unitary, ket
+from flyspin.qcore import apply_unitary, ket
 from flyspin.scattering import (
-    ForwardScatterParams,
     FullScatterParams,
+    _gate_angle,
     forward_unitary,
     full_scatter,
     herald_transmission,
 )
 
-from helpers import random_density
+from helpers import pure, random_density
+
+# |ud> and |du> as vectors: 'u' is bit 0, 'd' bit 1, the first spin most significant
+UD, DU = np.eye(4, dtype=complex)[0b01], np.eye(4, dtype=complex)[0b10]
 
 MAGNETIZATION_2 = np.kron(np.diag([1.0, -1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([1.0, -1.0]))
 
 
 def test_zero_params_give_identity():
-    assert_allclose(forward_unitary(ForwardScatterParams(0.0)), np.eye(4), atol=1e-15)
+    assert_allclose(forward_unitary(0.0), np.eye(4), atol=1e-15)
 
 
 def test_swap_regime_maps_ud_to_du():
     # full exchange angle: |ud> goes to i |du>
-    u = forward_unitary(ForwardScatterParams(math.pi / 2.0))
-    out = u @ ket("ud").amplitudes
-    expected = 1j * ket("du").amplitudes
+    u = forward_unitary(math.pi / 2.0)
+    out = u @ UD
+    expected = 1j * DU
     assert_allclose(out, expected, atol=1e-12)
 
 
 def test_bell_angle_entangles_maximally():
-    u = forward_unitary(ForwardScatterParams(math.pi / 4.0))
-    out = u @ ket("ud").amplitudes
-    expected = (ket("ud").amplitudes + 1j * ket("du").amplitudes) / math.sqrt(2.0)
+    u = forward_unitary(math.pi / 4.0)
+    out = u @ UD
+    expected = (UD + 1j * DU) / math.sqrt(2.0)
     assert_allclose(out, expected, atol=1e-12)
-    assert concurrence(PureState(out).density()) == pytest.approx(1.0, abs=1e-10)
+    assert concurrence(pure(out)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unitarity_and_magnetization_1000_random():
     rng = np.random.default_rng(12)
     for _ in range(1000):
-        p = ForwardScatterParams(rng.uniform(-10, 10))
-        u = forward_unitary(p)
+        u = forward_unitary(rng.uniform(-10, 10))
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
         assert np.max(np.abs(u @ MAGNETIZATION_2 - MAGNETIZATION_2 @ u)) < 1e-10
 
@@ -51,7 +53,7 @@ def test_unitarity_and_magnetization_1000_random():
 def test_parallel_subspace_is_pure_phase():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        u = forward_unitary(ForwardScatterParams(rng.uniform(0, 7)))
+        u = forward_unitary(rng.uniform(0, 7))
         # no spin flips for parallel spins: parallel entries stay diagonal
         for idx in (0, 3):
             row = np.delete(u[idx], idx)
@@ -65,7 +67,7 @@ def test_from_phase_shifts():
     # the gate at t = (theta_T - theta_S)/2 has the singlet and triplet
     # eigenphases up to the global phase e^{i (theta_T + theta_S)/2}
     theta_s, theta_t = 0.4, 1.5
-    gate = forward_unitary(ForwardScatterParams((theta_t - theta_s) / 2.0))
+    gate = forward_unitary((theta_t - theta_s) / 2.0)
     u = np.exp(0.5j * (theta_t + theta_s)) * gate
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
     triplet0 = np.array([0, 1, 1, 0]) / np.sqrt(2)
@@ -74,12 +76,17 @@ def test_from_phase_shifts():
     assert_allclose(np.diag(u)[[0, 3]], np.exp(1j * theta_t), atol=1e-12)
 
 
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_angles_reduced_mod_two_pi():
-    p = ForwardScatterParams(2.0 * math.pi + 0.5)
-    assert p.theta == pytest.approx(0.5)
-    assert ForwardScatterParams(-0.25).theta == pytest.approx(2.0 * math.pi - 0.25)
+    # 2 pi + 0.5 reduces to 0.5 exactly, so the gate is the 0.5 gate bit for bit
+    assert (2.0 * math.pi + 0.5) % (2.0 * math.pi) == 0.5
+    assert _same_bits(forward_unitary(2.0 * math.pi + 0.5), forward_unitary(0.5))
+    assert _gate_angle(-0.25) == pytest.approx(2.0 * math.pi - 0.25)
     with pytest.raises(ValueError, match="finite"):
-        ForwardScatterParams(math.inf)
+        forward_unitary(math.inf)
 
 
 def test_stacked_gate_matches_math_library_bit_for_bit():
@@ -88,18 +95,19 @@ def test_stacked_gate_matches_math_library_bit_for_bit():
     # a scalar angle must still give a Python float phase
     rng = np.random.default_rng(7)
     theta = np.concatenate([rng.uniform(-20.0, 20.0, 3000), np.arange(-8, 9) * math.pi / 2.0])
-    p = ForwardScatterParams(theta)
     reduced = [t % (2.0 * math.pi) for t in theta.tolist()]
     expected = np.array(
         [(r, math.cos(r), math.sin(r), np.exp(1j * r).real, np.exp(1j * r).imag) for r in reduced]
     )
-    u = forward_unitary(p)
-    got = np.stack([p.theta, u[:, 1, 1].real, u[:, 1, 2].imag, u[:, 0, 0].real, u[:, 0, 0].imag], axis=1)
+    u = forward_unitary(theta)
+    got = np.stack(
+        [_gate_angle(theta), u[:, 1, 1].real, u[:, 1, 2].imag, u[:, 0, 0].real, u[:, 0, 0].imag], axis=1
+    )
     assert u.shape == (theta.size, 4, 4)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     for i in range(0, theta.size, 97):
-        single = ForwardScatterParams(float(theta[i]))
-        assert type(single.theta) is float and single.theta == reduced[i]
+        single = float(theta[i])
+        assert type(_gate_angle(single)) is float and _gate_angle(single) == reduced[i]
         assert np.array_equal(forward_unitary(single).view(np.uint64), u[i].view(np.uint64))
 
 
@@ -117,33 +125,32 @@ def test_no_reflection_limit_matches_forward_unitary():
         p_full = FullScatterParams(
             t_s=np.exp(1j * theta_s), r_s=0.0, t_t=np.exp(1j * theta_t), r_t=0.0
         )
-        # the global phase e^{i (theta_T + theta_S)/2} cancels in rho
-        p_fwd = ForwardScatterParams((theta_t - theta_s) / 2.0)
         rho = random_density(2, rng)
         prob, conditional = herald_transmission(full_scatter(rho, p_full))
         assert prob == pytest.approx(1.0, abs=1e-12)
-        expected = apply_unitary(rho, forward_unitary(p_fwd), (0, 1))
+        # the global phase e^{i (theta_T + theta_S)/2} cancels in rho
+        expected = apply_unitary(rho, forward_unitary((theta_t - theta_s) / 2.0), (0, 1))
         assert np.max(np.abs(conditional.mat - expected.mat)) < 1e-12
 
 
 def test_pure_triplet_transmitted_weight():
     p = FullScatterParams(t_s=1.0, r_s=0.0, t_t=math.sqrt(0.3), r_t=math.sqrt(0.7))
-    prob, conditional = herald_transmission(full_scatter(ket("uu").density(), p))
+    prob, conditional = herald_transmission(full_scatter(ket("uu"), p))
     assert prob == pytest.approx(0.3, abs=1e-12)
-    assert_allclose(conditional.mat, ket("uu").density().mat, atol=1e-12)
+    assert_allclose(conditional.mat, ket("uu").mat, atol=1e-12)
 
 
 def test_singlet_resonance_heralds_bell_pair_at_half():
     # antiparallel input at singlet resonance with full triplet blocking
     p = FullScatterParams(t_s=1.0, r_s=0.0, t_t=0.0, r_t=1.0)
-    prob, conditional = herald_transmission(full_scatter(ket("ud").density(), p))
+    prob, conditional = herald_transmission(full_scatter(ket("ud"), p))
     assert prob == pytest.approx(0.5, abs=1e-12)
     assert bell_fidelity(conditional, BellLabel.PSI_MINUS) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fully_blocked_triplet_flagged():
     p = FullScatterParams(t_s=1.0, r_s=0.0, t_t=0.0, r_t=1.0)
-    prob, conditional = herald_transmission(full_scatter(ket("uu").density(), p))
+    prob, conditional = herald_transmission(full_scatter(ket("uu"), p))
     assert prob == pytest.approx(0.0, abs=1e-12)
     assert conditional is None
 
