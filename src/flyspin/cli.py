@@ -279,14 +279,14 @@ _SUCCESS = np.array(
 )
 
 
-def _sample_success_flags(tree: ParityTree, trials: int, seed: int) -> list[bool]:
+def _sample_success_flags(tree: ParityTree, trials: int, seed: int) -> np.ndarray:
     """Born-sample two-round attempts from the exact branch tree, one stream per trial.
 
     Trial t draws from the first two uniforms of its (seed, t) stream, all
-    computed in one pass.
+    computed in one pass. Returns one bool per trial.
     """
     first, second = tree.sample(trial_uniforms(seed, range(trials), 0, 2))
-    return _SUCCESS[first, second].tolist()
+    return _SUCCESS[first, second]
 
 
 def cmd_eo_run(cfg: ExperimentConfig) -> int:

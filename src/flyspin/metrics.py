@@ -71,11 +71,11 @@ def bell_fidelity(rho: DensityMatrix, label: BellLabel) -> float:
     return float(np.real(v.conj() @ rho.mat @ v))
 
 
-def success_stats(outcomes: Sequence[bool]) -> tuple[float, float]:
-    """Sample mean and binomial standard error of a list of success flags."""
+def success_stats(outcomes: Sequence[bool] | np.ndarray) -> tuple[float, float]:
+    """Sample mean and binomial standard error of a list or array of success flags."""
     if len(outcomes) == 0:
         raise ValueError("outcome list is empty")
     n = len(outcomes)
-    p = sum(1 for o in outcomes if o) / n
+    p = int(np.count_nonzero(outcomes)) / n
     se = math.sqrt(p * (1.0 - p) / n)
     return p, se

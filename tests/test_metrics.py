@@ -89,5 +89,8 @@ def test_success_stats():
     p, se = success_stats([True, False, True, True])
     assert p == pytest.approx(0.75)
     assert se == pytest.approx(math.sqrt(0.75 * 0.25 / 4))
+    # a bool array gives the list's result bit for bit
+    flags = [bool(b) for b in np.random.default_rng(5).integers(0, 2, 997)]
+    assert success_stats(np.array(flags)) == success_stats(flags)
     with pytest.raises(ValueError, match="empty"):
         success_stats([])

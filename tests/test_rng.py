@@ -54,7 +54,15 @@ def test_seed_bounds():
         trial_rng(1, -1)
 
 
-TRIAL_SETS = ([0], [1], [7], [2**64 - 1], [9, 2, 2**64 - 1, 40, 2])  # the last is non-contiguous
+TRIAL_SETS = (
+    [0],
+    [1],
+    [7],
+    [2**64 - 1],
+    [9, 2, 2**64 - 1, 40, 2],  # non-contiguous
+    range(2**64 - 3, 2**64),
+    np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 - 1, 2**64 - 1])
@@ -86,6 +94,9 @@ def test_bulk_uniforms_range_checks():
         (-1, [0], 0, 1),
         (1, [0, 2**64], 0, 1),
         (1, [3, -1, 4], 0, 1),
+        (1, [np.int64(-1)], 0, 1),
+        (1, range(-1, 2), 0, 1),
+        (1, range(2**64 - 1, 2**64 + 1), 0, 1),
         (1, [0], -1, 1),
         (1, [0], 2**64, 1),
         (1, [0], 0, -1),
@@ -93,6 +104,11 @@ def test_bulk_uniforms_range_checks():
     ]:
         with pytest.raises(ValueError, match="64-bit"):
             trial_uniforms(*args)
+    # the message names the offending trial index
+    for trials, value in (([3, -1, 4], "-1"), ([0, 2**64], str(2**64)), (range(-1, 2), "-1")):
+        with pytest.raises(ValueError) as err:
+            trial_uniforms(1, trials, 0, 1)
+        assert str(err.value) == f"trial_index must be a 64-bit unsigned value, got {value}"
 
 
 def test_trial_streams_continue_past_the_head():
