@@ -285,7 +285,7 @@ def _sample_success_flags(tree: ParityTree, trials: int, seed: int) -> np.ndarra
     Trial t draws from the first two uniforms of its (seed, t) stream, all
     computed in one pass. Returns one bool per trial.
     """
-    first, second = tree.sample(trial_uniforms(seed, range(trials), 0, 2))
+    first, second = tree.sample(trial_uniforms(seed, trials, 2))
     return _SUCCESS[first, second]
 
 
@@ -331,7 +331,7 @@ def cmd_pump_sim(cfg: ExperimentConfig) -> int:
     rows = ["trial,rounds_to_target,pairs_consumed,converged"]
     rounds_converged: list[int] = []
     non_converged = 0
-    streams = trial_streams(cfg.seed, range(cfg.trials), PUMP_FIRST_BLOCK)
+    streams = trial_streams(cfg.seed, cfg.trials, PUMP_FIRST_BLOCK)
     for t, stream in enumerate(streams):
         traj = pump_until(cfg.eps_z, cfg.target_fidelity, cfg.max_rounds, stream)
         if traj.converged:

@@ -8,19 +8,20 @@ can be reproduced in isolation.
 
 A stream is a pure function of its key and counter (Salmon, Moraes, Dror &
 Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
-``trial_uniforms`` computes the uniforms of many trials in one vectorized
-pass instead of building a generator per trial. Stream position rule, as
-in numpy's ``philox.h``: uniform ``i`` of a stream is 64-bit word ``i``,
-word ``i`` is word ``i % 4`` of block ``j = i // 4``, and block ``j`` is
-Philox-4x64-10 of the counter ``(j + 1, 0, 0, 0)`` (numpy increments the
-counter before it computes each block). A uniform is
-``(word >> 11) * 2**-53``. ``trial_streams`` hands each trial its bulk
-first uniforms and continues a longer stream on the trial's own generator.
+``trial_uniforms`` computes the first uniforms of a run's trials 0 to
+n - 1 in one vectorized pass instead of building a generator per trial.
+Stream position rule, as in numpy's ``philox.h``: uniform ``i`` of a
+stream is 64-bit word ``i``, word ``i`` is word ``i % 4`` of block
+``j = i // 4``, and block ``j`` is Philox-4x64-10 of the counter
+``(j + 1, 0, 0, 0)`` (numpy increments the counter before it computes each
+block). A uniform is ``(word >> 11) * 2**-53``. ``trial_streams`` hands
+each trial its bulk first uniforms and continues a longer stream on the
+trial's own generator.
 
 The bulk pass runs every Philox round in place on arrays made once per
-chunk of ``_CHUNK`` blocks, so its temporaries are 160 bytes per block,
-2.6 MB for a full chunk, beside the 8-byte key of each trial. They are
-local to the call: the module holds no state between calls, only constants.
+chunk of ``_CHUNK`` blocks, keys included, so its temporaries are 160 bytes
+per block, 2.6 MB for a full chunk, at any trial count. They are local to
+the call: the module holds no state between calls, only constants.
 
 Reference draws, frozen as regression vectors (see tests):
 
@@ -34,6 +35,7 @@ Reference draws, frozen as regression vectors (see tests):
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -55,10 +57,12 @@ _CHUNK = 16384
 
 
 def _check_u64(name: str, value: int) -> int:
-    v = int(value)
-    if not (0 <= v < _U64):
-        raise ValueError(f"{name} must be a 64-bit unsigned value, got {value}")
-    return v
+    try:
+        if 0 <= (v := operator.index(value)) < _U64:
+            return v
+    except TypeError:  # not an integer, a float say: never truncated
+        pass
+    raise ValueError(f"{name} must be a 64-bit unsigned value, got {value}")
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -123,49 +127,34 @@ def _philox(counter: np.ndarray, seed: int, keys: np.ndarray, out: np.ndarray) -
         words, nxt = nxt, words
 
 
-def trial_uniforms(master_seed: int, trials: Sequence[int], start: int, count: int) -> np.ndarray:
-    """Uniforms ``start`` to ``start + count`` of every trial's stream, in one pass.
+def trial_uniforms(master_seed: int, trials: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of trials ``0`` to ``trials - 1``, in one pass.
 
-    Returns shape ``(len(trials), count)``; row ``r`` equals
-    ``trial_rng(master_seed, trials[r]).random(start + count)[start:]`` bit for
-    bit. Seed, trial indices, ``start`` and ``count`` must be 64-bit unsigned
-    values.
+    Returns shape ``(trials, count)``; row ``t`` equals
+    ``trial_rng(master_seed, t).random(count)`` bit for bit. Seed, ``trials``
+    and ``count`` must be 64-bit unsigned integers.
 
     Trials are computed in chunks of ``_CHUNK`` Philox blocks, or one trial
-    when its blocks are more. Each chunk makes its arrays once and runs the
-    rounds in place: twenty uint64 words a block, 2.6 MB for a full chunk
-    (``tracemalloc`` peak 2.76 MB at 16384 trials and one uniform, keys
-    included). Nothing is kept between calls.
+    when its blocks are more. Each chunk makes its keys and arrays once and
+    runs the rounds in place: twenty uint64 words a block, 2.6 MB for a full
+    chunk (``tracemalloc`` peak 2.76 MB at 16384 trials and one uniform).
+    Nothing is kept between calls.
     """
     seed = _check_u64("master_seed", master_seed)
-    keys = _trial_keys(trials)
-    first, offset = divmod(_check_u64("start", start), 4)
-    blocks = -(-(offset + _check_u64("count", count)) // 4)
-    counters = np.arange(blocks, dtype=np.uint64) + np.uint64(first + 1)
+    n, count = _check_u64("trials", trials), _check_u64("count", count)
+    blocks = -(-count // 4)
+    counters = np.arange(1, blocks + 1, dtype=np.uint64)
     rows = max(1, _CHUNK // max(blocks, 1))
-    out = np.empty((len(keys), count))
-    for lo in range(0, len(keys), rows):
-        chunk = keys[lo : lo + rows]
-        words = np.empty((len(chunk) * blocks, 4), dtype=np.uint64)
-        _philox(np.tile(counters, len(chunk)), seed, np.repeat(chunk, blocks), words)
+    out = np.empty((n, count))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        keys = np.repeat(np.arange(lo, hi, dtype=np.uint64), blocks)
+        words = np.empty((len(keys), 4), dtype=np.uint64)
+        _philox(np.tile(counters, hi - lo), seed, keys, words)
         np.right_shift(words, 11, out=words)
-        uniforms = words.reshape(len(chunk), blocks * 4)[:, offset : offset + count]
-        np.multiply(uniforms, 2.0**-53, out=out[lo : lo + len(chunk)])
+        uniforms = words.reshape(hi - lo, blocks * 4)[:, :count]
+        np.multiply(uniforms, 2.0**-53, out=out[lo:hi])
     return out
-
-
-def _trial_keys(trials: Sequence[int]) -> np.ndarray:
-    """The trial indices as uint64, each checked to be a 64-bit unsigned value.
-
-    The least and the greatest are checked before the conversion, since
-    ``np.fromiter`` would wrap a negative ``np.int64``, say; a ``range`` has
-    them at its ends, so it is not scanned.
-    """
-    if len(trials):
-        ranged = isinstance(trials, range)
-        for value in sorted((trials[0], trials[-1])) if ranged else (min(trials), max(trials)):
-            _check_u64("trial_index", value)
-    return np.fromiter(trials, dtype=np.uint64, count=len(trials))
 
 
 class _Stream:
@@ -193,11 +182,12 @@ class _Stream:
         return np.concatenate((out, rest)) if len(out) else rest
 
 
-def trial_streams(master_seed: int, trials: Sequence[int], head: int) -> list[_Stream]:
-    """One stream per trial, each equal to ``trial_rng(master_seed, t)`` read with ``random``.
+def trial_streams(master_seed: int, trials: int, head: int) -> list[_Stream]:
+    """One stream per trial ``0`` to ``trials - 1``, read with ``random``.
 
-    Every trial's first ``head`` uniforms come from one ``trial_uniforms`` call;
-    only a trial that reads past them builds its generator.
+    Stream ``t`` equals ``trial_rng(master_seed, t)``. Every trial's first
+    ``head`` uniforms come from one ``trial_uniforms`` call; only a trial that
+    reads past them builds its generator.
     """
-    rows = trial_uniforms(master_seed, trials, 0, head)
-    return [_Stream(master_seed, t, row) for t, row in zip(trials, rows)]
+    rows = trial_uniforms(master_seed, trials, head)
+    return [_Stream(master_seed, t, row) for t, row in enumerate(rows)]

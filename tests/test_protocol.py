@@ -495,7 +495,7 @@ def test_born_sample_matches_generator_choice(name):
     assert single == reference
     # a stack of uniforms draws every key at once; zero-weight branches never come up
     for seed in (3, 2**64 - 1):
-        first, second = tree.sample(trial_uniforms(seed, range(120), 0, 2))
+        first, second = tree.sample(trial_uniforms(seed, 120, 2))
         expected = [drawn for (s, _), drawn in zip(keys, reference) if s == seed]
         assert list(zip(first.tolist(), second.tolist())) == expected
         assert all(tree.draw1[i] > 0 and tree.draw2[i][j] > 0 for i, j in zip(first, second))
@@ -708,7 +708,7 @@ def test_pump_until_syndromes_are_pinned():
     for (eps_z, target, max_rounds), seed, trials, pinned in PINNED_WALKS:
         _, _, floor = _pump_lattice(fresh_pair_fidelity(eps_z), target, max_rounds)
         digest = hashlib.sha256()
-        for t, stream in enumerate(trial_streams(seed, range(trials), PUMP_FIRST_BLOCK)):
+        for t, stream in enumerate(trial_streams(seed, trials, PUMP_FIRST_BLOCK)):
             traj = pump_until(eps_z, target, max_rounds, stream)
             assert (traj.syndromes, traj.converged) == _scalar_walk(
                 eps_z, target, max_rounds, trial_rng(seed, t)

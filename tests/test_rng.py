@@ -52,66 +52,80 @@ def test_seed_bounds():
         trial_rng(2**64, 0)
     with pytest.raises(ValueError, match="64-bit"):
         trial_rng(1, -1)
-
-
-TRIAL_SETS = (
-    [0],
-    [1],
-    [7],
-    [2**64 - 1],
-    [9, 2, 2**64 - 1, 40, 2],  # non-contiguous
-    range(2**64 - 3, 2**64),
-    np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
-)
+    # a float is refused, never truncated to a neighbouring stream
+    for seed, trial in ((7.9, 0), (7.0, 0), (7, 0.0), (7, np.float64(3))):
+        with pytest.raises(ValueError, match="64-bit"):
+            trial_rng(seed, trial)
+    # numpy integers are integers
+    expected = trial_rng(7, 3).random(4)
+    for seed, trial in ((np.uint64(7), np.int64(3)), (np.int64(7), np.uint64(3))):
+        assert np.array_equal(trial_rng(seed, trial).random(4), expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 - 1, 2**64 - 1])
 def test_bulk_uniforms_equal_trial_rng_bit_for_bit(seed):
-    for trials in TRIAL_SETS:
-        streams = [trial_rng(seed, t).random(1039 + 33) for t in trials]
-        for start in (0, 1, 3, 5, 16, 1039):
-            for count in (0, 1, 2, 3, 4, 5, 7, 8, 9, 33):  # across 4-word block boundaries
-                bulk = trial_uniforms(seed, trials, start, count)
-                assert bulk.shape == (len(trials), count)
-                expected = np.array([s[start : start + count] for s in streams]).reshape(bulk.shape)
-                assert np.array_equal(bulk.view(np.uint64), expected.view(np.uint64))
+    counts = (0, 1, 2, 3, 4, 5, 7, 8, 9, 33, 1072)  # across 4-word block boundaries
+    for trials in (0, 1, 2, 5):
+        streams = [trial_rng(seed, t).random(max(counts)) for t in range(trials)]
+        for count in counts:
+            bulk = trial_uniforms(seed, trials, count)
+            assert bulk.shape == (trials, count)
+            expected = np.array([s[:count] for s in streams]).reshape(bulk.shape)
+            assert np.array_equal(bulk.view(np.uint64), expected.view(np.uint64))
 
 
 def test_bulk_uniforms_cross_the_chunk_size():
-    words = 4 * rng_module._CHUNK
-    # one trial longer than a chunk, and three trials whose blocks together exceed one
-    for trials, start, count in (([5], 3, words + 6), ([0, 11, 2**64 - 1], 2, words // 3 + 1)):
-        bulk = trial_uniforms(2**64 - 1, trials, start, count)
-        for row, t in zip(bulk, trials):
-            assert np.array_equal(row, trial_rng(2**64 - 1, t).random(start + count)[start:])
-    assert trial_uniforms(1, range(3 * rng_module._CHUNK), 0, 1).shape == (3 * rng_module._CHUNK, 1)
-    assert trial_uniforms(1, [], 5, 3).shape == (0, 3)
+    chunk = rng_module._CHUNK
+    # two trials each longer than a chunk, and three whose blocks together exceed one
+    for trials, count in ((2, 4 * chunk + 6), (3, 4 * chunk // 3 + 1)):
+        bulk = trial_uniforms(2**64 - 1, trials, count)
+        for t, row in enumerate(bulk):
+            assert np.array_equal(row, trial_rng(2**64 - 1, t).random(count))
+    # many one-block trials: three full chunks, and one row past a full chunk
+    assert trial_uniforms(1, 3 * chunk, 1).shape == (3 * chunk, 1)
+    bulk = trial_uniforms(1, chunk + 1, 2)
+    for t in (0, chunk - 1, chunk):
+        assert np.array_equal(bulk[t], trial_rng(1, t).random(2))
+    assert trial_uniforms(1, 0, 3).shape == (0, 3)
 
 
 def test_bulk_uniforms_range_checks():
     for args in [
-        (2**64, [0], 0, 1),
-        (-1, [0], 0, 1),
-        (1, [0, 2**64], 0, 1),
-        (1, [3, -1, 4], 0, 1),
-        (1, [np.int64(-1)], 0, 1),
-        (1, range(-1, 2), 0, 1),
-        (1, range(2**64 - 1, 2**64 + 1), 0, 1),
-        (1, [0], -1, 1),
-        (1, [0], 2**64, 1),
-        (1, [0], 0, -1),
-        (1, [0], 0, 2**64),
+        (2**64, 1, 1),
+        (-1, 1, 1),
+        (1.9, 1, 1),
+        (1, -1, 1),
+        (1, 2**64, 1),
+        (1, 2.0, 1),
+        (1, np.float64(2), 1),
+        (1, 1, -1),
+        (1, 1, 2**64),
+        (1, 1, 2.0),
+        (1, 1, np.float64(2)),
     ]:
         with pytest.raises(ValueError, match="64-bit"):
             trial_uniforms(*args)
-    # the message names the offending trial index
-    for trials, value in (([3, -1, 4], "-1"), ([0, 2**64], str(2**64)), (range(-1, 2), "-1")):
+    # the message names the argument and the offending value
+    for args, message in (
+        ((-1, 1, 1), "master_seed must be a 64-bit unsigned value, got -1"),
+        ((1, -1, 1), "trials must be a 64-bit unsigned value, got -1"),
+        ((1, 2.0, 1), "trials must be a 64-bit unsigned value, got 2.0"),
+        ((1, 1, 2**64), f"count must be a 64-bit unsigned value, got {2**64}"),
+    ):
         with pytest.raises(ValueError) as err:
-            trial_uniforms(1, trials, 0, 1)
-        assert str(err.value) == f"trial_index must be a 64-bit unsigned value, got {value}"
+            trial_uniforms(*args)
+        assert str(err.value) == message
+    # numpy integers are integers
+    bulk = trial_uniforms(np.uint64(1), np.int64(3), np.uint64(2))
+    assert np.array_equal(bulk, trial_uniforms(1, 3, 2))
+    assert np.array_equal(trial_uniforms(np.int64(1), np.uint64(3), np.int64(2)), bulk)
 
 
 def test_trial_streams_continue_past_the_head():
-    for t, stream in zip((4, 2**64 - 1), trial_streams(13, (4, 2**64 - 1), 16)):
-        reads = [stream.random(n) for n in (5, 11, 3, 1024, 0, 2)]
-        assert np.array_equal(np.concatenate(reads), trial_rng(13, t).random(5 + 11 + 3 + 1024 + 2))
+    for seed in (13, 2**64 - 1):
+        streams = trial_streams(seed, 3, 16)
+        assert len(streams) == 3
+        for t, stream in enumerate(streams):
+            reads = [stream.random(n) for n in (5, 11, 3, 1024, 0, 2)]
+            expected = trial_rng(seed, t).random(5 + 11 + 3 + 1024 + 2)
+            assert np.array_equal(np.concatenate(reads), expected)
