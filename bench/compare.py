@@ -6,9 +6,10 @@ Prints, per workload, the NEW/OLD ratio of each end-to-end metric of the
 untraced runs and marks a metric that is worse than its bound in this
 checkout's ``BENCHMARK.json``. Errors: a run that exited nonzero or has no
 result, ``failed`` above 0, ``correct: false`` (with the run's
-``checks``), and output digests that differ between OLD and NEW in any
-batch that both ran. Exits 1 if any breach or error was found, else 0.
-Uses only the standard library.
+``checks``), output digests that differ between OLD and NEW in any
+batch that both ran, and a workload or traced run in only one file.
+Exits 1 if any breach or error was found, else 0. Uses only the standard
+library.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def main() -> int:
                 f"({metric['better']} is better) {mark}"
             )
     for key in sorted(old.keys() ^ new.keys()):
-        print(f"{key[0]} trace={key[1]}: in only one file")
+        problems.append(f"{key[0]} trace={key[1]}: in {'OLD' if key in old else 'NEW'} only")
     for problem in problems:
         print(f"ERROR {problem}")
     return 1 if problems else 0

@@ -17,6 +17,12 @@ reproduces the run, and another command rejects it. Randomness comes from
 per-trial Philox streams keyed by (seed, trial index), so reruns are
 byte-identical and independent of any parallel scheduling.
 
+A command writes nothing: ``run(cfg, out)`` returns its stdout text, file
+text and exit code. ``main`` alone runs the exit sequence: compute, write
+``<out>`` (``--out`` or the command's default; ``chain-demo`` has none),
+write ``<out>.config``, print, return the code. A failed write exits 1
+with empty stdout.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime or numerical
 error, 3 non-convergence (pump-sim only).
 """
@@ -27,6 +33,7 @@ import math
 import re
 import statistics
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -230,25 +237,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
-
-
-def _echo_config(cfg: ExperimentConfig, out_path: str) -> None:
+def _write_outputs(cfg: ExperimentConfig, out: str, text: str) -> None:
+    """Write ``text`` to ``out``, then the run's config echo to ``<out>.config``."""
     pairs = [("command", cfg.command)]
     for key in _COMMANDS[cfg.command].keys:
         value = getattr(cfg, key)
         if isinstance(value, float):
             value = _fmt(value)
         pairs.append((key, "" if value is None else str(value)))
-    text = "\n".join(f"{k} = {v}" for k, v in sorted(pairs)) + "\n"
-    _write_text(out_path + ".config", text)
+    echo = "\n".join(f"{k} = {v}" for k, v in sorted(pairs)) + "\n"
+    for path, body in ((out, text), (out + ".config", echo)):
+        try:
+            Path(path).write_text(body)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
+def cmd_sweep_concurrence(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
     """Concurrence surface over the (theta1, theta2) grid, theta1-major order.
 
     ``resource_rows`` runs the first leg once over the theta1 grid and builds
@@ -266,11 +271,7 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig) -> int:
         head, tail = _fmt(t1), f"{_fmt(p2)},{herald}"
         for t2, c, p1 in zip(theta2_texts, concurrence(rho).tolist(), p1_row.tolist()):
             rows.append(f"{head},{t2},{c:.17g},{p1:.17g},{tail}")
-    out = cfg.out or "sweep.csv"
-    _write_text(out, "\n".join(rows) + "\n")
-    _echo_config(cfg, out)
-    print(f"wrote {len(rows) - 1} rows to {out}")
-    return 0
+    return f"wrote {len(rows) - 1} rows to {out}", "\n".join(rows) + "\n", 0
 
 
 # success of each (round-one index, round-two index) outcome pair
@@ -289,7 +290,7 @@ def _sample_success_flags(tree: ParityTree, trials: int, seed: int) -> np.ndarra
     return _SUCCESS[first, second]
 
 
-def cmd_eo_run(cfg: ExperimentConfig) -> int:
+def cmd_eo_run(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
     """One entanglement operation: exact statistics plus optional sampling."""
     noise = cfg.noise()
     theta1, theta2 = cfg.angle("theta1"), cfg.angle("theta2")
@@ -316,57 +317,43 @@ def cmd_eo_run(cfg: ExperimentConfig) -> int:
         metrics.append(("success_prob_mc_se", se))
     report = ["entanglement operation report"]
     report += [f"  {name} = {_fmt(value)}" for name, value in metrics]
-    print("\n".join(report))
-    out = cfg.out or "eo_run.csv"
     csv_text = "metric,value\n" + "\n".join(f"{name},{_fmt(value)}" for name, value in metrics) + "\n"
-    _write_text(out, csv_text)
-    _echo_config(cfg, out)
-    return 0
+    return "\n".join(report), csv_text, 0
 
 
-def cmd_pump_sim(cfg: ExperimentConfig) -> int:
-    """Seeded pumping trials; per-trial CSV rows plus a summary."""
+def cmd_pump_sim(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
+    """Seeded pumping trials; per-trial CSV rows plus a summary, exit 3 if none converges."""
     if cfg.trials < 1:
         raise ConfigError("pump-sim needs trials >= 1")
     rows = ["trial,rounds_to_target,pairs_consumed,converged"]
     rounds_converged: list[int] = []
-    non_converged = 0
     streams = trial_streams(cfg.seed, cfg.trials, PUMP_FIRST_BLOCK)
     for t, stream in enumerate(streams):
         traj = pump_until(cfg.eps_z, cfg.target_fidelity, cfg.max_rounds, stream)
         if traj.converged:
             rounds_converged.append(traj.rounds)
-        else:
-            non_converged += 1
         rows.append(f"{t},{traj.rounds},{traj.pairs_consumed},{int(traj.converged)}")
-    out = cfg.out or "pump_sim.csv"
-    _write_text(out, "\n".join(rows) + "\n")
-    _echo_config(cfg, out)
     lines = [
         "pump simulation summary",
         f"  trials = {cfg.trials}",
-        f"  non_converged = {non_converged}",
+        f"  non_converged = {cfg.trials - len(rounds_converged)}",
     ]
     if rounds_converged:
+        mean = statistics.fmean(rounds_converged)
         lines += [
-            f"  mean_rounds = {_fmt(statistics.fmean(rounds_converged))}",
+            f"  mean_rounds = {_fmt(mean)}",
             f"  std_rounds = {_fmt(statistics.pstdev(rounds_converged))}",
             f"  median_rounds = {_fmt(statistics.median(rounds_converged))}",
-            f"  mean_pairs_consumed = {_fmt(statistics.fmean(rounds_converged) + 1.0)}",
+            f"  mean_pairs_consumed = {_fmt(mean + 1.0)}",
         ]
-        hist: dict[int, int] = {}
-        for r in rounds_converged:
-            hist[r] = hist.get(r, 0) + 1
-        for r in sorted(hist):
-            lines.append(f"  rounds={r}: {hist[r]}")
-    print("\n".join(lines))
-    if non_converged == cfg.trials:
-        print("no trial reached the target fidelity")
-        return 3
-    return 0
+        hist = Counter(rounds_converged)
+        lines += [f"  rounds={r}: {hist[r]}" for r in sorted(hist)]
+    else:
+        lines.append("no trial reached the target fidelity")
+    return "\n".join(lines), "\n".join(rows) + "\n", 0 if rounds_converged else 3
 
 
-def cmd_chain_demo(cfg: ExperimentConfig) -> int:
+def cmd_chain_demo(cfg: ExperimentConfig, out: Optional[str]) -> tuple[str, str, int]:
     """Selective operation on a chain; spectator and conservation diagnostics."""
     theta1, theta2 = cfg.angle("theta1"), cfg.angle("theta2")
     try:
@@ -391,30 +378,29 @@ def cmd_chain_demo(cfg: ExperimentConfig) -> int:
     for idx, purity in rep.spectator_purities:
         lines.append(f"  spectator_{idx}_purity = {_fmt(purity)}")
     text = "\n".join(lines)
-    print(text)
-    if cfg.out:
-        _write_text(cfg.out, text + "\n")
-        _echo_config(cfg, cfg.out)
-    return 0
+    return text, text + "\n", 0
 
 
 class _Command(NamedTuple):
-    run: Callable[[ExperimentConfig], int]
+    run: Callable[[ExperimentConfig, Optional[str]], tuple[str, str, int]]  # stdout, file, code
     keys: tuple[str, ...]  # the config keys the command reads, each also a --flag
+    out: Optional[str]  # the file written without --out; None writes none
     help: str
 
 
 _NOISE_KEYS = ("eps_init", "eps_z", "eps_relax")
 _COMMANDS = {
     "sweep-concurrence": _Command(cmd_sweep_concurrence, ("theta1", "theta2", *_NOISE_KEYS, "out"),
+                                  "sweep.csv",
                                   "concurrence of the generated resource over an angle grid"),
     "eo-run": _Command(cmd_eo_run, ("theta1", "theta2", *_NOISE_KEYS, "trials", "seed", "out"),
+                       "eo_run.csv",
                        "single entanglement-operation report with exact and sampled statistics"),
     "pump-sim": _Command(cmd_pump_sim,
                          ("eps_z", "trials", "seed", "target_fidelity", "max_rounds", "out"),
-                         "Monte Carlo entanglement-pumping trajectories"),
+                         "pump_sim.csv", "Monte Carlo entanglement-pumping trajectories"),
     "chain-demo": _Command(cmd_chain_demo, ("theta1", "theta2", "chain_size", "target_pair", "out"),
-                           "selective operation on a chain of static qubits"),
+                           None, "selective operation on a chain of static qubits"),
 }
 
 
@@ -473,7 +459,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if flags is None:
             print(_usage(command))
             return 0
-        return _COMMANDS[command].run(_resolve(command, flags))
+        cfg, spec = _resolve(command, flags), _COMMANDS[command]
+        out = cfg.out or spec.out
+        stdout_text, file_text, code = spec.run(cfg, out)
+        if out:
+            _write_outputs(cfg, out, file_text)
+        print(stdout_text)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -93,3 +93,10 @@ def test_each_problem_fails_with_its_error(tmp_path, spoil, expected):
     spoil(new["runs"][0])
     code, errors = _compare(tmp_path, new)
     assert (code, errors) == (1, [expected])
+
+
+def test_a_run_in_only_one_record_fails(tmp_path):
+    new = copy.deepcopy(BASE)
+    del new["runs"][1]
+    code, errors = _compare(tmp_path, new)
+    assert (code, errors) == (1, ["ERROR eo trace=1: in OLD only"])

@@ -260,6 +260,38 @@ def test_perfbench_tracer_self_test_passes():
     assert tracer.self_test(layers, [flyspin, *layers.values()]) == []
 
 
+def _perfbench_module(name, monkeypatch):
+    # perfbench modules import no flyspin; registered so that their dataclasses resolve
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_batch_zero_passes_its_oracles(tmp_path, monkeypatch, capsys):
+    # batch 0 of every benchmark workload at both benchmark seeds, untraced, through main:
+    # each invocation exits 0 and its outputs pass the workload's independent oracle
+    workloads = _perfbench_module("workloads", monkeypatch)
+    oracles = _perfbench_module("oracles", monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    failures = []
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in (workloads.DEFAULT_SEED, workloads.HOLDOUT_SEED):
+            for inv in workload.batch(seed, 0):
+                paths = {"csv": inv.out, "config": f"{inv.out}.config"} if inv.out else {}
+                for path in paths.values():
+                    Path(path).unlink(missing_ok=True)
+                code = main(inv.argv)
+                stdout = capsys.readouterr().out
+                files = {kind: Path(path).read_bytes() for kind, path in paths.items()}
+                check = oracles.ORACLES[inv.command]
+                errors = check(inv.params, stdout, files) if code == 0 else [f"exit {code}"]
+                failures += [f"{name} {seed} {inv.argv}: {error}" for error in errors]
+    assert failures == []
+
+
 def test_config_echoes_match_pinned_values(tmp_path, monkeypatch):
     # one .config per command, recorded from an earlier version: the keys in
     # sorted order, floats with 17 significant digits, the out path as given
@@ -607,8 +639,27 @@ def test_single_angle_check_builds_no_grid(monkeypatch, capsys):
     assert "expects a single angle" in capsys.readouterr().err
 
 
-def test_unwritable_output_path(tmp_path):
-    assert run("eo-run", "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")) == 1
+def test_unwritable_output_path(tmp_path, capsys):
+    # an output that cannot be written exits 1 with empty stdout and names its path: an --out
+    # in a missing directory (every command; no .config appears), or a <out>.config that is a
+    # directory (the file written just before it stays)
+    missing = tmp_path / "no" / "such" / "dir" / "x.csv"
+    blocked = tmp_path / "eo.csv"
+    Path(f"{blocked}.config").mkdir()
+    cases = [
+        (["sweep-concurrence", "--theta1", "0:1:3", "--theta2", "0:1:3"], missing, missing),
+        (["eo-run"], missing, missing),
+        (["pump-sim", "--trials", "2"], missing, missing),
+        (["chain-demo"], missing, missing),
+        (["eo-run"], blocked, f"{blocked}.config"),
+    ]
+    for argv, out, named in cases:
+        assert run(*argv, "--out", str(out)) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith(f"config error: cannot write output file {named}: "), argv
+    assert not Path(f"{missing}.config").exists()
+    assert blocked.exists()
 
 
 def test_grid_steps_ceiling_is_checked_at_the_config_boundary(tmp_path, capsys):
