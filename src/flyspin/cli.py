@@ -21,7 +21,7 @@ A command writes nothing: ``run(cfg, out)`` returns its stdout text, file
 text and exit code. ``main`` alone runs the exit sequence: compute, write
 ``<out>`` (``--out`` or the command's default; ``chain-demo`` has none),
 write ``<out>.config``, print, return the code. A failed write exits 1
-with empty stdout.
+with empty stdout and leaves neither file.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or numerical
 error, 3 non-convergence (pump-sim only).
@@ -29,7 +29,9 @@ error, 3 non-convergence (pump-sim only).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 import statistics
 import sys
@@ -43,7 +45,6 @@ import numpy as np
 from .channels import NoiseParams
 from .metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from .protocol import (
-    PUMP_FIRST_BLOCK,
     ROUND_OUTCOMES,
     ParityTree,
     _check_chain,
@@ -74,7 +75,7 @@ _MAX_STEPS = math.isqrt(int(_SWEEP_BUDGET_S / _SWEEP_POINT_S))
 # budget, at the peak bytes per unit measured with tracemalloc (README): a pump-sim or
 # eo-run trial, and a round of the pump-sim lattice table (2 max_rounds + 1 sites)
 _MEMORY_BUDGET_B = 500_000_000
-_TRIAL_B = {"eo-run": 37, "pump-sim": 610}
+_TRIAL_B = {"eo-run": 37, "pump-sim": 106}
 _ROUND_B = 136
 _MAX_TRIALS = {command: _MEMORY_BUDGET_B // cost for command, cost in _TRIAL_B.items()}
 _MAX_ROUNDS = _MEMORY_BUDGET_B // _ROUND_B
@@ -238,7 +239,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_outputs(cfg: ExperimentConfig, out: str, text: str) -> None:
-    """Write ``text`` to ``out``, then the run's config echo to ``<out>.config``."""
+    """Write ``text`` to ``out`` and the run's config echo to ``<out>.config``, both or neither.
+
+    Both go to temporary files beside them, moved into place with ``os.replace``,
+    the ``.config`` first; a failure removes what it wrote and names the path.
+    """
     pairs = [("command", cfg.command)]
     for key in _COMMANDS[cfg.command].keys:
         value = getattr(cfg, key)
@@ -246,11 +251,20 @@ def _write_outputs(cfg: ExperimentConfig, out: str, text: str) -> None:
             value = _fmt(value)
         pairs.append((key, "" if value is None else str(value)))
     echo = "\n".join(f"{k} = {v}" for k, v in sorted(pairs)) + "\n"
-    for path, body in ((out, text), (out + ".config", echo)):
-        try:
-            Path(path).write_text(body)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    config = out + ".config"
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in (out, config)}
+    moved = []
+    try:
+        for path, body in ((out, text), (config, echo)):
+            Path(temps[path]).write_text(body)
+        for path in (config, out):
+            os.replace(temps[path], path)
+            moved.append(path)
+    except OSError as exc:
+        for leftover in (*temps.values(), *moved):
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def cmd_sweep_concurrence(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
@@ -327,8 +341,7 @@ def cmd_pump_sim(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
         raise ConfigError("pump-sim needs trials >= 1")
     rows = ["trial,rounds_to_target,pairs_consumed,converged"]
     rounds_converged: list[int] = []
-    streams = trial_streams(cfg.seed, cfg.trials, PUMP_FIRST_BLOCK)
-    for t, stream in enumerate(streams):
+    for t, stream in enumerate(trial_streams(cfg.seed, cfg.trials)):
         traj = pump_until(cfg.eps_z, cfg.target_fidelity, cfg.max_rounds, stream)
         if traj.converged:
             rounds_converged.append(traj.rounds)

@@ -393,8 +393,8 @@ def _pump_lattice(
 
 
 # most walks converge within about ten rounds, so the first block of
-# uniforms is small (pump-sim computes every trial's first block in bulk);
-# later blocks bound the memory of long walks
+# uniforms is small and keeps a short walk's draw cheap; later blocks bound
+# the memory of long walks
 PUMP_FIRST_BLOCK = 16
 _BLOCK = 1024
 
@@ -424,9 +424,8 @@ def pump_until(
     to the first round that reaches the floor; above it the walk steps one
     round at a time. Either way the syndromes are those of the
     round-at-a-time walk. The uniforms are read with ``rng.random(size)``,
-    first ``PUMP_FIRST_BLOCK`` of them and then 1024 at a time, so ``rng``
-    may also be a stream from ``flyspin.rng.trial_streams``; the state of
-    ``rng`` afterwards is unspecified. ``max_rounds`` must be an integer
+    first ``PUMP_FIRST_BLOCK`` of them and then 1024 at a time; the state
+    of ``rng`` afterwards is unspecified. ``max_rounds`` must be an integer
     (``operator.index``).
     """
     if not (0.0 <= target_fidelity < 1.0):

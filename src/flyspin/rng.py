@@ -14,9 +14,11 @@ Stream position rule, as in numpy's ``philox.h``: uniform ``i`` of a
 stream is 64-bit word ``i``, word ``i`` is word ``i % 4`` of block
 ``j = i // 4``, and block ``j`` is Philox-4x64-10 of the counter
 ``(j + 1, 0, 0, 0)`` (numpy increments the counter before it computes each
-block). A uniform is ``(word >> 11) * 2**-53``. ``trial_streams`` hands
-each trial its bulk first uniforms and continues a longer stream on the
-trial's own generator.
+block). A uniform is ``(word >> 11) * 2**-53``. For the same reason
+``trial_streams`` serves any number of trials from one generator: it
+re-keys that generator to ``(master_seed, t)`` at counter 0 before trial
+``t``, so each trial reads its own stream once, in order, and a run holds
+one stream at a time.
 
 The bulk pass runs every Philox round in place on arrays made once per
 chunk of ``_CHUNK`` blocks, keys included, so its temporaries are 160 bytes
@@ -36,7 +38,7 @@ Reference draws, frozen as regression vectors (see tests):
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -51,8 +53,8 @@ _W1 = 0xBB67AE8584CAA73B
 _ROUNDS = 10
 
 # Philox blocks per vectorized pass (at least one trial's worth): a
-# 10k-trial eo-run (one block a trial) and a 2500-trial pump-sim head (four)
-# each take one pass, and the temporaries stay bounded at any trial count
+# 10k-trial eo-run (one block a trial) takes one pass, and the temporaries
+# stay bounded at any trial count
 _CHUNK = 16384
 
 
@@ -157,37 +159,21 @@ def trial_uniforms(master_seed: int, trials: int, count: int) -> np.ndarray:
     return out
 
 
-class _Stream:
-    """The uniforms of one trial's stream in order, read with ``random(size)``.
+def trial_streams(master_seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """The streams of trials ``0`` to ``trials - 1``, in order, from one generator.
 
-    The first ones come from ``head``; later ones from the trial's own
-    generator, advanced past the head.
+    Stream ``t`` reads as ``trial_rng(master_seed, t)``: before yielding it,
+    the one Philox generator is re-keyed to ``(master_seed, t)`` at counter 0
+    with an empty buffer. Each stream is valid until the next one is drawn.
+    Seed and ``trials`` are checked at the call, as in ``trial_uniforms``.
     """
+    seed, n = _check_u64("master_seed", master_seed), _check_u64("trials", trials)
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    stream, fresh = np.random.Generator(bits), bits.state  # counter 0, buffer_pos 4: empty
 
-    def __init__(self, master_seed: int, trial_index: int, head: np.ndarray) -> None:
-        self._key = (master_seed, trial_index)
-        self._head = head
-        self._pos = 0
-        self._tail: np.random.Generator | None = None
+    def rekeyed(t: int) -> np.random.Generator:
+        fresh["state"]["key"][1] = t
+        bits.state = fresh  # copied in, so ``fresh`` stays at counter 0
+        return stream
 
-    def random(self, size: int) -> np.ndarray:
-        out = self._head[self._pos : self._pos + size]
-        self._pos += len(out)
-        if len(out) == size:
-            return out
-        if self._tail is None:
-            self._tail = trial_rng(*self._key)
-            self._tail.random(len(self._head))  # skip the words the head holds
-        rest = self._tail.random(size - len(out))
-        return np.concatenate((out, rest)) if len(out) else rest
-
-
-def trial_streams(master_seed: int, trials: int, head: int) -> list[_Stream]:
-    """One stream per trial ``0`` to ``trials - 1``, read with ``random``.
-
-    Stream ``t`` equals ``trial_rng(master_seed, t)``. Every trial's first
-    ``head`` uniforms come from one ``trial_uniforms`` call; only a trial that
-    reads past them builds its generator.
-    """
-    rows = trial_uniforms(master_seed, trials, head)
-    return [_Stream(master_seed, t, row) for t, row in enumerate(rows)]
+    return map(rekeyed, range(n))

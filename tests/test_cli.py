@@ -8,13 +8,14 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flyspin
-from flyspin.cli import _MAX_ROUNDS, _MAX_STEPS, _MAX_TRIALS, _resolve, main
+from flyspin.cli import _MAX_ROUNDS, _MAX_STEPS, _MAX_TRIALS, _TRIAL_B, _resolve, main
 from flyspin.metrics import concurrence
 from flyspin.protocol import generate_resource
 from flyspin.qcore import DensityMatrix
@@ -641,17 +642,21 @@ def test_single_angle_check_builds_no_grid(monkeypatch, capsys):
 
 def test_unwritable_output_path(tmp_path, capsys):
     # an output that cannot be written exits 1 with empty stdout and names its path: an --out
-    # in a missing directory (every command; no .config appears), or a <out>.config that is a
-    # directory (the file written just before it stays)
+    # in a missing directory (every command), a <out>.config that is a directory, or an <out>
+    # that is one (its .config, moved into place first, is taken back); no run leaves its file,
+    # its .config or a temporary file behind
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     blocked = tmp_path / "eo.csv"
     Path(f"{blocked}.config").mkdir()
+    is_dir = tmp_path / "dir.csv"
+    is_dir.mkdir()
     cases = [
         (["sweep-concurrence", "--theta1", "0:1:3", "--theta2", "0:1:3"], missing, missing),
         (["eo-run"], missing, missing),
         (["pump-sim", "--trials", "2"], missing, missing),
         (["chain-demo"], missing, missing),
         (["eo-run"], blocked, f"{blocked}.config"),
+        (["pump-sim", "--trials", "2"], is_dir, is_dir),
     ]
     for argv, out, named in cases:
         assert run(*argv, "--out", str(out)) == 1, argv
@@ -659,7 +664,9 @@ def test_unwritable_output_path(tmp_path, capsys):
         assert captured.out == "", argv
         assert captured.err.startswith(f"config error: cannot write output file {named}: "), argv
     assert not Path(f"{missing}.config").exists()
-    assert blocked.exists()
+    assert not blocked.exists() and Path(f"{blocked}.config").is_dir()
+    assert not Path(f"{is_dir}.config").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.csv", "eo.csv.config"]
 
 
 def test_grid_steps_ceiling_is_checked_at_the_config_boundary(tmp_path, capsys):
@@ -693,6 +700,23 @@ def test_trials_and_max_rounds_ceilings_are_checked_at_the_config_boundary(tmp_p
         assert f"{key}: {ceiling + 1} is above the " in err and f"ceiling of {ceiling}\n" in err
         assert getattr(_resolve(command, {key: str(ceiling)}), key) == ceiling
     assert not out.exists()
+
+
+def test_pump_sim_peak_memory_stays_within_its_cost_per_trial(tmp_path, capsys):
+    # the trials ceiling is the memory budget over this cost, so a whole run, write included,
+    # must fit it: the walks share one re-keyed generator and only the CSV rows grow with trials
+    out = tmp_path / "pump.csv"
+    argv = ["pump-sim", "--eps-z", "0.089", "--seed", "1", "--out", str(out)]
+    assert run(*argv, "--trials", "2") == 0  # imports and first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        assert run(*argv, "--trials", "5000") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5000 * _TRIAL_B["pump-sim"]
+    assert len(out.read_text().splitlines()) == 5001
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pump.csv", "pump.csv.config"]
 
 
 def test_unknown_flag_exits_one(capsys):

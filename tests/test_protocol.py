@@ -708,7 +708,7 @@ def test_pump_until_syndromes_are_pinned():
     for (eps_z, target, max_rounds), seed, trials, pinned in PINNED_WALKS:
         _, _, floor = _pump_lattice(fresh_pair_fidelity(eps_z), target, max_rounds)
         digest = hashlib.sha256()
-        for t, stream in enumerate(trial_streams(seed, trials, PUMP_FIRST_BLOCK)):
+        for t, stream in enumerate(trial_streams(seed, trials)):
             traj = pump_until(eps_z, target, max_rounds, stream)
             assert (traj.syndromes, traj.converged) == _scalar_walk(
                 eps_z, target, max_rounds, trial_rng(seed, t)

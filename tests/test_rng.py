@@ -121,11 +121,27 @@ def test_bulk_uniforms_range_checks():
     assert np.array_equal(trial_uniforms(np.int64(1), np.uint64(3), np.int64(2)), bulk)
 
 
-def test_trial_streams_continue_past_the_head():
+def test_trial_streams_read_as_trial_rng_in_order():
+    # each stream, read in uneven pieces before the next is drawn, is its
+    # trial's stream bit for bit: the key, the counter and the buffer are
+    # all reset between trials (1045 uniforms leave a block part-read)
+    reads = (5, 11, 3, 1024, 0, 2)
     for seed in (13, 2**64 - 1):
-        streams = trial_streams(seed, 3, 16)
-        assert len(streams) == 3
-        for t, stream in enumerate(streams):
-            reads = [stream.random(n) for n in (5, 11, 3, 1024, 0, 2)]
-            expected = trial_rng(seed, t).random(5 + 11 + 3 + 1024 + 2)
-            assert np.array_equal(np.concatenate(reads), expected)
+        drawn = 0
+        for t, stream in enumerate(trial_streams(seed, 3)):
+            got = np.concatenate([stream.random(n) for n in reads])
+            assert np.array_equal(got, trial_rng(seed, t).random(sum(reads))), (seed, t)
+            drawn += 1
+        assert drawn == 3
+    assert list(trial_streams(13, 0)) == []
+
+
+def test_trial_streams_check_their_arguments_at_the_call():
+    # the checks run when the streams are asked for, not at the first next()
+    for args, message in (
+        ((1.0, 3), "master_seed must be a 64-bit unsigned value, got 1.0"),
+        ((1, -1), "trials must be a 64-bit unsigned value, got -1"),
+    ):
+        with pytest.raises(ValueError) as err:
+            trial_streams(*args)
+        assert str(err.value) == message
