@@ -45,8 +45,6 @@ import numpy as np
 from .channels import NoiseParams
 from .metrics import BellLabel, bell_fidelity, concurrence, success_stats
 from .protocol import (
-    ROUND_OUTCOMES,
-    ParityTree,
     _check_chain,
     chain_report,
     corrected_rho,
@@ -288,22 +286,6 @@ def cmd_sweep_concurrence(cfg: ExperimentConfig, out: str) -> tuple[str, str, in
     return f"wrote {len(rows) - 1} rows to {out}", "\n".join(rows) + "\n", 0
 
 
-# success of each (round-one index, round-two index) outcome pair
-_SUCCESS = np.array(
-    [[ParityTree.is_success(first, second) for second in ROUND_OUTCOMES] for first in ROUND_OUTCOMES]
-)
-
-
-def _sample_success_flags(tree: ParityTree, trials: int, seed: int) -> np.ndarray:
-    """Born-sample two-round attempts from the exact branch tree, one stream per trial.
-
-    Trial t draws from the first two uniforms of its (seed, t) stream, all
-    computed in one pass. Returns one bool per trial.
-    """
-    first, second = tree.sample(trial_uniforms(seed, trials, 2))
-    return _SUCCESS[first, second]
-
-
 def cmd_eo_run(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
     """One entanglement operation: exact statistics plus optional sampling."""
     noise = cfg.noise()
@@ -325,7 +307,8 @@ def cmd_eo_run(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
         value = bell_fidelity(success_state, label) if success_state is not None else math.nan
         metrics.append((f"success_fidelity_{label.value}", value))
     if cfg.trials > 0:
-        flags = _sample_success_flags(tree, cfg.trials, cfg.seed)
+        # trial t draws from the first two uniforms of its (seed, t) stream
+        flags = tree.sample_success(trial_uniforms(cfg.seed, cfg.trials, 2))
         estimate, se = success_stats(flags)
         metrics.append(("success_prob_mc", estimate))
         metrics.append(("success_prob_mc_se", se))

@@ -37,7 +37,8 @@ exactly. Complementary even outcomes herald the odd-parity projector
 directly; complementary odd outcomes herald the even-parity projector,
 which the recorded bit-flip correction on the first ancilla turns into
 the odd projection for the standard |++> input. Summing the four heralds
-gives success probability P1 P2 / 2 at any angles.
+gives success probability P1 P2 / 2 at any angles. ``ParityTree`` owns
+that success rule and Born-samples successes from its own branches.
 
 Entanglement pumping consumes a stream of such heralded pairs to purify
 one stored pair. Syndrome "even" (probability F f + (1-F)(1-f)) updates
@@ -203,11 +204,6 @@ def _parity_round(ancillas: DensityMatrix, resource_rho: DensityMatrix) -> _Roun
     return tuple(measure(joint, (2, 3)))
 
 
-def _born(branches: _Round) -> np.ndarray:
-    probs = np.array([b.probability if b.state is not None else 0.0 for b in branches])
-    return probs / probs.sum()
-
-
 @dataclass(frozen=True)
 class ParityTree:
     """Exact two-round branch tree of one parity projection attempt.
@@ -215,16 +211,13 @@ class ParityTree:
     ``first[i]`` is the round-one branch for outcome pair
     ``ROUND_OUTCOMES[i]`` and ``second[i]`` its four round-two branches,
     empty when the round-one branch fell below the zero-probability cut.
-    ``draw1`` and ``draw2[i]`` are the matching Born vectors, normalized once
-    over the kept branches, so a cut branch is never drawn.
     ``truncated_mass`` is the total probability of the leaves cut off at
     ``ZERO_PROBABILITY_ATOL``; with the kept leaves it sums to one.
+    ``leaves``, ``sample`` and ``sample_success`` all read the branches.
     """
 
     first: _Round
     second: tuple[_Round, ...]
-    draw1: np.ndarray
-    draw2: tuple[Optional[np.ndarray], ...]
     truncated_mass: float
 
     @staticmethod
@@ -245,25 +238,39 @@ class ParityTree:
         Returns the outcome indices (into ``ROUND_OUTCOMES``) of both rounds,
         each of shape ``u.shape[:-1]``. Round k draws
         ``searchsorted(cumsum(p) / cumsum(p)[-1], u[..., k], side="right")``
-        on its Born vector p, which is what ``Generator.choice(4, p=p)`` draws
-        from the same uniform, so a zero-weight branch is never drawn.
+        on the Born vector p of the branches it draws from, which is what
+        ``Generator.choice(4, p=p)`` draws from the same uniform, so a cut
+        branch is never drawn.
         """
         u = np.asarray(u, dtype=float)
-        first = np.searchsorted(_cdf(self.draw1), u[..., 0], side="right")
+        first = np.searchsorted(_cdf(self.first), u[..., 0], side="right")
         second = np.zeros_like(first)
-        for i, p in enumerate(self.draw2):
+        for i, branches in enumerate(self.second):
             drawn = first == i
             if np.any(drawn):
-                second[drawn] = np.searchsorted(_cdf(p), u[..., 1][drawn], side="right")
+                second[drawn] = np.searchsorted(_cdf(branches), u[..., 1][drawn], side="right")
         return first, second
 
+    def sample_success(self, u: np.ndarray) -> np.ndarray:
+        """Whether each ``sample(u)`` draw is a success, one bool per row of ``u``."""
+        return _SUCCESS[self.sample(u)]
 
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """Normalized cumulative weights; rejects the weights ``Generator.choice`` rejects."""
-    p = np.asarray(p, dtype=float)
+
+# success of each (round-one index, round-two index) outcome pair
+_SUCCESS = np.array(
+    [[ParityTree.is_success(first, second) for second in ROUND_OUTCOMES] for first in ROUND_OUTCOMES]
+)
+
+
+def _cdf(branches: _Round) -> np.ndarray:
+    """Normalized cumulative Born weights of a round, a cut branch weighing 0.
+
+    Rejects the weights ``Generator.choice`` rejects, before dividing by them.
+    """
+    p = np.array([b.probability if b.state is not None else 0.0 for b in branches])
     if not (np.all(np.isfinite(p)) and np.all(p >= 0.0) and p.sum() > 0.0):
         raise ValueError(f"Born weights must be finite, non-negative and not all zero, got {p}")
-    cdf = np.cumsum(p)
+    cdf = np.cumsum(p / p.sum())
     return cdf / cdf[-1]
 
 
@@ -290,10 +297,7 @@ def parity_tree(rho: DensityMatrix, ancillas: DensityMatrix | None = None) -> Pa
         b1.probability * b2.probability
         for b1, branches in zip(first, second) for b2 in branches if b2.state is None
     )
-    draw2 = tuple(_born(branches) if branches else None for branches in second)
-    return ParityTree(
-        first=first, second=second, draw1=_born(first), draw2=draw2, truncated_mass=truncated
-    )
+    return ParityTree(first=first, second=second, truncated_mass=truncated)
 
 
 def parity_success_output(tree: ParityTree) -> tuple[float, Optional[DensityMatrix]]:
@@ -337,11 +341,6 @@ class PumpTrajectory:
     def rounds(self) -> int:
         """Pump rounds performed, whether or not the target was reached."""
         return len(self.syndromes)
-
-    @property
-    def rounds_to_target(self) -> Optional[int]:
-        """Pump rounds performed before reaching the target (None if never)."""
-        return self.rounds if self.converged else None
 
     @property
     def pairs_consumed(self) -> int:
@@ -395,7 +394,7 @@ def _pump_lattice(
 # most walks converge within about ten rounds, so the first block of
 # uniforms is small and keeps a short walk's draw cheap; later blocks bound
 # the memory of long walks
-PUMP_FIRST_BLOCK = 16
+_FIRST_BLOCK = 16
 _BLOCK = 1024
 
 
@@ -423,10 +422,9 @@ def pump_until(
     takes the rest of the current block of uniforms in one numpy pass, up
     to the first round that reaches the floor; above it the walk steps one
     round at a time. Either way the syndromes are those of the
-    round-at-a-time walk. The uniforms are read with ``rng.random(size)``,
-    first ``PUMP_FIRST_BLOCK`` of them and then 1024 at a time; the state
-    of ``rng`` afterwards is unspecified. ``max_rounds`` must be an integer
-    (``operator.index``).
+    round-at-a-time walk. The uniforms are read in order with
+    ``rng.random(size)``; the state of ``rng`` afterwards is unspecified.
+    ``max_rounds`` must be an integer (``operator.index``).
     """
     if not (0.0 <= target_fidelity < 1.0):
         raise ValueError(f"target fidelity must lie in [0, 1), got {target_fidelity}")
@@ -445,7 +443,7 @@ def pump_until(
         # fresh >= 1/2 for every eps_z, so the fidelity grows with the site
         p_even, stop, floor = _pump_lattice(fresh, target_fidelity, max_rounds)
         floor = min(floor, stop)  # on a table flat past the target the bulk pass stops there
-        site, block, append = max_rounds, PUMP_FIRST_BLOCK, syndromes.append
+        site, block, append = max_rounds, _FIRST_BLOCK, syndromes.append
         while site < stop and len(syndromes) < max_rounds:
             u = rng.random(min(block, max_rounds - len(syndromes)))
             block, i = _BLOCK, 0
@@ -459,7 +457,7 @@ def pump_until(
                     syndromes += even[:n].tobytes()
                     site, i = int(path[n - 1]), i + n
                     continue
-                for x in u[i : i + PUMP_FIRST_BLOCK].tolist():
+                for x in u[i : i + _FIRST_BLOCK].tolist():
                     i += 1
                     if x < p_even[site]:
                         site += 1

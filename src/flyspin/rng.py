@@ -16,9 +16,11 @@ stream is 64-bit word ``i``, word ``i`` is word ``i % 4`` of block
 ``(j + 1, 0, 0, 0)`` (numpy increments the counter before it computes each
 block). A uniform is ``(word >> 11) * 2**-53``. For the same reason
 ``trial_streams`` serves any number of trials from one generator: it
-re-keys that generator to ``(master_seed, t)`` at counter 0 before trial
-``t``, so each trial reads its own stream once, in order, and a run holds
-one stream at a time.
+builds ``trial_rng(master_seed, 0)`` and re-keys it to ``(master_seed, t)``
+at counter 0 before trial ``t``, so each trial reads its own stream once,
+in order, and a run holds one stream at a time. ``trial_rng`` is thus both
+the definition of a trial's stream and the one place a keyed Philox
+generator is built.
 
 The bulk pass runs every Philox round in place on arrays made once per
 chunk of ``_CHUNK`` blocks, keys included, so its temporaries are 160 bytes
@@ -162,14 +164,15 @@ def trial_uniforms(master_seed: int, trials: int, count: int) -> np.ndarray:
 def trial_streams(master_seed: int, trials: int) -> Iterator[np.random.Generator]:
     """The streams of trials ``0`` to ``trials - 1``, in order, from one generator.
 
-    Stream ``t`` reads as ``trial_rng(master_seed, t)``: before yielding it,
-    the one Philox generator is re-keyed to ``(master_seed, t)`` at counter 0
-    with an empty buffer. Each stream is valid until the next one is drawn.
-    Seed and ``trials`` are checked at the call, as in ``trial_uniforms``.
+    Stream ``t`` reads as ``trial_rng(master_seed, t)``: the one generator
+    is ``trial_rng(master_seed, 0)``, and before yielding stream ``t`` it is
+    re-keyed to ``(master_seed, t)`` at counter 0 with an empty buffer. Each
+    stream is valid until the next one is drawn. Seed and ``trials`` are
+    checked at the call, as in ``trial_uniforms``.
     """
-    seed, n = _check_u64("master_seed", master_seed), _check_u64("trials", trials)
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    stream, fresh = np.random.Generator(bits), bits.state  # counter 0, buffer_pos 4: empty
+    stream = trial_rng(master_seed, 0)
+    n, bits = _check_u64("trials", trials), stream.bit_generator
+    fresh = bits.state  # counter 0, buffer_pos 4: empty
 
     def rekeyed(t: int) -> np.random.Generator:
         fresh["state"]["key"][1] = t

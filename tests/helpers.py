@@ -145,6 +145,13 @@ def parity_leaves_dense(rho, ancillas, atol: float = 1e-12):
     return first, second, truncated
 
 
+def born_weights(branches) -> np.ndarray:
+    """Born weights of one round of ``MeasurementBranch``es, a cut branch (no state)
+    weighing 0, normalized to sum to 1 as ``Generator.choice`` needs."""
+    probs = np.array([b.probability if b.state is not None else 0.0 for b in branches])
+    return probs / probs.sum()
+
+
 def random_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     d = 2**n_qubits
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

@@ -26,7 +26,7 @@ from flyspin.protocol import (
     _pump_lattice,
 )
 from flyspin.qcore import PAULI_Z
-from flyspin.rng import trial_rng
+from flyspin.rng import trial_rng, trial_uniforms
 from flyspin.scattering import FullScatterParams, full_scatter, herald_transmission
 from flyspin.qcore import ket
 
@@ -99,9 +99,7 @@ def test_criterion_04_parity_projection_success_probability():
     exact = parity_success_output(parity_tree(res))[0]
     assert abs(exact - 0.5) < 1e-12
     # Born-sampled estimate from per-trial streams
-    from flyspin.cli import _sample_success_flags
-
-    flags = _sample_success_flags(parity_tree(res), 10_000, seed=314159)
+    flags = parity_tree(res).sample_success(trial_uniforms(314159, 10_000, 2))
     estimate, se = success_stats(flags)
     assert abs(estimate - exact) <= 3.0 * se
     _report(4, f"max |Ps - P1P2/2| = {worst:.2e}; MC {estimate:.4f} vs exact 0.5 (se {se:.4f})")
@@ -167,7 +165,7 @@ def test_criterion_07_pumping_convergence():
     for t in range(10_000):
         traj = pump_until(0.089, 1.0 - 1e-4, 1000, trial_rng(90210, t))
         if traj.converged:
-            rounds.append(traj.rounds_to_target)
+            rounds.append(traj.rounds)
         else:
             non_converged += 1
     mean_rounds = statistics.fmean(rounds)

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from flyspin.channels import NoiseParams
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence
 from flyspin.protocol import (
-    PUMP_FIRST_BLOCK,
+    ROUND_OUTCOMES,
     ParityTree,
     chain_report,
     corrected_rho,
@@ -25,12 +25,20 @@ from flyspin.protocol import (
     _lattice_fidelity,
     _pump_lattice,
 )
-from flyspin.qcore import PAULI_X, ZERO_PROBABILITY_ATOL, DensityMatrix, apply_unitary, ket
+from flyspin.qcore import (
+    PAULI_X,
+    ZERO_PROBABILITY_ATOL,
+    DensityMatrix,
+    MeasurementBranch,
+    apply_unitary,
+    ket,
+)
 from flyspin.rng import trial_rng, trial_streams, trial_uniforms
 from flyspin.scattering import _gate_angle
 
 from helpers import (
     bell_state,
+    born_weights,
     closed_form_resource,
     parity_leaves_dense,
     pump_exact,
@@ -485,28 +493,40 @@ SAMPLED_TREES = {
 @pytest.mark.parametrize("name", sorted(SAMPLED_TREES))
 def test_born_sample_matches_generator_choice(name):
     tree = parity_tree(generate_resource(*SAMPLED_TREES[name]))
+    born1, born2 = born_weights(tree.first), [born_weights(b) if b else None for b in tree.second]
     keys = [(seed, t) for seed in (3, 2**64 - 1) for t in range(120)]
     reference = []
     for seed, t in keys:
         rng = trial_rng(seed, t)
-        i = int(rng.choice(4, p=tree.draw1))
-        reference.append((i, int(rng.choice(4, p=tree.draw2[i]))))
+        i = int(rng.choice(4, p=born1))
+        reference.append((i, int(rng.choice(4, p=born2[i]))))
     single = [tuple(int(k) for k in tree.sample(trial_rng(s, t).random(2))) for s, t in keys]
     assert single == reference
     # a stack of uniforms draws every key at once; zero-weight branches never come up
     for seed in (3, 2**64 - 1):
-        first, second = tree.sample(trial_uniforms(seed, 120, 2))
+        u = trial_uniforms(seed, 120, 2)
+        first, second = tree.sample(u)
         expected = [drawn for (s, _), drawn in zip(keys, reference) if s == seed]
         assert list(zip(first.tolist(), second.tolist())) == expected
-        assert all(tree.draw1[i] > 0 and tree.draw2[i][j] > 0 for i, j in zip(first, second))
+        assert all(born1[i] > 0 and born2[i][j] > 0 for i, j in zip(first, second))
+        success = [ParityTree.is_success(ROUND_OUTCOMES[i], ROUND_OUTCOMES[j]) for i, j in expected]
+        assert tree.sample_success(u).tolist() == success
+
+
+def _branches(probs, cut=()):
+    """One round of branches with these probabilities; the indices in ``cut`` are cut."""
+    kept = DensityMatrix(np.eye(4) / 4)
+    return tuple(MeasurementBranch(p, None if i in cut else kept) for i, p in enumerate(probs))
 
 
 def test_born_sample_never_draws_a_cut_branch_at_a_zero_uniform():
-    # trial_uniforms can return exactly 0.0; with a zero-weight first branch
-    # the draw must skip it, as Generator.choice does (searchsorted side="right")
-    cut_first = np.array([0.0, 0.5, 0.5, 0.0])
-    tree = ParityTree(first=(), second=(), draw1=cut_first,
-                      draw2=(None, cut_first, None, None), truncated_mass=0.0)
+    # trial_uniforms can return exactly 0.0; a cut first branch keeps its
+    # probability below the cut, as measure does, and the draw must skip it,
+    # as Generator.choice does with a zero weight (searchsorted side="right")
+    probs, cut = (ZERO_PROBABILITY_ATOL / 2, 0.5, 0.5, ZERO_PROBABILITY_ATOL / 4), (0, 3)
+    round_two = _branches(probs, cut)
+    tree = ParityTree(first=_branches(probs, cut), second=((), round_two, round_two, ()),
+                      truncated_mass=0.0)
     first, second = tree.sample(np.array([0.0, 0.0]))
     assert (int(first), int(second)) == (1, 1)
 
@@ -516,11 +536,10 @@ def test_born_sample_rejects_bad_weights():
     u = np.array([0.1, 0.7])
     for bad in ([np.nan, 0.5, 0.25, 0.25], [-0.25, 0.75, 0.25, 0.25], [np.inf, 0, 0, 0], [0.0] * 4):
         with pytest.raises(ValueError, match="Born weights"):
-            dataclasses.replace(tree, draw1=np.array(bad)).sample(u)
-    # a drawn round-two vector is checked too
-    draw2 = (np.array([0.5, -0.5, 0.5, 0.5]),) * 4
-    with pytest.raises(ValueError, match="Born weights"):
-        dataclasses.replace(tree, draw2=draw2).sample(u)
+            dataclasses.replace(tree, first=_branches(bad)).sample(u)
+        # a drawn round-two round is checked too
+        with pytest.raises(ValueError, match="Born weights"):
+            dataclasses.replace(tree, second=(_branches(bad),) * 4).sample(u)
 
 
 def test_parity_rejects_wrong_sized_ancillas():
@@ -593,7 +612,7 @@ def test_forced_even_sequence_is_monotone():
 def test_pump_until_converges_at_round_zero_without_noise():
     traj = pump_until(0.0, 1.0 - 1e-4, 100, trial_rng(1, 0))
     assert traj.converged
-    assert traj.rounds_to_target == 0
+    assert traj.rounds == 0
     assert traj.pairs_consumed == 1
 
 
@@ -618,7 +637,6 @@ def test_pump_until_trajectory_structure():
 def test_pump_until_marks_nonconvergence():
     traj = pump_until(0.4, 1.0 - 1e-9, 3, trial_rng(2, 0))
     assert not traj.converged
-    assert traj.rounds_to_target is None
     assert traj.rounds == 3
 
 
@@ -660,17 +678,20 @@ def test_pump_lattice_floor_is_the_first_entry_that_differs():
 
 
 def _scalar_walk(eps_z, target, max_rounds, rng):
-    """Reference walk: one round at a time on the table of ``_pump_lattice``."""
+    """Reference walk: one round at a time on the table of ``_pump_lattice``.
+
+    Uniform i of a stream is its word i however the stream is read, so the
+    reference reads ``rng`` in blocks of its own.
+    """
     p_even, stop, _ = _pump_lattice(fresh_pair_fidelity(eps_z), target, max_rounds)
-    syndromes, site, block = bytearray(), max_rounds, PUMP_FIRST_BLOCK
+    syndromes, site = bytearray(), max_rounds
     while site < stop and len(syndromes) < max_rounds:
-        for u in rng.random(min(block, max_rounds - len(syndromes))).tolist():
+        for u in rng.random(min(100, max_rounds - len(syndromes))).tolist():
             even = u < p_even[site]
             site += 1 if even else -1
             syndromes.append(even)
             if site == stop:
                 break
-        block = 1024
     return bytes(syndromes), site == stop
 
 
@@ -773,7 +794,7 @@ def test_pump_until_matches_exact_chain():
     for t in range(n):
         traj = pump_until(eps_z, target, max_rounds, trial_rng(90210, t))
         if traj.converged:
-            rounds.append(traj.rounds_to_target)
+            rounds.append(traj.rounds)
         else:
             assert traj.rounds == max_rounds
     p = exact["p_not_converged"]
