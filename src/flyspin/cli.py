@@ -153,9 +153,12 @@ def _parse_angle(text: str) -> tuple[float, float, Optional[int]]:
 
 
 def _angle_spec(text: str) -> str:
-    """An angle spec, checked but kept as text: grids are built on use."""
+    """An angle spec, checked but kept as text: grids are built on use.
+
+    The text is kept stripped, as its ``.config`` echo reads back.
+    """
     _parse_angle(text)
-    return text
+    return text.strip()
 
 
 # every config key: how its text converts to the ExperimentConfig field, and its flag help
@@ -308,7 +311,7 @@ def cmd_eo_run(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
         metrics.append((f"success_fidelity_{label.value}", value))
     if cfg.trials > 0:
         # trial t draws from the first two uniforms of its (seed, t) stream
-        flags = tree.sample_success(trial_uniforms(cfg.seed, cfg.trials, 2))
+        flags = tree.sample_success(trial_uniforms(cfg.seed, cfg.trials))
         estimate, se = success_stats(flags)
         metrics.append(("success_prob_mc", estimate))
         metrics.append(("success_prob_mc_se", se))

@@ -73,6 +73,7 @@ from .qcore import (
     KrausChannel,
     MeasurementBranch,
     PAULI_X,
+    ZERO_PROBABILITY_ATOL,
     apply_channel,
     apply_unitary,
     ket,
@@ -84,8 +85,6 @@ from .qcore import (
     _require,
 )
 from .scattering import _gate_angle, forward_unitary
-
-_SEPARABLE_ATOL = 1e-12
 
 # control is the first of the two targets; flips the target when the control is down
 CNOT = np.array(
@@ -316,7 +315,7 @@ def parity_success_output(tree: ParityTree) -> tuple[float, Optional[DensityMatr
                 anc = apply_unitary(anc, PAULI_X, (0,))
             branches.append((prob, anc))
     total = sum(prob for prob, _ in branches)
-    if total <= _SEPARABLE_ATOL:
+    if total <= ZERO_PROBABILITY_ATOL:
         return 0.0, None
     pooled = sum(prob * anc.mat for prob, anc in branches) / total
     return total, DensityMatrix(pooled)

@@ -177,18 +177,16 @@ class DensityMatrix:
         return f"DensityMatrix(n={self._n})"
 
 
-def tensor_dm(*parts: DensityMatrix) -> DensityMatrix:
-    """Tensor product of density matrices, first argument most significant.
+def tensor_dm(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Tensor product of two density matrices, ``a`` on the more significant qubits.
 
-    The stack axes of the parts broadcast.
+    The stack axes of ``a`` and ``b`` broadcast; each state of the result is
+    ``np.kron`` of the two states at its stack index.
     """
-    out = np.array([[1.0 + 0.0j]])
-    for p in parts:
-        # np.kron of the last two axes: entry (i k, j l) is out[i, j] * p[k, l]
-        prod = out[..., :, None, :, None] * p.mat[..., None, :, None, :]
-        d = out.shape[-1] * p.mat.shape[-1]
-        out = prod.reshape(prod.shape[:-4] + (d, d))
-    return DensityMatrix(out)
+    # np.kron of the last two axes: entry (i k, j l) is a[i, j] * b[k, l]
+    prod = a.mat[..., :, None, :, None] * b.mat[..., None, :, None, :]
+    d = a.mat.shape[-1] * b.mat.shape[-1]
+    return DensityMatrix(prod.reshape(prod.shape[:-4] + (d, d)))
 
 
 def _check_targets(targets: Sequence[int], n: int) -> tuple[int, ...]:

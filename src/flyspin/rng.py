@@ -7,25 +7,26 @@ results never depend on execution order or thread scheduling and any trial
 can be reproduced in isolation.
 
 A stream is a pure function of its key and counter (Salmon, Moraes, Dror &
-Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
-``trial_uniforms`` computes the first uniforms of a run's trials 0 to
-n - 1 in one vectorized pass instead of building a generator per trial.
-Stream position rule, as in numpy's ``philox.h``: uniform ``i`` of a
-stream is 64-bit word ``i``, word ``i`` is word ``i % 4`` of block
-``j = i // 4``, and block ``j`` is Philox-4x64-10 of the counter
-``(j + 1, 0, 0, 0)`` (numpy increments the counter before it computes each
-block). A uniform is ``(word >> 11) * 2**-53``. For the same reason
-``trial_streams`` serves any number of trials from one generator: it
-builds ``trial_rng(master_seed, 0)`` and re-keys it to ``(master_seed, t)``
-at counter 0 before trial ``t``, so each trial reads its own stream once,
-in order, and a run holds one stream at a time. ``trial_rng`` is thus both
-the definition of a trial's stream and the one place a keyed Philox
-generator is built.
+Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11). Stream
+position rule, as in numpy's ``philox.h``: uniform ``i`` of a stream is
+64-bit word ``i``, word ``i`` is word ``i % 4`` of block ``j = i // 4``,
+and block ``j`` is Philox-4x64-10 of the counter ``(j + 1, 0, 0, 0)``
+(numpy increments the counter before it computes each block). A uniform
+is ``(word >> 11) * 2**-53``. So ``trial_uniforms`` computes block 0 of
+trials 0 to n - 1 in one vectorized pass instead of building a generator
+per trial, and its words 0 and 1 are the two uniforms ``eo-run`` draws a
+trial. For the same reason ``trial_streams`` serves any number of trials
+from one generator: it builds ``trial_rng(master_seed, 0)`` and re-keys it
+to ``(master_seed, t)`` at counter 0 before trial ``t``, so each trial
+reads its own stream once, in order, and a run holds one stream at a time.
+``trial_rng`` is thus both the definition of a trial's stream and the one
+place a keyed Philox generator is built.
 
 The bulk pass runs every Philox round in place on arrays made once per
-chunk of ``_CHUNK`` blocks, keys included, so its temporaries are 160 bytes
-per block, 2.6 MB for a full chunk, at any trial count. They are local to
-the call: the module holds no state between calls, only constants.
+chunk of ``_CHUNK`` trials, keys included, so its temporaries are 152
+bytes per trial, 2.5 MB for a full chunk, at any trial count. They are
+local to the call: the module holds no state between calls, only
+constants.
 
 Reference draws, frozen as regression vectors (see tests):
 
@@ -54,9 +55,8 @@ _W0 = 0x9E3779B97F4A7C15
 _W1 = 0xBB67AE8584CAA73B
 _ROUNDS = 10
 
-# Philox blocks per vectorized pass (at least one trial's worth): a
-# 10k-trial eo-run (one block a trial) takes one pass, and the temporaries
-# stay bounded at any trial count
+# trials per vectorized pass, one Philox block each: a 10k-trial eo-run
+# takes one pass, and the temporaries stay bounded at any trial count
 _CHUNK = 16384
 
 
@@ -105,16 +105,16 @@ def _mulhilo(
     hi += cross
 
 
-def _philox(counter: np.ndarray, seed: int, keys: np.ndarray, out: np.ndarray) -> None:
-    """Write Philox-4x64-10 of counters (counter, 0, 0, 0) under keys (seed, keys) into out.
+def _philox(seed: int, keys: np.ndarray, out: np.ndarray) -> None:
+    """Write Philox-4x64-10 of the counter (1, 0, 0, 0) under keys (seed, keys) into out.
 
     ``out`` has shape (n, 4). Each round reads one set of four words and
     writes the next into a second set; the last round writes into out.
     """
-    n = len(counter)
+    n = len(keys)
     hi0, hi1, k1, *scratch = np.empty((6, n), dtype=np.uint64)
     words, nxt = np.zeros((4, n), dtype=np.uint64), np.empty((4, n), dtype=np.uint64)
-    words[0] = counter
+    words[0] = 1
     for r in range(_ROUNDS):
         # the key gets (W0, W1) added before rounds 2 to 10
         k0 = np.uint64((seed + r * _W0) % _U64)
@@ -131,33 +131,27 @@ def _philox(counter: np.ndarray, seed: int, keys: np.ndarray, out: np.ndarray) -
         words, nxt = nxt, words
 
 
-def trial_uniforms(master_seed: int, trials: int, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of trials ``0`` to ``trials - 1``, in one pass.
+def trial_uniforms(master_seed: int, trials: int) -> np.ndarray:
+    """The first two uniforms of trials ``0`` to ``trials - 1``, in one pass.
 
-    Returns shape ``(trials, count)``; row ``t`` equals
-    ``trial_rng(master_seed, t).random(count)`` bit for bit. Seed, ``trials``
-    and ``count`` must be 64-bit unsigned integers.
+    Returns shape ``(trials, 2)``; row ``t`` equals
+    ``trial_rng(master_seed, t).random(2)`` bit for bit, words 0 and 1 of
+    the stream's first Philox block, one uniform per round of the parity
+    gadget. Seed and ``trials`` must be 64-bit unsigned integers.
 
-    Trials are computed in chunks of ``_CHUNK`` Philox blocks, or one trial
-    when its blocks are more. Each chunk makes its keys and arrays once and
-    runs the rounds in place: twenty uint64 words a block, 2.6 MB for a full
-    chunk (``tracemalloc`` peak 2.76 MB at 16384 trials and one uniform).
-    Nothing is kept between calls.
+    Trials are computed in chunks of ``_CHUNK``. Each chunk makes its keys
+    and arrays once and runs the rounds in place: nineteen uint64 words a
+    trial, 2.5 MB for a full chunk (``tracemalloc`` peak 2.76 MB at 16384
+    trials, the 262 kB result included). Nothing is kept between calls.
     """
-    seed = _check_u64("master_seed", master_seed)
-    n, count = _check_u64("trials", trials), _check_u64("count", count)
-    blocks = -(-count // 4)
-    counters = np.arange(1, blocks + 1, dtype=np.uint64)
-    rows = max(1, _CHUNK // max(blocks, 1))
-    out = np.empty((n, count))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        keys = np.repeat(np.arange(lo, hi, dtype=np.uint64), blocks)
-        words = np.empty((len(keys), 4), dtype=np.uint64)
-        _philox(np.tile(counters, hi - lo), seed, keys, words)
+    seed, n = _check_u64("master_seed", master_seed), _check_u64("trials", trials)
+    out = np.empty((n, 2))
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        words = np.empty((hi - lo, 4), dtype=np.uint64)
+        _philox(seed, np.arange(lo, hi, dtype=np.uint64), words)
         np.right_shift(words, 11, out=words)
-        uniforms = words.reshape(hi - lo, blocks * 4)[:, :count]
-        np.multiply(uniforms, 2.0**-53, out=out[lo:hi])
+        np.multiply(words[:, :2], 2.0**-53, out=out[lo:hi])
     return out
 
 

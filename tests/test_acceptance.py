@@ -99,7 +99,7 @@ def test_criterion_04_parity_projection_success_probability():
     exact = parity_success_output(parity_tree(res))[0]
     assert abs(exact - 0.5) < 1e-12
     # Born-sampled estimate from per-trial streams
-    flags = parity_tree(res).sample_success(trial_uniforms(314159, 10_000, 2))
+    flags = parity_tree(res).sample_success(trial_uniforms(314159, 10_000))
     estimate, se = success_stats(flags)
     assert abs(estimate - exact) <= 3.0 * se
     _report(4, f"max |Ps - P1P2/2| = {worst:.2e}; MC {estimate:.4f} vs exact 0.5 (se {se:.4f})")

@@ -1,20 +1,28 @@
-"""Property-based checks of the parity gadget and the trial streams.
+"""Property-based checks of the parity gadget, the trial streams, stacked
+tensor products and the command-line config boundary.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples and the suite stays deterministic.
 """
 
+import contextlib
+import io
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyspin.channels import NoiseParams
+from flyspin.cli import _COMMANDS, main
 from flyspin.protocol import ROUND_OUTCOMES, ParityTree, generate_resource, parity_success_output, parity_tree
+from flyspin.qcore import DensityMatrix, tensor_dm
 from flyspin.rng import trial_rng, trial_streams, trial_uniforms
 
-from helpers import born_weights
+from helpers import born_weights, random_density
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -51,12 +59,125 @@ def test_sampled_success_is_the_generator_choice_draw(theta1, theta2, noise, see
         i = int(rng.choice(4, p=born_weights(tree.first)))
         j = int(rng.choice(4, p=born_weights(tree.second[i])))
         expected.append(ParityTree.is_success(ROUND_OUTCOMES[i], ROUND_OUTCOMES[j]))
-    assert tree.sample_success(trial_uniforms(seed, trials, 2)).tolist() == expected
+    assert tree.sample_success(trial_uniforms(seed, trials)).tolist() == expected
 
 
 @settings(_SETTINGS, max_examples=100)
 @given(seed=seeds, trials=st.integers(0, 3), count=st.integers(0, 40))
 def test_bulk_and_rekeyed_streams_read_as_trial_rng(seed, trials, count):
     expected = [trial_rng(seed, t).random(count).view(np.uint64).tolist() for t in range(trials)]
-    assert trial_uniforms(seed, trials, count).view(np.uint64).tolist() == expected
     assert [s.random(count).view(np.uint64).tolist() for s in trial_streams(seed, trials)] == expected
+    pairs = [trial_rng(seed, t).random(2).view(np.uint64).tolist() for t in range(trials)]
+    assert trial_uniforms(seed, trials).view(np.uint64).tolist() == pairs
+
+
+def _stacked_density(n_qubits, shape, rng):
+    """A stack of random n-qubit states with stack shape ``shape``."""
+    d = 2**n_qubits
+    states = [random_density(n_qubits, rng).mat for _ in range(math.prod(shape))]
+    return DensityMatrix(np.reshape(states, (*shape, d, d)))
+
+
+@st.composite
+def broadcastable_shapes(draw):
+    """Two stack shapes that broadcast: a common shape, each axis kept or set to 1, some leading axes dropped."""
+    common = draw(st.lists(st.integers(1, 3), max_size=3))
+    pair = []
+    for _ in range(2):
+        axes = [draw(st.sampled_from((size, 1))) for size in common]
+        pair.append(tuple(axes[draw(st.integers(0, len(axes))):]))
+    return pair
+
+
+@settings(_SETTINGS, max_examples=60)
+@given(qubits=st.tuples(st.integers(1, 3), st.integers(1, 3)), shapes=broadcastable_shapes(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_tensor_product_is_kron_at_every_index(qubits, shapes, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (_stacked_density(n, shape, rng) for n, shape in zip(qubits, shapes))
+    joint = tensor_dm(a, b).mat
+    stack = np.broadcast_shapes(*shapes)
+    assert joint.shape == (*stack, 2 ** sum(qubits), 2 ** sum(qubits))
+    a_mat = np.broadcast_to(a.mat, (*stack, *a.mat.shape[-2:]))
+    b_mat = np.broadcast_to(b.mat, (*stack, *b.mat.shape[-2:]))
+    for idx in np.ndindex(*stack):
+        expected = np.kron(a_mat[idx], b_mat[idx])
+        assert np.array_equal(joint[idx].view(np.uint64), expected.view(np.uint64)), idx
+
+
+# config-boundary values: angles and grids in units of pi, numbers, and garbage text;
+# every drawn integer is at most 100 or above every ceiling, so a run stays small
+angle_texts = st.floats(-2.0, 2.0).map(repr)
+grid_texts = st.builds("{}:{}:{}".format, angle_texts, angle_texts, st.integers(-1, 5))
+number_texts = st.one_of(
+    st.integers(-3, 100).map(str),
+    st.floats(-0.5, 1.5).map(repr),
+    st.sampled_from(["nan", "inf", "-0", "1e-300", str(2**64 - 1), str(2**64)]),
+)
+any_value = st.one_of(angle_texts, grid_texts, number_texts, st.text(max_size=6))
+padding = st.sampled_from(["", " ", "\t"])
+sound_grids = st.builds("{}:{}:{}".format, angle_texts, angle_texts, st.integers(2, 5))
+# values each key of a command accepts, mostly
+sound_values = {
+    "eps_init": probabilities.map(repr),
+    "eps_z": probabilities.map(repr),
+    "eps_relax": probabilities.map(repr),
+    "trials": st.integers(1, 100).map(str),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "target_fidelity": st.floats(0.5, 0.9999).map(repr),
+    "max_rounds": st.integers(1, 1000).map(str),
+    "chain_size": st.integers(2, 5).map(str),
+    "target_pair": st.integers(0, 3).map(str),
+}
+
+
+def sound_value(command, key):
+    """A value ``command`` mostly accepts for ``key``, padded with whitespace the parsers ignore."""
+    if key.startswith("theta"):
+        value = sound_grids if command == "sweep-concurrence" else angle_texts
+    else:
+        value = sound_values[key]
+    return st.builds("{0}{1}{0}".format, padding, value)
+
+
+@st.composite
+def argvs(draw, value_of):
+    """A command and a flag for each of some of its keys but ``out``, valued by ``value_of``."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    keys = [key for key in _COMMANDS[command].keys if key != "out"]
+    argv = [command]
+    for key in draw(st.lists(st.sampled_from(keys), unique=True)):
+        argv += ["--" + key.replace("_", "-"), draw(value_of(command, key))]
+    return argv
+
+
+def _main(argv):
+    """Exit code and stdout of one in-process invocation; stderr is dropped."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(argv=argvs(lambda command, key: any_value))
+def test_any_argv_exits_0_1_or_3_and_a_refused_one_writes_nothing(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = _main([*argv, "--out", os.path.join(tmp, "run.csv")])
+        assert code in (0, 1, 3)
+        if code == 1:
+            assert os.listdir(tmp) == []
+
+
+@settings(_SETTINGS, max_examples=100)
+@given(argv=argvs(sound_value))
+def test_config_echo_reproduces_the_run_byte_for_byte(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "run.csv")
+        config = Path(f"{out}.config")
+        code, stdout = _main([*argv, "--out", str(out)])
+        if code == 1:
+            return
+        first = (out.read_bytes(), config.read_bytes(), stdout)
+        again, stdout = _main([argv[0], "--config", str(config)])
+        assert (again, (out.read_bytes(), config.read_bytes(), stdout)) == (code, first)

@@ -504,7 +504,7 @@ def test_born_sample_matches_generator_choice(name):
     assert single == reference
     # a stack of uniforms draws every key at once; zero-weight branches never come up
     for seed in (3, 2**64 - 1):
-        u = trial_uniforms(seed, 120, 2)
+        u = trial_uniforms(seed, 120)
         first, second = tree.sample(u)
         expected = [drawn for (s, _), drawn in zip(keys, reference) if s == seed]
         assert list(zip(first.tolist(), second.tolist())) == expected

@@ -64,61 +64,51 @@ def test_seed_bounds():
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 - 1, 2**64 - 1])
 def test_bulk_uniforms_equal_trial_rng_bit_for_bit(seed):
-    counts = (0, 1, 2, 3, 4, 5, 7, 8, 9, 33, 1072)  # across 4-word block boundaries
     for trials in (0, 1, 2, 5):
-        streams = [trial_rng(seed, t).random(max(counts)) for t in range(trials)]
-        for count in counts:
-            bulk = trial_uniforms(seed, trials, count)
-            assert bulk.shape == (trials, count)
-            expected = np.array([s[:count] for s in streams]).reshape(bulk.shape)
-            assert np.array_equal(bulk.view(np.uint64), expected.view(np.uint64))
+        bulk = trial_uniforms(seed, trials)
+        assert bulk.shape == (trials, 2)
+        expected = np.array([trial_rng(seed, t).random(2) for t in range(trials)]).reshape(bulk.shape)
+        assert np.array_equal(bulk.view(np.uint64), expected.view(np.uint64))
 
 
 def test_bulk_uniforms_cross_the_chunk_size():
     chunk = rng_module._CHUNK
-    # two trials each longer than a chunk, and three whose blocks together exceed one
-    for trials, count in ((2, 4 * chunk + 6), (3, 4 * chunk // 3 + 1)):
-        bulk = trial_uniforms(2**64 - 1, trials, count)
-        for t, row in enumerate(bulk):
-            assert np.array_equal(row, trial_rng(2**64 - 1, t).random(count))
-    # many one-block trials: three full chunks, and one row past a full chunk
-    assert trial_uniforms(1, 3 * chunk, 1).shape == (3 * chunk, 1)
-    bulk = trial_uniforms(1, chunk + 1, 2)
+    # one row past a full chunk, and three full chunks
+    bulk = trial_uniforms(1, chunk + 1)
     for t in (0, chunk - 1, chunk):
         assert np.array_equal(bulk[t], trial_rng(1, t).random(2))
-    assert trial_uniforms(1, 0, 3).shape == (0, 3)
+    bulk = trial_uniforms(2**64 - 1, 3 * chunk)
+    assert bulk.shape == (3 * chunk, 2)
+    for t in (chunk, 2 * chunk, 3 * chunk - 1):
+        assert np.array_equal(bulk[t], trial_rng(2**64 - 1, t).random(2))
+    assert trial_uniforms(1, 0).shape == (0, 2)
 
 
 def test_bulk_uniforms_range_checks():
     for args in [
-        (2**64, 1, 1),
-        (-1, 1, 1),
-        (1.9, 1, 1),
-        (1, -1, 1),
-        (1, 2**64, 1),
-        (1, 2.0, 1),
-        (1, np.float64(2), 1),
-        (1, 1, -1),
-        (1, 1, 2**64),
-        (1, 1, 2.0),
-        (1, 1, np.float64(2)),
+        (2**64, 1),
+        (-1, 1),
+        (1.9, 1),
+        (1, -1),
+        (1, 2**64),
+        (1, 2.0),
+        (1, np.float64(2)),
     ]:
         with pytest.raises(ValueError, match="64-bit"):
             trial_uniforms(*args)
     # the message names the argument and the offending value
     for args, message in (
-        ((-1, 1, 1), "master_seed must be a 64-bit unsigned value, got -1"),
-        ((1, -1, 1), "trials must be a 64-bit unsigned value, got -1"),
-        ((1, 2.0, 1), "trials must be a 64-bit unsigned value, got 2.0"),
-        ((1, 1, 2**64), f"count must be a 64-bit unsigned value, got {2**64}"),
+        ((-1, 1), "master_seed must be a 64-bit unsigned value, got -1"),
+        ((1, -1), "trials must be a 64-bit unsigned value, got -1"),
+        ((1, 2.0), "trials must be a 64-bit unsigned value, got 2.0"),
     ):
         with pytest.raises(ValueError) as err:
             trial_uniforms(*args)
         assert str(err.value) == message
     # numpy integers are integers
-    bulk = trial_uniforms(np.uint64(1), np.int64(3), np.uint64(2))
-    assert np.array_equal(bulk, trial_uniforms(1, 3, 2))
-    assert np.array_equal(trial_uniforms(np.int64(1), np.uint64(3), np.int64(2)), bulk)
+    bulk = trial_uniforms(np.uint64(1), np.int64(3))
+    assert np.array_equal(bulk, trial_uniforms(1, 3))
+    assert np.array_equal(trial_uniforms(np.int64(1), np.uint64(3)), bulk)
 
 
 def test_trial_streams_read_as_trial_rng_in_order():
