@@ -328,10 +328,11 @@ def cmd_pump_sim(cfg: ExperimentConfig, out: str) -> tuple[str, str, int]:
     rows = ["trial,rounds_to_target,pairs_consumed,converged"]
     rounds_converged: list[int] = []
     for t, stream in enumerate(trial_streams(cfg.seed, cfg.trials)):
-        traj = pump_until(cfg.eps_z, cfg.target_fidelity, cfg.max_rounds, stream)
-        if traj.converged:
-            rounds_converged.append(traj.rounds)
-        rows.append(f"{t},{traj.rounds},{traj.pairs_consumed},{int(traj.converged)}")
+        syndromes, converged = pump_until(cfg.eps_z, cfg.target_fidelity, cfg.max_rounds, stream)
+        rounds = len(syndromes)  # a fresh pair a round; pairs_consumed adds the initial one
+        if converged:
+            rounds_converged.append(rounds)
+        rows.append(f"{t},{rounds},{rounds + 1},{int(converged)}")
     lines = [
         "pump simulation summary",
         f"  trials = {cfg.trials}",

@@ -62,7 +62,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -325,12 +325,13 @@ def parity_success_output(tree: ParityTree) -> tuple[float, Optional[DensityMatr
 # entanglement pumping
 
 
-@dataclass(frozen=True)
-class PumpTrajectory:
-    """Syndrome record of one pumping run.
+class PumpTrajectory(NamedTuple):
+    """Syndrome record of one pumping run, an immutable (syndromes, converged) pair.
 
     ``syndromes`` holds one byte per pump round: 1 for an even syndrome,
-    which moves the stored pair one lattice site up, 0 for an odd one.
+    which moves the stored pair one lattice site up, 0 for an odd one. A
+    named tuple, as ``qcore.MeasurementBranch`` is, so that the one record
+    a walk returns is cheap to build and to unpack.
     """
 
     syndromes: bytes
@@ -469,7 +470,7 @@ def pump_until(
                         if site < floor:
                             break
         converged = site == stop
-    return PumpTrajectory(syndromes=bytes(syndromes), converged=converged)
+    return PumpTrajectory(bytes(syndromes), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The oracles here are built directly from first principles (closed-form
 amplitudes, explicit four-qubit circuits, the exact pumping chain) and
-never call the code paths they are used to check.
+never call the code paths they are used to check. ``scalar_walk`` alone
+reads a table of the package, the pumping lattice: it checks the walk over
+that table, not the table.
 """
 
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 
 from flyspin.metrics import BellLabel
+from flyspin.protocol import _pump_lattice, fresh_pair_fidelity
 from flyspin.qcore import DensityMatrix, apply_unitary, measure
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -285,3 +288,22 @@ def pump_exact(eps_z: float, target: float, max_rounds: int) -> dict:
         "var_rounds": float((rounds - mean) ** 2 @ hitting / converged),
         "p_not_converged": float(prob.sum()),
     }
+
+
+def scalar_walk(eps_z: float, target: float, max_rounds: int, rng: np.random.Generator):
+    """Reference walk: one round at a time on the table of ``_pump_lattice``.
+
+    Returns ``(syndromes, converged)``, as ``pump_until`` does. Uniform i of
+    a stream is its word i however the stream is read, so the reference
+    reads ``rng`` in blocks of its own.
+    """
+    p_even, stop, _ = _pump_lattice(fresh_pair_fidelity(eps_z), target, max_rounds)
+    syndromes, site = bytearray(), max_rounds
+    while site < stop and len(syndromes) < max_rounds:
+        for u in rng.random(min(100, max_rounds - len(syndromes))).tolist():
+            even = u < p_even[site]
+            site += 1 if even else -1
+            syndromes.append(even)
+            if site == stop:
+                break
+    return bytes(syndromes), site == stop

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import importlib.util
 import itertools
+import json
 import math
 import os
 import re
@@ -291,6 +292,20 @@ def test_perfbench_batch_zero_passes_its_oracles(tmp_path, monkeypatch, capsys):
                 errors = check(inv.params, stdout, files) if code == 0 else [f"exit {code}"]
                 failures += [f"{name} {seed} {inv.argv}: {error}" for error in errors]
     assert failures == []
+
+
+# eo is left out until perfbench's traced accounting is mended (ROADMAP item 1):
+# its traced batches last about 8 ms, so one stall in the 12-18 us that perfbench
+# times outside the cli.main span of an invocation can fail its 2% check
+@pytest.mark.parametrize("workload", ["sweep", "pump", "chain"])
+def test_perfbench_traced_run_ends_correct(workload):
+    # a short traced run through perfbench's own entry point: the tracer is installed
+    # and removed, every traced batch passes the oracles and the accounting checks
+    root = Path(__file__).resolve().parent.parent
+    argv = ["perfbench/run.py", "--workload", workload, "--seconds", "0.5", "--trace", "1"]
+    run = subprocess.run([sys.executable, *argv], cwd=root, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True, run.stdout
 
 
 def test_config_echoes_match_pinned_values(tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
-"""Property-based checks of the parity gadget, the trial streams, stacked
-tensor products and the command-line config boundary.
+"""Property-based checks of the parity gadget, the trial streams, the
+pumping walk, stacked tensor products and the command-line config boundary.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples and the suite stays deterministic.
@@ -13,16 +13,25 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flyspin.channels import NoiseParams
 from flyspin.cli import _COMMANDS, main
-from flyspin.protocol import ROUND_OUTCOMES, ParityTree, generate_resource, parity_success_output, parity_tree
+from flyspin.protocol import (
+    ROUND_OUTCOMES,
+    ParityTree,
+    fresh_pair_fidelity,
+    generate_resource,
+    parity_success_output,
+    parity_tree,
+    pump_until,
+    _pump_lattice,
+)
 from flyspin.qcore import DensityMatrix, tensor_dm
 from flyspin.rng import trial_rng, trial_streams, trial_uniforms
 
-from helpers import born_weights, random_density
+from helpers import born_weights, random_density, scalar_walk
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -69,6 +78,33 @@ def test_bulk_and_rekeyed_streams_read_as_trial_rng(seed, trials, count):
     assert [s.random(count).view(np.uint64).tolist() for s in trial_streams(seed, trials)] == expected
     pairs = [trial_rng(seed, t).random(2).view(np.uint64).tolist() for t in range(trials)]
     assert trial_uniforms(seed, trials).view(np.uint64).tolist() == pairs
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(eps_z=st.floats(0.0, 0.49), above=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       max_rounds=st.integers(0, 300), seed=seeds)
+def test_pump_walk_replays_its_lattice(eps_z, above, max_rounds, seed):
+    fresh = fresh_pair_fidelity(eps_z)
+    target = fresh + (1.0 - fresh) * above
+    assume(fresh < target < 1.0)
+    syndromes, converged = pump_until(eps_z, target, max_rounds, trial_rng(seed, 0))
+    assert set(syndromes) <= {0, 1}
+    # the walk starts at index max_rounds of the table, the fresh pair's site
+    p_even, stop, _ = _pump_lattice(fresh, target, max_rounds)
+    steps = np.frombuffer(syndromes, dtype=np.uint8).astype(np.int64) * 2 - 1
+    sites = max_rounds + np.concatenate(([0], np.cumsum(steps)))
+    assert 0 <= sites.min() and sites.max() < len(p_even)
+    assert (sites[:-1] < stop).all() and (sites[-1] == stop) == converged
+    assert converged or len(syndromes) == max_rounds
+    assert (syndromes, converged) == scalar_walk(eps_z, target, max_rounds, trial_rng(seed, 0))
+
+
+@settings(_SETTINGS, max_examples=50)
+@given(eps_z=st.floats(0.0, 0.5), below=st.floats(0.0, 1.0, exclude_max=True),
+       max_rounds=st.integers(0, 300), seed=seeds)
+def test_pump_walk_from_a_pair_at_the_target_takes_no_round(eps_z, below, max_rounds, seed):
+    target = min(fresh_pair_fidelity(eps_z), below)
+    assert pump_until(eps_z, target, max_rounds, trial_rng(seed, 0)) == (b"", True)
 
 
 def _stacked_density(n_qubits, shape, rng):

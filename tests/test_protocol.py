@@ -46,6 +46,7 @@ from helpers import (
     pure,
     random_density,
     random_pure_density,
+    scalar_walk,
 )
 
 OPT1, OPT2 = math.pi / 4.0, math.pi / 2.0
@@ -677,24 +678,6 @@ def test_pump_lattice_floor_is_the_first_entry_that_differs():
     assert bisect_wrong > 0
 
 
-def _scalar_walk(eps_z, target, max_rounds, rng):
-    """Reference walk: one round at a time on the table of ``_pump_lattice``.
-
-    Uniform i of a stream is its word i however the stream is read, so the
-    reference reads ``rng`` in blocks of its own.
-    """
-    p_even, stop, _ = _pump_lattice(fresh_pair_fidelity(eps_z), target, max_rounds)
-    syndromes, site = bytearray(), max_rounds
-    while site < stop and len(syndromes) < max_rounds:
-        for u in rng.random(min(100, max_rounds - len(syndromes))).tolist():
-            even = u < p_even[site]
-            site += 1 if even else -1
-            syndromes.append(even)
-            if site == stop:
-                break
-    return bytes(syndromes), site == stop
-
-
 # sha256 over every walk of (8-byte little-endian round count, syndromes,
 # converged byte), recorded with the one-round-at-a-time walk
 PINNED_WALKS = [
@@ -731,7 +714,7 @@ def test_pump_until_syndromes_are_pinned():
         digest = hashlib.sha256()
         for t, stream in enumerate(trial_streams(seed, trials)):
             traj = pump_until(eps_z, target, max_rounds, stream)
-            assert (traj.syndromes, traj.converged) == _scalar_walk(
+            assert (traj.syndromes, traj.converged) == scalar_walk(
                 eps_z, target, max_rounds, trial_rng(seed, t)
             ), (eps_z, max_rounds, seed, t)
             digest.update(len(traj.syndromes).to_bytes(8, "little"))

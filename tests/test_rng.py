@@ -116,7 +116,7 @@ def test_trial_streams_read_as_trial_rng_in_order():
     # trial's stream bit for bit: the key, the counter and the buffer are
     # all reset between trials (1045 uniforms leave a block part-read)
     reads = (5, 11, 3, 1024, 0, 2)
-    for seed in (13, 2**64 - 1):
+    for seed in (13, 2**63, 2**64 - 1):
         drawn = 0
         for t, stream in enumerate(trial_streams(seed, 3)):
             got = np.concatenate([stream.random(n) for n in reads])
@@ -124,6 +124,18 @@ def test_trial_streams_read_as_trial_rng_in_order():
             drawn += 1
         assert drawn == 3
     assert list(trial_streams(13, 0)) == []
+
+
+def test_trial_streams_reset_a_half_read_word():
+    # a float32 draw takes half a 64-bit word and buffers the other half
+    # (has_uint32); the re-key must drop it, so the next stream's first
+    # float32 draw is its own and not the previous stream's leftover half
+    for seed in (13, 2**63, 2**64 - 1):
+        for t, stream in enumerate(trial_streams(seed, 3)):
+            ref = trial_rng(seed, t)
+            for draw in (lambda g: g.random(1, dtype=np.float32), lambda g: g.random(3)):
+                assert draw(stream).tobytes() == draw(ref).tobytes(), (seed, t)
+            assert stream.bit_generator.state["has_uint32"] == 1
 
 
 def test_trial_streams_check_their_arguments_at_the_call():
