@@ -21,8 +21,9 @@ P1 and P2 from them, and ``corrected_rho`` undoes the phase of theta2.
 Two such resources enact a heralded parity projection on one ancilla per
 node. Per round, each node applies a CNOT from its ancilla onto its
 resource qubit and measures the resource qubit in the computational
-basis. For a resource component b|du> + c|ud> the induced ancilla
-operator for outcome pair (o1, o2) is
+basis; the two CNOTs act on the joint state as one basis permutation.
+For a resource component b|du> + c|ud> the induced ancilla operator for
+outcome pair (o1, o2) is
 
     K(o1,o2) = b P[a = (1^o1, 0^o2)] + c P[a = (0^o1, 1^o2)]
 
@@ -38,7 +39,9 @@ directly; complementary odd outcomes herald the even-parity projector,
 which the recorded bit-flip correction on the first ancilla turns into
 the odd projection for the standard |++> input. Summing the four heralds
 gives success probability P1 P2 / 2 at any angles. ``ParityTree`` owns
-that success rule and Born-samples successes from its own branches.
+that success rule and Born-samples successes from its own branches: a
+draw of round-one outcome i succeeds when the second uniform falls in
+the interval that round two's cumulative weights give outcome 3 - i.
 
 Entanglement pumping consumes a stream of such heralded pairs to purify
 one stored pair. Syndrome "even" (probability F f + (1-F)(1-f)) updates
@@ -85,12 +88,6 @@ from .qcore import (
     _require,
 )
 from .scattering import _gate_angle, forward_unitary
-
-# control is the first of the two targets; flips the target when the control is down
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-    dtype=complex,
-)
 
 Syndrome = tuple[int, int]
 
@@ -194,13 +191,20 @@ def _first_leg(rho: DensityMatrix, static: int, theta1: float | np.ndarray,
 
 _Round = tuple[MeasurementBranch, ...]
 
+# the CNOTs a1 -> r1 and a2 -> r2 on the register (a1, a2, r1, r2) flip r_j
+# when a_j is down (bit 1), so together they send basis index i to
+# i ^ ((i >> 2) & 3); the map is its own inverse
+_CNOT_PAIR = _frozen(np.array([i ^ ((i >> 2) & 3) for i in range(16)]))
+
 
 def _parity_round(ancillas: DensityMatrix, resource_rho: DensityMatrix) -> _Round:
-    """Consume one resource; (probability, ancilla state) per outcome pair."""
-    joint = tensor_dm(ancillas, resource_rho)
-    joint = apply_unitary(joint, CNOT, (0, 2))
-    joint = apply_unitary(joint, CNOT, (1, 3))
-    return tuple(measure(joint, (2, 3)))
+    """Consume one resource; (probability, ancilla state) per outcome pair.
+
+    Both CNOTs conjugate the joint state at once: entry (j, k) of the
+    result is entry (``_CNOT_PAIR[j]``, ``_CNOT_PAIR[k]``) of the joint state.
+    """
+    joint = tensor_dm(ancillas, resource_rho).mat
+    return tuple(measure(DensityMatrix(joint[..., _CNOT_PAIR[:, None], _CNOT_PAIR]), (2, 3)))
 
 
 @dataclass(frozen=True)
@@ -212,7 +216,7 @@ class ParityTree:
     empty when the round-one branch fell below the zero-probability cut.
     ``truncated_mass`` is the total probability of the leaves cut off at
     ``ZERO_PROBABILITY_ATOL``; with the kept leaves it sums to one.
-    ``leaves``, ``sample`` and ``sample_success`` all read the branches.
+    ``leaves`` and ``sample_success`` both read the branches.
     """
 
     first: _Round
@@ -231,34 +235,29 @@ class ParityTree:
                 if b2.state is not None:
                     yield first, second, b1.probability * b2.probability, b2.state
 
-    def sample(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Born-draw leaves from uniforms ``u`` of shape ``(..., 2)``, one per round.
+    def sample_success(self, u: np.ndarray) -> np.ndarray:
+        """Whether the Born draw of each row of uniforms ``u``, shape ``(..., 2)``, is a success.
 
-        Returns the outcome indices (into ``ROUND_OUTCOMES``) of both rounds,
-        each of shape ``u.shape[:-1]``. Round k draws
-        ``searchsorted(cumsum(p) / cumsum(p)[-1], u[..., k], side="right")``
-        on the Born vector p of the branches it draws from, which is what
-        ``Generator.choice(4, p=p)`` draws from the same uniform, so a cut
-        branch is never drawn.
+        Round one draws outcome ``i = searchsorted(cdf1, u[..., 0],
+        side="right")`` on the normalized cumulative Born weights of
+        ``first``, which is what ``Generator.choice(4, p=p)`` draws from the
+        same uniform, so a cut branch is never drawn. Round two, drawn the
+        same way from ``u[..., 1]`` on ``second[i]``'s weights, succeeds
+        exactly when it draws the complement outcome c = 3 - i, that is when
+        ``u[..., 1]`` lies in [cdf2_i[c - 1], cdf2_i[c]) with cdf2_i[-1] read
+        as 0; a cut branch gives an empty interval. Every kept round two's
+        weights are checked, drawn or not.
         """
         u = np.asarray(u, dtype=float)
         first = np.searchsorted(_cdf(self.first), u[..., 0], side="right")
-        second = np.zeros_like(first)
+        u2 = u[..., 1]
+        # interval of outcome 3 - i, the complement of outcome i; a cut round one keeps [0, 0)
+        lo, hi = np.zeros(4), np.zeros(4)
         for i, branches in enumerate(self.second):
-            drawn = first == i
-            if np.any(drawn):
-                second[drawn] = np.searchsorted(_cdf(branches), u[..., 1][drawn], side="right")
-        return first, second
-
-    def sample_success(self, u: np.ndarray) -> np.ndarray:
-        """Whether each ``sample(u)`` draw is a success, one bool per row of ``u``."""
-        return _SUCCESS[self.sample(u)]
-
-
-# success of each (round-one index, round-two index) outcome pair
-_SUCCESS = np.array(
-    [[ParityTree.is_success(first, second) for second in ROUND_OUTCOMES] for first in ROUND_OUTCOMES]
-)
+            if branches:
+                cdf = np.concatenate(([0.0], _cdf(branches)))
+                lo[i], hi[i] = cdf[3 - i], cdf[4 - i]
+        return (lo[first] <= u2) & (u2 < hi[first])
 
 
 def _cdf(branches: _Round) -> np.ndarray:
@@ -336,16 +335,6 @@ class PumpTrajectory(NamedTuple):
 
     syndromes: bytes
     converged: bool
-
-    @property
-    def rounds(self) -> int:
-        """Pump rounds performed, whether or not the target was reached."""
-        return len(self.syndromes)
-
-    @property
-    def pairs_consumed(self) -> int:
-        """Fresh heralded pairs used, counting the initial stored pair."""
-        return self.rounds + 1
 
 
 def fresh_pair_fidelity(eps_z: float) -> float:

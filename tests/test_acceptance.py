@@ -165,7 +165,7 @@ def test_criterion_07_pumping_convergence():
     for t in range(10_000):
         traj = pump_until(0.089, 1.0 - 1e-4, 1000, trial_rng(90210, t))
         if traj.converged:
-            rounds.append(traj.rounds)
+            rounds.append(len(traj.syndromes))
         else:
             non_converged += 1
     mean_rounds = statistics.fmean(rounds)

@@ -717,6 +717,28 @@ def test_trials_and_max_rounds_ceilings_are_checked_at_the_config_boundary(tmp_p
     assert not out.exists()
 
 
+def test_grid_line_and_count_errors_exit_one(tmp_path, capsys):
+    # each exits 1 at the config boundary with its message, and writes nothing
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# eo-run settings\n\n   \ntrials = 7  # short\n   # indented comment\neps_z 0.3\n")
+    cases = [
+        (["eo-run", "--theta1", "1:2"], "theta1: grid must be START:STOP:STEPS, got '1:2'"),
+        (["eo-run", "--config", str(cfg)], f"{cfg}:6: expected 'key = value', got 'eps_z 0.3'"),
+        (["eo-run", "--trials", "-1"], "trials cannot be negative, got -1"),
+        (["pump-sim", "--max-rounds", "0"], "max_rounds must be at least 1, got 0"),
+    ]
+    for argv, message in cases:
+        assert run(*argv, "--out", str(out)) == 1, argv
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n", argv
+    assert not out.exists()
+    # blank and comment-only lines are skipped and the line numbers still count them
+    cfg.write_text("\n# comment\n  \ntrials = 7  # short\n\t# tab\neps-z = 0.3\n")
+    resolved = _resolve("eo-run", {"config": str(cfg)})
+    assert (resolved.trials, resolved.eps_z) == (7, 0.3)
+
+
 def test_pump_sim_peak_memory_stays_within_its_cost_per_trial(tmp_path, capsys):
     # the trials ceiling is the memory budget over this cost, so a whole run, write included,
     # must fit it: the walks share one re-keyed generator and only the CSV rows grow with trials

@@ -22,7 +22,10 @@ from flyspin.protocol import (
     pump_until,
     resource_rows,
     transit_weights,
+    _CNOT_PAIR,
+    _cdf,
     _lattice_fidelity,
+    _parity_round,
     _pump_lattice,
 )
 from flyspin.qcore import (
@@ -32,11 +35,14 @@ from flyspin.qcore import (
     MeasurementBranch,
     apply_unitary,
     ket,
+    measure,
+    tensor_dm,
 )
 from flyspin.rng import trial_rng, trial_streams, trial_uniforms
 from flyspin.scattering import _gate_angle
 
 from helpers import (
+    CNOT_MAT,
     bell_state,
     born_weights,
     closed_form_resource,
@@ -477,10 +483,43 @@ def test_degenerate_resource_never_succeeds():
     assert state is None
 
 
+def test_parity_round_permutes_as_the_cnot_pair():
+    # both CNOTs as one basis permutation give the joint state that conjugating
+    # by them one at a time gives, entry by entry (signed zeros aside), so every
+    # branch of the round is the same too
+    rng = np.random.default_rng(36)
+    for _ in range(20):
+        ancillas, resource = random_density(2, rng), random_density(2, rng)
+        joint = tensor_dm(ancillas, resource)
+        perm = _CNOT_PAIR[:, None], _CNOT_PAIR
+        reference = apply_unitary(apply_unitary(joint, CNOT_MAT, (0, 2)), CNOT_MAT, (1, 3))
+        assert np.array_equal(joint.mat[perm], reference.mat)
+        branches = measure(reference, (2, 3))
+        for got, want in zip(_parity_round(ancillas, resource), branches, strict=True):
+            assert got.probability == want.probability
+            assert np.array_equal(got.state.mat, want.state.mat)
+
+
+def _choice_success(tree, u):
+    """Success of the draw ``Generator.choice(4, p)`` makes from each round's uniform in ``u``.
+
+    Round k takes searchsorted(cdf / cdf[-1], u[k], side="right") on the
+    cumulative Born weights cdf, with a cut branch weighing 0, as ``choice`` does.
+    """
+    i = _choice_draw(tree.first, u[0])
+    return ParityTree.is_success(ROUND_OUTCOMES[i], ROUND_OUTCOMES[_choice_draw(tree.second[i], u[1])])
+
+
+def _choice_draw(branches, u):
+    cdf = np.cumsum(born_weights(branches))
+    return int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+
+
 def test_sampled_projection_is_deterministic_per_seed():
     tree = parity_tree(generate_resource(OPT1, OPT2, NoiseParams(eps_z=0.05)))
-    runs = [tuple(int(i) for i in tree.sample(trial_rng(99, 0).random(2))) for _ in range(3)]
+    runs = [tree.sample_success(trial_uniforms(99, 200)).tolist() for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+    assert 0 < sum(runs[0]) < 200
 
 
 # a cut round-one leaf (draw vectors hold zeros), a noisy tree, and full dephasing
@@ -500,18 +539,37 @@ def test_born_sample_matches_generator_choice(name):
     for seed, t in keys:
         rng = trial_rng(seed, t)
         i = int(rng.choice(4, p=born1))
-        reference.append((i, int(rng.choice(4, p=born2[i]))))
-    single = [tuple(int(k) for k in tree.sample(trial_rng(s, t).random(2))) for s, t in keys]
+        j = int(rng.choice(4, p=born2[i]))
+        reference.append(ParityTree.is_success(ROUND_OUTCOMES[i], ROUND_OUTCOMES[j]))
+    single = [bool(tree.sample_success(trial_rng(s, t).random(2))) for s, t in keys]
     assert single == reference
-    # a stack of uniforms draws every key at once; zero-weight branches never come up
+    # a stack of uniforms draws every key at once
     for seed in (3, 2**64 - 1):
-        u = trial_uniforms(seed, 120)
-        first, second = tree.sample(u)
         expected = [drawn for (s, _), drawn in zip(keys, reference) if s == seed]
-        assert list(zip(first.tolist(), second.tolist())) == expected
-        assert all(born1[i] > 0 and born2[i][j] > 0 for i, j in zip(first, second))
-        success = [ParityTree.is_success(ROUND_OUTCOMES[i], ROUND_OUTCOMES[j]) for i, j in expected]
-        assert tree.sample_success(u).tolist() == success
+        assert tree.sample_success(trial_uniforms(seed, 120)).tolist() == expected
+
+
+def test_success_interval_ends_are_half_open():
+    # round-one outcome i succeeds when u[1] lies in [cdf2_i[c - 1], cdf2_i[c]),
+    # c = 3 - i: put u[1] exactly on each end and one float inside or outside it
+    tree = parity_tree(generate_resource(0.3, 1.2, NoiseParams(eps_init=0.1, eps_z=0.05, eps_relax=0.2)))
+    cdf1 = np.concatenate(([0.0], _cdf(tree.first)))
+    checked = 0
+    for i, branches in enumerate(tree.second):
+        cdf2 = np.concatenate(([0.0], _cdf(branches)))
+        lo, hi = cdf2[3 - i], cdf2[4 - i]
+        assert 0.0 < hi - lo < 1.0  # each success interval is a proper part of [0, 1)
+        cases = [(lo, True), (np.nextafter(hi, 0.0), True)]
+        if lo > 0.0:  # i < 3
+            cases.append((np.nextafter(lo, 0.0), False))
+        if hi < 1.0:  # i > 0; a uniform never reaches 1
+            cases.append((hi, False))
+        for u2, success in cases:
+            u = np.array([cdf1[i], u2])  # round one draws i at the start of its interval
+            assert _choice_success(tree, u) is success
+            assert bool(tree.sample_success(u)) is success, (i, u2)
+            checked += 1
+    assert checked == 14
 
 
 def _branches(probs, cut=()):
@@ -521,15 +579,19 @@ def _branches(probs, cut=()):
 
 
 def test_born_sample_never_draws_a_cut_branch_at_a_zero_uniform():
-    # trial_uniforms can return exactly 0.0; a cut first branch keeps its
-    # probability below the cut, as measure does, and the draw must skip it,
-    # as Generator.choice does with a zero weight (searchsorted side="right")
-    probs, cut = (ZERO_PROBABILITY_ATOL / 2, 0.5, 0.5, ZERO_PROBABILITY_ATOL / 4), (0, 3)
-    round_two = _branches(probs, cut)
-    tree = ParityTree(first=_branches(probs, cut), second=((), round_two, round_two, ()),
-                      truncated_mass=0.0)
-    first, second = tree.sample(np.array([0.0, 0.0]))
-    assert (int(first), int(second)) == (1, 1)
+    # trial_uniforms can return exactly 0.0; a cut branch keeps its probability
+    # below the cut, as measure does, and the draw must skip it, as
+    # Generator.choice does with a zero weight: round one draws outcome 1 and
+    # round two, whose outcomes 0 and 1 are cut, draws the success outcome 2
+    tiny = (ZERO_PROBABILITY_ATOL / 2, ZERO_PROBABILITY_ATOL / 4)
+    first = _branches((tiny[0], 0.5, 0.5, tiny[1]), cut=(0, 3))
+    second = _branches((tiny[0], tiny[1], 1.0, tiny[1]), cut=(0, 1, 3))
+    tree = ParityTree(first=first, second=((), second, second, ()), truncated_mass=0.0)
+    u = np.array([0.0, 0.0])
+    assert _choice_success(tree, u) is True
+    assert bool(tree.sample_success(u)) is True
+    # outcome 2 gets the same round two, whose success outcome 1 is cut
+    assert bool(tree.sample_success(np.array([0.5, 0.0]))) is False
 
 
 def test_born_sample_rejects_bad_weights():
@@ -537,10 +599,12 @@ def test_born_sample_rejects_bad_weights():
     u = np.array([0.1, 0.7])
     for bad in ([np.nan, 0.5, 0.25, 0.25], [-0.25, 0.75, 0.25, 0.25], [np.inf, 0, 0, 0], [0.0] * 4):
         with pytest.raises(ValueError, match="Born weights"):
-            dataclasses.replace(tree, first=_branches(bad)).sample(u)
-        # a drawn round-two round is checked too
-        with pytest.raises(ValueError, match="Born weights"):
-            dataclasses.replace(tree, second=(_branches(bad),) * 4).sample(u)
+            dataclasses.replace(tree, first=_branches(bad)).sample_success(u)
+        # every kept round two is checked, the drawn one and each one not drawn
+        for i in range(4):
+            second = tree.second[:i] + (_branches(bad),) + tree.second[i + 1 :]
+            with pytest.raises(ValueError, match="Born weights"):
+                dataclasses.replace(tree, second=second).sample_success(u)
 
 
 def test_parity_rejects_wrong_sized_ancillas():
@@ -613,8 +677,7 @@ def test_forced_even_sequence_is_monotone():
 def test_pump_until_converges_at_round_zero_without_noise():
     traj = pump_until(0.0, 1.0 - 1e-4, 100, trial_rng(1, 0))
     assert traj.converged
-    assert traj.rounds == 0
-    assert traj.pairs_consumed == 1
+    assert len(traj.syndromes) == 0
 
 
 def _walk_sites(syndromes):
@@ -627,7 +690,7 @@ def test_pump_until_trajectory_structure():
     traj = pump_until(0.089, 1.0 - 1e-4, 200, trial_rng(7, 0))
     fid = _lattice_fidelity(_walk_sites(traj.syndromes), fresh_pair_fidelity(0.089))
     assert set(traj.syndromes) <= {0, 1}
-    assert len(fid) == traj.rounds + 1 == traj.pairs_consumed
+    assert len(fid) == len(traj.syndromes) + 1
     assert fid[0] == pytest.approx(fresh_pair_fidelity(0.089))
     if traj.converged:
         assert fid[-1] >= 1.0 - 1e-4
@@ -638,7 +701,7 @@ def test_pump_until_trajectory_structure():
 def test_pump_until_marks_nonconvergence():
     traj = pump_until(0.4, 1.0 - 1e-9, 3, trial_rng(2, 0))
     assert not traj.converged
-    assert traj.rounds == 3
+    assert len(traj.syndromes) == 3
 
 
 def test_pump_until_input_checks_and_edge_walks():
@@ -655,10 +718,10 @@ def test_pump_until_input_checks_and_edge_walks():
     numpy_int = pump_until(0.089, 0.9999, np.int64(30), trial_rng(4, 0))
     assert numpy_int == pump_until(0.089, 0.9999, 30, trial_rng(4, 0))
     idle = pump_until(0.089, 0.9999, 0, trial_rng(0, 0))
-    assert not idle.converged and idle.rounds == 0 and idle.syndromes == b""
+    assert not idle.converged and idle.syndromes == b""
     # r = 1: every syndrome leaves the stored fidelity at 1/2
     flat = pump_until(0.5, 0.9, 50, trial_rng(3, 0))
-    assert not flat.converged and flat.rounds == 50
+    assert not flat.converged and len(flat.syndromes) == 50
     assert set(_lattice_fidelity(_walk_sites(flat.syndromes), 0.5).tolist()) == {0.5}
 
 
@@ -762,7 +825,7 @@ def test_pumped_records_start_at_the_fresh_fidelity_bit_for_bit():
         r = fresh / (1.0 - fresh)
         assert 1.0 / (1.0 + math.exp(-math.log(r))) == rounded != fresh
         traj = pump_until(eps_z, 0.9999, 1000, trial_rng(17, 0))
-        assert traj.rounds >= 1
+        assert len(traj.syndromes) >= 1
         assert _lattice_fidelity(_walk_sites(traj.syndromes), fresh)[0] == fresh
 
 
@@ -777,9 +840,9 @@ def test_pump_until_matches_exact_chain():
     for t in range(n):
         traj = pump_until(eps_z, target, max_rounds, trial_rng(90210, t))
         if traj.converged:
-            rounds.append(traj.rounds)
+            rounds.append(len(traj.syndromes))
         else:
-            assert traj.rounds == max_rounds
+            assert len(traj.syndromes) == max_rounds
     p = exact["p_not_converged"]
     z_unconverged = ((n - len(rounds)) / n - p) / math.sqrt(p * (1.0 - p) / n)
     z_mean = (statistics.fmean(rounds) - exact["mean_rounds"]) / math.sqrt(

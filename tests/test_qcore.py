@@ -192,6 +192,8 @@ def test_partial_dephasing_offdiagonal():
 def test_incomplete_kraus_set_rejected():
     with pytest.raises(ValueError, match="completeness"):
         KrausChannel([np.sqrt(0.5) * np.eye(2)])
+    with pytest.raises(ValueError, match="channel needs at least one Kraus operator"):
+        KrausChannel([])
 
 
 def test_measure_up_state():
@@ -286,6 +288,10 @@ def test_density_matrix_validation():
         DensityMatrix(np.zeros((64, 64)))
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="density matrix dimension 3 is not a power of two >= 2"):
+        DensityMatrix(np.eye(3) / 3.0)
+    with pytest.raises(ValueError, match=r"density matrix must be square, got shape \(2, 4\)"):
+        DensityMatrix(np.zeros((2, 4)))
 
 
 def test_stacked_validation_names_the_first_failing_index():

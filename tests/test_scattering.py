@@ -116,6 +116,11 @@ def test_full_scatter_params_validation():
         FullScatterParams(t_s=1.0, r_s=0.5, t_t=1.0, r_t=0.0)
     with pytest.raises(ValueError, match="not normalized"):
         FullScatterParams(t_s=math.nan, r_s=0.0, t_t=1.0, r_t=0.0)
+    # the state must be one (flying, static) pair
+    params = FullScatterParams(t_s=1.0, r_s=0.0, t_t=0.0, r_t=1.0)
+    for spins in ("u", "udd"):
+        with pytest.raises(ValueError, match=r"full_scatter expects a \(flying, static\) two-qubit state"):
+            full_scatter(ket(spins), params)
 
 
 def test_no_reflection_limit_matches_forward_unitary():
