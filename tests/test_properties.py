@@ -141,16 +141,19 @@ def test_stacked_tensor_product_is_kron_at_every_index(qubits, shapes, seed):
         assert np.array_equal(joint[idx].view(np.uint64), expected.view(np.uint64)), idx
 
 
-# config-boundary values: angles and grids in units of pi, numbers, and garbage text;
-# every drawn integer is at most 100 or above every ceiling, so a run stays small
+# config-boundary values: angles, grids and two-part specs in units of pi, numbers, and
+# garbage text; every drawn integer is at most 100 or above every ceiling, so a run stays small
 angle_texts = st.floats(-2.0, 2.0).map(repr)
 grid_texts = st.builds("{}:{}:{}".format, angle_texts, angle_texts, st.integers(-1, 5))
+negative_texts = st.integers(-(2**64), -1).map(str)
 number_texts = st.one_of(
+    negative_texts,
     st.integers(-3, 100).map(str),
     st.floats(-0.5, 1.5).map(repr),
     st.sampled_from(["nan", "inf", "-0", "1e-300", str(2**64 - 1), str(2**64)]),
 )
-any_value = st.one_of(angle_texts, grid_texts, number_texts, st.text(max_size=6))
+any_value = st.one_of(angle_texts, grid_texts, st.builds("{}:{}".format, angle_texts, angle_texts),
+                      number_texts, st.text(max_size=6))
 padding = st.sampled_from(["", " ", "\t"])
 sound_grids = st.builds("{}:{}:{}".format, angle_texts, angle_texts, st.integers(2, 5))
 # values each key of a command accepts, mostly
@@ -187,6 +190,19 @@ def argvs(draw, value_of):
     return argv
 
 
+def config_texts(command):
+    """Config text for ``command``: key lines with any value or a negative integer, and blank,
+    comment-only and garbage lines."""
+    keys = st.sampled_from([key for key in _COMMANDS[command].keys if key != "out"])
+    line = st.one_of(
+        padding,
+        st.builds("{}#{}".format, padding, st.text(max_size=6)),
+        st.builds("{} = {}".format, keys, st.one_of(any_value, negative_texts)),
+        st.text(max_size=6),
+    )
+    return st.lists(line, max_size=3).map("\n".join)
+
+
 def _main(argv):
     """Exit code and stdout of one in-process invocation; stderr is dropped."""
     stdout = io.StringIO()
@@ -195,14 +211,30 @@ def _main(argv):
     return code, stdout.getvalue()
 
 
+@st.composite
+def spoiled_argvs(draw):
+    """Mostly accepted values for some keys of a command, and any value or a negative integer
+    for one more, so that a run often gets past the other keys to the check of that one."""
+    argv = draw(argvs(sound_value))
+    keys = [key for key in _COMMANDS[argv[0]].keys if key != "out"]
+    flag = "--" + draw(st.sampled_from(keys)).replace("_", "-")
+    if flag in argv:
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    return [*argv, flag, draw(st.one_of(any_value, negative_texts))]
+
+
 @settings(_SETTINGS, max_examples=300)
-@given(argv=argvs(lambda command, key: any_value))
-def test_any_argv_exits_0_1_or_3_and_a_refused_one_writes_nothing(argv):
+@given(argv=st.one_of(argvs(lambda command, key: any_value), spoiled_argvs()), data=st.data())
+def test_any_argv_exits_0_1_or_3_and_a_refused_one_writes_nothing(argv, data):
+    config = data.draw(st.none() | config_texts(argv[0]), label="config")
     with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            Path(tmp, "in.config").write_text(config)
+            argv = [*argv, "--config", os.path.join(tmp, "in.config")]
         code, _ = _main([*argv, "--out", os.path.join(tmp, "run.csv")])
         assert code in (0, 1, 3)
         if code == 1:
-            assert os.listdir(tmp) == []
+            assert os.listdir(tmp) == ([] if config is None else ["in.config"])
 
 
 @settings(_SETTINGS, max_examples=100)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import statistics
 
 import numpy as np
@@ -22,11 +23,14 @@ from flyspin.protocol import (
     pump_until,
     resource_rows,
     transit_weights,
+    _BLOCK,
     _CNOT_PAIR,
+    _FIRST_BLOCK,
     _cdf,
     _lattice_fidelity,
     _parity_round,
     _pump_lattice,
+    _walk_constants,
 )
 from flyspin.qcore import (
     PAULI_X,
@@ -705,16 +709,23 @@ def test_pump_until_marks_nonconvergence():
 
 
 def test_pump_until_input_checks_and_edge_walks():
-    for eps_z in (-0.1, 1.5, math.nan):  # fresh fidelity outside [0, 1]
-        with pytest.raises(ValueError, match="fresh fidelity"):
-            pump_until(eps_z, 0.9, 10, trial_rng(0, 0))
-    with pytest.raises(ValueError, match="target fidelity"):
-        pump_until(0.089, 1.0, 10, trial_rng(0, 0))
-    with pytest.raises(ValueError, match="max_rounds"):
-        pump_until(0.089, 0.9, -1, trial_rng(0, 0))
-    for bad in (20.5, 2.5, np.float64(30.0), "10", None):
-        with pytest.raises(ValueError, match="max_rounds must be an integer"):
-            pump_until(0.089, 0.9999, bad, trial_rng(0, 0))
+    # each refusal also follows a valid, cached call: an equal value of
+    # another type (30 then 30.0) or an unhashable one is still checked
+    bad_calls = [((eps_z, 0.9, 10), "fresh fidelity must lie in [0, 1], got ")
+                 for eps_z in (-0.1, 1.5, math.nan)]
+    bad_calls += [((0.089, 1.0, 10), "target fidelity must lie in [0, 1), got 1.0"),
+                  ((0.089, 0.9, -1), "max_rounds cannot be negative")]
+    bad_calls += [((0.089, 0.9999, bad), f"max_rounds must be an integer, got {bad!r}")
+                  for bad in (20.5, 2.5, 30.0, np.float64(30.0), "10", None, [30])]
+    for args, message in bad_calls:
+        for valid in (None, (0.089, 0.9999, 30), (0.089, 0.9, 10)):
+            if valid is not None:
+                pump_until(*valid, trial_rng(0, 0))
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                pump_until(*args, trial_rng(0, 0))
+    # one cache of at most four tables; the table builder keeps none
+    assert _walk_constants.cache_info().maxsize == 4
+    assert not hasattr(_pump_lattice, "cache_info")
     numpy_int = pump_until(0.089, 0.9999, np.int64(30), trial_rng(4, 0))
     assert numpy_int == pump_until(0.089, 0.9999, 30, trial_rng(4, 0))
     idle = pump_until(0.089, 0.9999, 0, trial_rng(0, 0))
@@ -789,6 +800,56 @@ def test_pump_until_syndromes_are_pinned():
             climbed_and_fell += bool(climbs.size and falls.size and falls[-1] > climbs[0])
         assert digest.hexdigest() == pinned, (eps_z, target, max_rounds, seed)
     assert climbed_and_fell > 0
+
+
+class _ScriptedUniforms:
+    """Stands in for a generator: ``random(size)`` serves the next ``size`` entries of a script."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.read = np.array(uniforms, dtype=float), 0
+
+    def random(self, size):
+        self.read += size
+        assert self.read <= len(self.uniforms), "the walk read past its script"
+        return self.uniforms[self.read - size : self.read]
+
+
+@pytest.mark.parametrize("max_rounds", [1000, 2000])
+@pytest.mark.parametrize("case", ["first uniform of a pass", "last uniform of a block",
+                                  "below the floor at a block end"])
+def test_bulk_pass_edges_follow_the_scalar_walk(case, max_rounds):
+    # at eps_z 0.089 the floor is 24 sites below the fresh pair and the
+    # target 5 above it, so 25 odd rounds step below the floor; the walk
+    # reads a first block of 16 uniforms, then one of ``block``
+    eps_z, target = 0.089, 0.9999
+    _, stop, floor = _pump_lattice(fresh_pair_fidelity(eps_z), target, max_rounds)
+    assert (floor, stop) == (max_rounds - 24, max_rounds + 5)
+    block = min(_BLOCK, max_rounds - _FIRST_BLOCK)
+    end = _FIRST_BLOCK + block  # rounds read by the end of the second block
+    steps = [-1] * 25
+    if case == "first uniform of a pass":
+        steps += [1] * 30
+        back = 26
+    elif case == "last uniform of a block":
+        steps += [-1] + [1, -1] * ((end - 28) // 2) + [1, 1] + [1] * 29
+        back = end
+    else:
+        steps += [-1, 1] * ((end - 26) // 2) + [-1] + [1] * 31
+        back = end + 2
+    steps = steps[:max_rounds]
+    uniforms = [0.0 if step > 0 else 0.999 for step in steps]
+    uniforms += [0.999] * (max_rounds - len(uniforms))
+    traj = pump_until(eps_z, target, max_rounds, _ScriptedUniforms(uniforms))
+    assert (traj.syndromes, traj.converged) == scalar_walk(
+        eps_z, target, max_rounds, _ScriptedUniforms(uniforms)
+    )
+    # table index of the stored pair after each round; below the floor from round 25 on
+    sites = max_rounds - 1 + _walk_sites(traj.syndromes)
+    assert traj.syndromes == bytes(step > 0 for step in steps[: len(traj.syndromes)])
+    assert (sites[25 : min(back, len(sites))] < floor).all()
+    if back <= max_rounds:
+        assert sites[back] == floor
+    assert traj.converged == (back + 29 <= max_rounds)
 
 
 def test_pump_records_follow_the_four_qubit_oracle():
