@@ -83,10 +83,9 @@ def main() -> int:
     for key in sorted(old.keys() & new.keys()):
         workload, trace = key
         name = f"{workload} trace={trace}"
-        reference, *others = old[key]
-        done = [run for run in old[key] + new[key] if run["result"] is not None]
-        if reference["result"] is None or len(done) < len(old[key]) + len(new[key]):
+        if any(run["result"] is None for run in old[key] + new[key]):
             continue
+        reference, *others = old[key]
         for run in others + new[key]:
             # one digest entry per batch, and batch i runs the same inputs in every run
             pairs = list(zip(reference["report"]["digests"], run["report"]["digests"]))
