@@ -4,39 +4,30 @@
 
 Prints, per workload, the NEW/OLD ratio of each end-to-end metric of the
 untraced runs and marks a metric that is worse than its bound in this
-checkout's ``BENCHMARK.json``. A file may hold one traced run per workload
-or several: for each per-layer metric in seconds it prints the ratio of
-the NEW and OLD medians over the traced runs, and it prints every count
-that differs between the traced runs of one file or between the files.
-Per-layer numbers have no bounds, so neither is an error. Errors: a run
-that exited nonzero or has no result, ``failed`` above 0, ``correct:
-false`` (with the run's ``checks``), output digests that differ from those
-of OLD's first run in any batch that both ran, and a workload or traced
-run in only one file. Exits 1 if any breach or error was found, else 0.
-Uses only the standard library.
+checkout's ``BENCHMARK.json``. Errors: a run that exited nonzero or has no
+result, ``failed`` above 0, ``correct: false`` (with the run's
+``checks``), output digests that differ between OLD and NEW in any
+batch that both ran, and a workload or traced run in only one file.
+Exits 1 if any breach or error was found, else 0. Uses only the standard
+library.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
 
-def runs_by_key(bench: dict) -> dict[tuple[str, int], list[dict]]:
-    """Every run of a record by (workload, trace), in the order they ran."""
-    runs: dict[tuple[str, int], list[dict]] = {}
-    for run in bench["runs"]:
-        runs.setdefault((run["workload"], run["trace"]), []).append(run)
-    return runs
+def runs_by_key(bench: dict) -> dict[tuple[str, int], dict]:
+    return {(run["workload"], run["trace"]): run for run in bench["runs"]}
 
 
-def run_errors(label: str, run: dict, index: int) -> list[str]:
-    name = f"{label} {run['workload']} trace={run['trace']}" + (f" #{index}" if index else "")
+def run_errors(label: str, run: dict) -> list[str]:
+    name = f"{label} {run['workload']} trace={run['trace']}"
     result = run["result"]
     if run["exit_code"] != 0 or result is None:
         return [f"{name}: exit {run['exit_code']}, no result: {run['stderr'][-300:]}"]
@@ -46,21 +37,6 @@ def run_errors(label: str, run: dict, index: int) -> list[str]:
     if not result["correct"]:
         errors.append(f"{name}: correct false, checks {run['report'].get('checks')}")
     return errors
-
-
-def per_layer(workload: str, spec: dict, old: list[dict], new: list[dict]) -> None:
-    """Print the median ratio of each per-layer time and every count that is not one value."""
-    for metric in spec["per_layer"]:
-        m = metric["name"]
-        if not all(m in run["result"]["metrics"] for run in old + new):
-            continue
-        a, b = ([run["result"]["metrics"][m]["value"] for run in runs] for runs in (old, new))
-        if metric["unit"] == "s" and any(a + b):
-            x, y = statistics.median(a), statistics.median(b)
-            ratio = f"x{y / x:.3f}" if x else "(OLD is 0)"
-            print(f"{workload:6} {m:38} {x:10.4g} -> {y:10.4g} s  {ratio} (medians of {len(a)}, {len(b)})")
-        elif metric["unit"] == "count" and len(set(a + b)) > 1:
-            print(f"{workload:6} {m:38} counts differ: OLD {a}, NEW {b}")
 
 
 def breached(old: float, new: float, better: str, bound: float) -> bool:
@@ -77,25 +53,21 @@ def main() -> int:
 
     problems = []
     for label, runs in (("OLD", old), ("NEW", new)):
-        for repeats in runs.values():
-            for index, run in enumerate(repeats):
-                problems += run_errors(label, run, index)
+        for run in runs.values():
+            problems += run_errors(label, run)
     for key in sorted(old.keys() & new.keys()):
+        a, b = old[key], new[key]
         workload, trace = key
         name = f"{workload} trace={trace}"
-        if any(run["result"] is None for run in old[key] + new[key]):
+        if a["result"] is None or b["result"] is None:
             continue
-        reference, *others = old[key]
-        for run in others + new[key]:
-            # one digest entry per batch, and batch i runs the same inputs in every run
-            pairs = list(zip(reference["report"]["digests"], run["report"]["digests"]))
-            differ = [i for i, (x, y) in enumerate(pairs) if x != y]
-            if differ or not pairs:
-                problems.append(f"{name}: digests differ in batches {differ} of {len(pairs)}")
+        # one digest entry per batch, and batch i runs the same inputs on both sides
+        pairs = list(zip(a["report"]["digests"], b["report"]["digests"]))
+        differ = [i for i, (x, y) in enumerate(pairs) if x != y]
+        if differ or not pairs:
+            problems.append(f"{name}: digests differ in batches {differ} of {len(pairs)}")
         if trace:
-            per_layer(workload, spec, old[key], new[key])
             continue
-        a, b = reference, new[key][0]
         for metric in spec["end_to_end"]:
             m, bound = metric["name"], metric["bound"]
             x, y = a["result"]["metrics"][m]["value"], b["result"]["metrics"][m]["value"]

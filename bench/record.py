@@ -4,11 +4,9 @@
                             [--root CHECKOUT]
 
 For each workload of the checkout's ``BENCHMARK.json`` it runs
-``perfbench/run.py`` untraced once and then traced ``TRACED_RUNS`` times
-(a traced run's self times move with machine load, so ``bench/compare.py``
-compares their medians), from the root of ``CHECKOUT`` (default: the
-checkout holding this script), and keeps the parsed report and result of
-every run: each report line before the last
+``perfbench/run.py`` untraced and then traced, from the root of
+``CHECKOUT`` (default: the checkout holding this script), and keeps the
+parsed report and result of every run: each report line before the last
 is ``key: <JSON>`` (a line that does not parse is kept as text), the last
 line is the JSON result. It also keeps the command, the run length, the
 exit code, the wall time and whether ``src/flyspin`` had a valid bytecode
@@ -27,7 +25,6 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-TRACED_RUNS = 3
 
 
 def parse_output(stdout: str) -> tuple[dict, dict | None]:
@@ -104,7 +101,7 @@ def main() -> int:
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     runs = []
     for workload in (w["name"] for w in spec["workloads"]):
-        for trace in (0,) + (1,) * TRACED_RUNS:
+        for trace in (0, 1):
             run = record(root, workload, trace, seconds, args.seed)
             runs.append(run)
             result = run["result"] or {}

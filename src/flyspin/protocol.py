@@ -57,9 +57,9 @@ of every site is one float (1 - f up to rounding), so below that floor
 every round is a draw against one constant: ``pump_until`` takes such
 rounds a block of uniforms at a time, as one running sum of +1/-1 steps
 whose first return to the floor is one ``argmax``, and steps one round at
-a time only above the floor. The checks, the table, the target and the
-floor are resolved once per argument set and cached, so a run of many
-walks pays for them once.
+a time only above the floor. The checks other than ``max_rounds``' type,
+the table, the target and the floor are resolved once per argument set
+and cached, so a run of many walks pays for them once.
 """
 
 from __future__ import annotations
@@ -382,35 +382,30 @@ def _pump_lattice(
     return tuple(p_even.tolist()), int(np.searchsorted(fid, target)), floor
 
 
-@lru_cache(maxsize=4, typed=True)
+@lru_cache(maxsize=4)
 def _walk_constants(
     eps_z: float, target_fidelity: float, max_rounds: int
-) -> tuple[int, tuple[float, ...], int, int]:
-    """The checked arguments of ``pump_until`` and what every walk of them shares.
+) -> tuple[tuple[float, ...], int, int]:
+    """The checks of ``pump_until`` and what every walk of one argument set shares.
 
-    Returns ``max_rounds`` as an int and ``_pump_lattice``'s table, target
-    index and floor, the floor clamped to the target: on a table flat past
-    the target the bulk pass stops there. A fresh pair at the target gets
-    no table, and a target index at the starting site. Cached per argument
-    set and type, so ``30.0`` after ``30`` is still refused; a raised error
-    is not cached.
+    ``max_rounds`` is an int. Returns ``_pump_lattice``'s table and target
+    index and its floor clamped to the target: on a table flat past the
+    target the bulk pass stops there. A fresh pair at the target gets no
+    table, and a target index at the starting site. A raised error is not
+    cached.
     """
     if not (0.0 <= target_fidelity < 1.0):
         raise ValueError(f"target fidelity must lie in [0, 1), got {target_fidelity}")
-    try:
-        max_rounds = operator.index(max_rounds)
-    except TypeError:
-        raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}") from None
     if max_rounds < 0:
         raise ValueError("max_rounds cannot be negative")
     fresh = fresh_pair_fidelity(eps_z)
     if not (0.0 <= fresh <= 1.0):
         raise ValueError(f"fresh fidelity must lie in [0, 1], got {fresh}")
     if fresh >= target_fidelity:
-        return max_rounds, (), max_rounds, max_rounds
+        return (), max_rounds, max_rounds
     # fresh >= 1/2 for every eps_z, so the fidelity grows with the site
     p_even, stop, floor = _pump_lattice(fresh, target_fidelity, max_rounds)
-    return max_rounds, p_even, stop, min(floor, stop)
+    return p_even, stop, min(floor, stop)
 
 
 # most walks converge within about ten rounds, so the first block of
@@ -438,25 +433,25 @@ def pump_until(
     even (odd) syndrome adds (subtracts) one. The syndrome probabilities
     come from a table over the reachable sites and the walk stops at the
     lowest site whose fidelity reaches the target, so the stored pair never
-    underflows. The checks, the table, the target and the floor come from
-    one cached call per argument set (``_walk_constants``), so a run of
-    many walks resolves them once. Round i is even when the i-th uniform of
-    ``rng`` falls below the even-syndrome probability. Below the table's
-    floor (see ``_pump_lattice``) that probability is one constant, so
-    there the walk takes the rest of the current block of uniforms in one
-    numpy pass: the running sum of the +1/-1 steps, and the first round at
-    which it climbs back to the floor (one ``argmax``). Above the floor
-    the walk steps one round at a time. Either way the syndromes are those
-    of the round-at-a-time walk. The uniforms are read in order with
+    underflows. ``max_rounds`` must be an integer (``operator.index``);
+    once it is an int, the other checks, the table, the target and the
+    floor come from one cached call per argument set
+    (``_walk_constants``), so a run of many walks resolves them once.
+    Round i is even when the i-th uniform of ``rng`` falls below the
+    even-syndrome probability. Below the table's floor (see
+    ``_pump_lattice``) that probability is one constant, so there the walk
+    takes the rest of the current block of uniforms in one numpy pass: the
+    running sum of the +1/-1 steps, and the first round at which it climbs
+    back to the floor (one ``argmax``). Above the floor the walk steps one
+    round at a time. Either way the syndromes are those of the
+    round-at-a-time walk. The uniforms are read in order with
     ``rng.random(size)``; the state of ``rng`` afterwards is unspecified.
-    ``max_rounds`` must be an integer (``operator.index``).
     """
     try:
-        max_rounds, p_even, stop, floor = _walk_constants(eps_z, target_fidelity, max_rounds)
-    except TypeError:  # an unhashable argument: the same checks, uncached
-        max_rounds, p_even, stop, floor = _walk_constants.__wrapped__(
-            eps_z, target_fidelity, max_rounds
-        )
+        max_rounds = operator.index(max_rounds)
+    except TypeError:
+        raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}") from None
+    p_even, stop, floor = _walk_constants(eps_z, target_fidelity, max_rounds)
     syndromes = bytearray()
     site, block, append = max_rounds, _FIRST_BLOCK, syndromes.append
     while site < stop and len(syndromes) < max_rounds:

@@ -726,8 +726,10 @@ def test_pump_until_input_checks_and_edge_walks():
     # one cache of at most four tables; the table builder keeps none
     assert _walk_constants.cache_info().maxsize == 4
     assert not hasattr(_pump_lattice, "cache_info")
+    _walk_constants.cache_clear()
     numpy_int = pump_until(0.089, 0.9999, np.int64(30), trial_rng(4, 0))
     assert numpy_int == pump_until(0.089, 0.9999, 30, trial_rng(4, 0))
+    assert _walk_constants.cache_info().misses == 1  # one table for 30 of either type
     idle = pump_until(0.089, 0.9999, 0, trial_rng(0, 0))
     assert not idle.converged and idle.syndromes == b""
     # r = 1: every syndrome leaves the stored fidelity at 1/2
