@@ -42,6 +42,9 @@ gives success probability P1 P2 / 2 at any angles. ``ParityTree`` owns
 that success rule and Born-samples successes from its own branches: a
 draw of round-one outcome i succeeds when the second uniform falls in
 the interval that round two's cumulative weights give outcome 3 - i.
+``parity_tree`` runs each round once: round two on the stack of the kept
+round-one ancilla states, with ``measure`` validating all their branch
+states at once.
 
 Entanglement pumping consumes a stream of such heralded pairs to purify
 one stored pair. Syndrome "even" (probability F f + (1-F)(1-f)) updates
@@ -78,13 +81,13 @@ from .qcore import (
     DensityMatrix,
     KrausChannel,
     MeasurementBranch,
-    PAULI_X,
     ZERO_PROBABILITY_ATOL,
     apply_channel,
     apply_unitary,
     ket,
     measure,
     partial_trace,
+    stack,
     tensor_dm,
     _frozen,
     _per_state,
@@ -198,16 +201,21 @@ _Round = tuple[MeasurementBranch, ...]
 # when a_j is down (bit 1), so together they send basis index i to
 # i ^ ((i >> 2) & 3); the map is its own inverse
 _CNOT_PAIR = _frozen(np.array([i ^ ((i >> 2) & 3) for i in range(16)]))
+# the bit flip on ancilla a1 (qubit 0 of the two) sends basis index i to i ^ 2
+_FLIP_A1 = _frozen(np.arange(4) ^ 2)
 
 
-def _parity_round(ancillas: DensityMatrix, resource_rho: DensityMatrix) -> _Round:
-    """Consume one resource; (probability, ancilla state) per outcome pair.
+def _parity_round(ancillas: DensityMatrix, resource_rho: DensityMatrix) -> list:
+    """Consume one resource per ancilla state; (probability, ancilla state) per outcome pair.
 
-    Both CNOTs conjugate the joint state at once: entry (j, k) of the
-    result is entry (``_CNOT_PAIR[j]``, ``_CNOT_PAIR[k]``) of the joint state.
+    ``ancillas`` is one state or a stack of them, and the result is
+    ``measure``'s: the four branches of a single state, or one list of four
+    per stack index. Both CNOTs conjugate the joint states at once: entry
+    (j, k) of each result is entry (``_CNOT_PAIR[j]``, ``_CNOT_PAIR[k]``)
+    of its joint state.
     """
     joint = tensor_dm(ancillas, resource_rho).mat
-    return tuple(measure(DensityMatrix(joint[..., _CNOT_PAIR[:, None], _CNOT_PAIR]), (2, 3)))
+    return measure(DensityMatrix(joint[..., _CNOT_PAIR[:, None], _CNOT_PAIR]), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -279,8 +287,8 @@ def _ancillas(ancillas: DensityMatrix | None) -> DensityMatrix:
     if ancillas is None:
         vec = np.full(4, 0.5, dtype=complex)  # |++>
         return DensityMatrix(np.outer(vec, vec.conj()))
-    if ancillas.n != 2:
-        raise ValueError("ancilla register must hold exactly two qubits")
+    if ancillas.mat.shape != (4, 4):
+        raise ValueError(f"ancilla register must be one state of two qubits, got {ancillas.mat.shape}")
     return ancillas
 
 
@@ -288,12 +296,17 @@ def parity_tree(rho: DensityMatrix, ancillas: DensityMatrix | None = None) -> Pa
     """Exact two-round branch tree on the given ancillas (default |++>).
 
     Each round consumes one copy of the resource ``rho``, a single
-    two-qubit state; a stack or another register size raises ``ValueError``.
+    two-qubit state; a stack or another register size raises ``ValueError``,
+    and so do stacked ancillas. Round one runs on the ancillas and round two
+    once, on the stack of the kept round-one ancilla states: one
+    ``tensor_dm``, one ``_CNOT_PAIR`` permutation and one ``measure`` for
+    all of it.
     """
     if rho.mat.shape != (4, 4):
         raise ValueError(f"resource must be one two-qubit state, got shape {rho.mat.shape}")
-    first = _parity_round(_ancillas(ancillas), rho)
-    second = tuple(_parity_round(b.state, rho) if b.state is not None else () for b in first)
+    first = tuple(_parity_round(_ancillas(ancillas), rho))
+    rounds = iter(_parity_round(stack([b.state for b in first if b.state is not None]), rho))
+    second = tuple(tuple(next(rounds)) if b.state is not None else () for b in first)
     truncated = sum(b.probability for b in first if b.state is None) + sum(
         b1.probability * b2.probability
         for b1, branches in zip(first, second) for b2 in branches if b2.state is None
@@ -306,20 +319,25 @@ def parity_success_output(tree: ParityTree) -> tuple[float, Optional[DensityMatr
 
     The state pools every success leaf weighted by its probability. A success
     whose round one reported odd outcome parity heralded the even-parity
-    projector; the recorded bit flip on ancilla a1 maps it onto the odd
-    projection before pooling. Returns ``None`` for the state when the
-    success probability vanishes (degenerate resources).
+    projector; the recorded bit flip on ancilla a1, the basis permutation
+    i -> i ^ 2, maps it onto the odd projection before pooling. Returns
+    ``None`` for the state when the success probability vanishes
+    (degenerate resources).
     """
     branches = []
     for first, second, prob, anc in tree.leaves():
         if ParityTree.is_success(first, second):
+            mat = anc.mat
             if (first[0] + first[1]) % 2 == 1:
-                anc = apply_unitary(anc, PAULI_X, (0,))
-            branches.append((prob, anc))
+                # the flip conjugates by a basis permutation; the copy keeps measure's
+                # Fortran order, which the pooled state and so the last bits of the
+                # Bell fidelities read
+                mat = np.asfortranarray(mat[_FLIP_A1[:, None], _FLIP_A1])
+            branches.append((prob, mat))
     total = sum(prob for prob, _ in branches)
     if total <= ZERO_PROBABILITY_ATOL:
         return 0.0, None
-    pooled = sum(prob * anc.mat for prob, anc in branches) / total
+    pooled = sum(prob * mat for prob, mat in branches) / total
     return total, DensityMatrix(pooled)
 
 

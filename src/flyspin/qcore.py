@@ -24,7 +24,10 @@ Conventions used by the whole package:
   support (the basis states with a nonzero diagonal entry in some state)
   is checked on that support block; the rows left out are exact zero
   eigenvalues.
-  ``measure`` takes a single state only and leaves at least one qubit.
+  ``measure`` leaves at least one qubit. On a stack it returns nested
+  lists, one branch list per stack index, and validates the branch states
+  of the whole stack at once; each state it returns is a view of that one
+  validated stack.
 
 All values are immutable after construction and every operation is a pure
 function returning a new value, so states can be shared freely between
@@ -75,6 +78,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 # the identity on k qubits, for the completeness check of k-qubit Kraus operators
 _IDENTITY = {k: _frozen(np.eye(2**k)) for k in range(1, MAX_QUBITS + 1)}
+# the maximally mixed state of k qubits, which a cut measurement branch validates as
+_MIXED = {k: _frozen(np.eye(2**k) / 2**k) for k in range(1, MAX_QUBITS + 1)}
 
 
 def _require(ok, message: str, *values) -> None:
@@ -175,6 +180,29 @@ class DensityMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(n={self._n})"
+
+
+def _trusted(mat: np.ndarray) -> DensityMatrix:
+    """A ``DensityMatrix`` over states that were validated already, not validated again.
+
+    ``mat`` is a view of a validated stack, or a stack of validated states.
+    """
+    rho = object.__new__(DensityMatrix)
+    rho._mat, rho._n = _frozen(mat), mat.shape[-1].bit_length() - 1
+    return rho
+
+
+def stack(states: Sequence[DensityMatrix]) -> DensityMatrix:
+    """The single states ``states``, all of one register size, as one stack.
+
+    The stack has shape ``(len(states),)``. Each state was validated when it
+    was made, so the stack is not validated again; its states are C-ordered
+    copies.
+    """
+    mats = [rho.mat for rho in states]
+    if not mats or any(m.ndim != 2 for m in mats):
+        raise ValueError("stack takes one or more single states")
+    return _trusted(np.stack(mats))
 
 
 def tensor_dm(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -303,7 +331,7 @@ class MeasurementBranch(NamedTuple):
     state: Optional[DensityMatrix]
 
 
-def measure(state: DensityMatrix, targets: Sequence[int]) -> list[MeasurementBranch]:
+def measure(state: DensityMatrix, targets: Sequence[int]) -> list:
     """Measure the qubits ``targets`` in the computational basis and discard them.
 
     Returns one branch per basis outcome b, in order of b with ``targets[0]``
@@ -311,27 +339,36 @@ def measure(state: DensityMatrix, targets: Sequence[int]) -> list[MeasurementBra
     b-block of the state divided by it, the reduced state of the unmeasured
     qubits in register order. Branches whose probability falls below 1e-12
     are flagged with ``state=None`` instead of being divided by a vanishing
-    norm. ``state`` must be a single state, and at least one qubit must be
-    left unmeasured.
+    norm. At least one qubit must be left unmeasured.
+
+    A stack of shape ``S`` gives nested lists of shape ``S``, each entry the
+    branch list of the state at that stack index, bit for bit the list that
+    state alone gives. Every kept branch state of the stack is validated in
+    one ``DensityMatrix`` construction, with each cut branch standing in as
+    the maximally mixed state, so a failing branch is named by its stack
+    index and outcome; each returned state is a view of that one stack.
     """
-    if state.mat.ndim != 2:
-        raise ValueError(f"measure takes a single state, got a stack of shape {state.mat.shape[:-2]}")
     t = _check_targets(targets, state.n)
     n, k = state.n, len(t)
     if not 0 < k < n:
         raise ValueError(f"targets {t} must name at least one of the {n} qubits and leave one unmeasured")
     # rows and columns ordered (targets, rest): outcome b is the diagonal block [b, :, b, :]
     order = t + tuple(q for q in range(n) if q not in t)
-    d = 2 ** (n - k)
-    blocks = _reorder(state.mat, order).reshape(2**k, d, 2**k, d)
-    branches = []
-    for b in range(2**k):
-        block = blocks[b, :, b, :]
-        # summed left to right and stored in Fortran order: the last bits of
-        # the parity-tree states, and so the seeded outputs, depend on both
-        prob = float(block.diagonal().real.cumsum()[-1])
-        if prob <= ZERO_PROBABILITY_ATOL:
-            branches.append(MeasurementBranch(max(prob, 0.0), None))
-        else:
-            branches.append(MeasurementBranch(prob, DensityMatrix(np.divide(block, prob, order="F"))))
-    return branches
+    d, lead = 2 ** (n - k), state.mat.shape[:-2]
+    blocks = _reorder(state.mat, order).reshape(lead + (2**k, d, 2**k, d))
+    blocks = np.moveaxis(blocks.diagonal(axis1=-4, axis2=-2), -1, -3)
+    # summed left to right and stored in Fortran order: the last bits of
+    # the parity-tree states, and so the seeded outputs, depend on both
+    prob = blocks.diagonal(axis1=-2, axis2=-1).real.cumsum(axis=-1)[..., -1]
+    kept = prob > ZERO_PROBABILITY_ATOL
+    states = np.empty(blocks.shape, dtype=complex).swapaxes(-1, -2)
+    np.divide(blocks, np.where(kept, prob, 1.0)[..., None, None], out=states)
+    states[~kept] = _MIXED[n - k]
+    valid = DensityMatrix(states).mat.reshape((-1, d, d))
+    branches = [
+        MeasurementBranch(p, _trusted(m)) if ok else MeasurementBranch(max(p, 0.0), None)
+        for p, ok, m in zip(prob.ravel().tolist(), kept.ravel().tolist(), valid)
+    ]
+    for size in reversed(lead + (2**k,)):
+        branches = [branches[i:i + size] for i in range(0, len(branches), size)]
+    return branches[0]

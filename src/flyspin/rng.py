@@ -24,11 +24,11 @@ which numpy's Philox state setter reads faster than numpy arrays.
 ``trial_rng`` is thus both the definition of a trial's stream and the one
 place a keyed Philox generator is built.
 
-The bulk pass runs every Philox round in place on arrays made once per
-chunk of ``_CHUNK`` trials, keys included, so its temporaries are 152
-bytes per trial, 2.5 MB for a full chunk, at any trial count. They are
-local to the call: the module holds no state between calls, only
-constants.
+The bulk pass runs the Philox rounds in place on arrays made once per
+chunk of ``_CHUNK`` trials, keys included, and its last two rounds make
+only what words 0 and 1 read. Its temporaries are 136 bytes per trial,
+2.2 MB for a full chunk, at any trial count. They are local to the call:
+the module holds no state between calls, only constants.
 
 Reference draws, frozen as regression vectors (see tests):
 
@@ -108,29 +108,37 @@ def _mulhilo(
 
 
 def _philox(seed: int, keys: np.ndarray, out: np.ndarray) -> None:
-    """Write Philox-4x64-10 of the counter (1, 0, 0, 0) under keys (seed, keys) into out.
+    """Write words 0 and 1 of Philox-4x64-10 of the counter (1, 0, 0, 0) under keys (seed, keys).
 
-    ``out`` has shape (n, 4). Each round reads one set of four words and
-    writes the next into a second set; the last round writes into out.
+    ``out`` has shape (n, 2). Rounds 1 to 8 each read one set of four words
+    and write the next into a second set. Words 0 and 1 of round 10 read
+    only words 1 and 2 of round 9, so round 9 makes only those two,
+    lo(M1 c2) and hi(M0 c0) ^ c3 ^ k1, and round 10 only hi and lo of
+    M1 c2 and one xor pair.
     """
     n = len(keys)
     hi0, hi1, k1, *scratch = np.empty((6, n), dtype=np.uint64)
     words, nxt = np.zeros((4, n), dtype=np.uint64), np.empty((4, n), dtype=np.uint64)
     words[0] = 1
-    for r in range(_ROUNDS):
+    for r in range(_ROUNDS - 1):
         # the key gets (W0, W1) added before rounds 2 to 10
         k0 = np.uint64((seed + r * _W0) % _U64)
         np.add(keys, np.uint64(r * _W1 % _U64), out=k1)
-        if r == _ROUNDS - 1:
-            nxt = out.T
         c0, c1, c2, c3 = words
         _mulhilo(_M0, c0, hi0, nxt[3], scratch)
+        np.bitwise_xor(hi0, c3, out=nxt[2])
+        np.bitwise_xor(nxt[2], k1, out=nxt[2])
+        if r == _ROUNDS - 2:  # round 9: word 1 is a plain product, word 3 goes unread
+            np.multiply(c2, np.uint64(_M1), out=nxt[1])
+            break
         _mulhilo(_M1, c2, hi1, nxt[1], scratch)
         np.bitwise_xor(hi1, c1, out=nxt[0])
         np.bitwise_xor(nxt[0], k0, out=nxt[0])
-        np.bitwise_xor(hi0, c3, out=nxt[2])
-        np.bitwise_xor(nxt[2], k1, out=nxt[2])
         words, nxt = nxt, words
+    # round 10: word 0 is hi(M1 c2) ^ c1 ^ k0 and word 1 is lo(M1 c2)
+    _mulhilo(_M1, nxt[2], hi1, out[:, 1], scratch)
+    np.bitwise_xor(hi1, nxt[1], out=out[:, 0])
+    np.bitwise_xor(out[:, 0], np.uint64((seed + (_ROUNDS - 1) * _W0) % _U64), out=out[:, 0])
 
 
 def trial_uniforms(master_seed: int, trials: int) -> np.ndarray:
@@ -142,18 +150,18 @@ def trial_uniforms(master_seed: int, trials: int) -> np.ndarray:
     gadget. Seed and ``trials`` must be 64-bit unsigned integers.
 
     Trials are computed in chunks of ``_CHUNK``. Each chunk makes its keys
-    and arrays once and runs the rounds in place: nineteen uint64 words a
-    trial, 2.5 MB for a full chunk (``tracemalloc`` peak 2.76 MB at 16384
+    and arrays once and runs the rounds in place: seventeen uint64 words a
+    trial, 2.2 MB for a full chunk (``tracemalloc`` peak 2.49 MB at 16384
     trials, the 262 kB result included). Nothing is kept between calls.
     """
     seed, n = _check_u64("master_seed", master_seed), _check_u64("trials", trials)
     out = np.empty((n, 2))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        words = np.empty((hi - lo, 4), dtype=np.uint64)
+        words = np.empty((hi - lo, 2), dtype=np.uint64)
         _philox(seed, np.arange(lo, hi, dtype=np.uint64), words)
         np.right_shift(words, 11, out=words)
-        np.multiply(words[:, :2], 2.0**-53, out=out[lo:hi])
+        np.multiply(words, 2.0**-53, out=out[lo:hi])
     return out
 
 

@@ -97,6 +97,9 @@ def herald_transmission(state: DensityMatrix) -> MeasurementBranch:
 
     Returns the Born probability of the herald and the conditional spin
     state. A zero-probability herald is flagged by returning ``None`` for
-    the state.
+    the state. ``state`` is a single state.
     """
+    if state.mat.ndim != 2:
+        shape = state.mat.shape[:-2]
+        raise ValueError(f"herald_transmission takes a single state, got a stack of {shape}")
     return measure(state, (state.n - 1,))[0]

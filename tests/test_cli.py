@@ -161,6 +161,13 @@ def test_eigvalsh_counts_repeat_across_runs_in_one_process(tmp_path, monkeypatch
              "--theta2", "0.5", "--out", str(tmp_path / "c.csv")]
     counts = repeated_counts(*chain)
     assert counts["eigvalsh"] == counts["density_matrix"] + 1
+    # 8 states for the resource, the |++> ancillas, per round of the parity
+    # gadget one stack each for tensor_dm, the CNOT permutation and measure's
+    # branch states, and the pooled success state; one more eigvalsh for the
+    # resource concurrence
+    eo = ["eo-run", "--theta1", "0.25", "--theta2", "0.5", "--eps-z", "0.089", "--trials", "1000",
+          "--seed", "3", "--out", str(tmp_path / "e.csv")]
+    assert repeated_counts(*eo) == {"density_matrix": 8 + 1 + 2 * 3 + 1, "eigvalsh": 17}
 
 
 def test_seeded_commands_are_byte_identical(tmp_path):
@@ -754,6 +761,24 @@ def test_pump_sim_peak_memory_stays_within_its_cost_per_trial(tmp_path, capsys):
     assert peak <= 5000 * _TRIAL_B["pump-sim"]
     assert len(out.read_text().splitlines()) == 5001
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pump.csv", "pump.csv.config"]
+
+
+def test_eo_run_peak_memory_stays_within_its_cost_per_trial(tmp_path, capsys):
+    # the trials ceiling is the memory budget over this cost: the uniforms, the
+    # drawn outcomes and the flags grow with trials, the Philox chunk does not,
+    # and at 200k trials its fixed temporaries no longer dominate
+    out = tmp_path / "eo.csv"
+    argv = ["eo-run", "--theta1", "0.25", "--theta2", "0.5", "--eps-z", "0.089", "--seed", "1",
+            "--out", str(out)]
+    assert run(*argv, "--trials", "2") == 0  # imports and first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        assert run(*argv, "--trials", "200000") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200000 * _TRIAL_B["eo-run"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eo.csv", "eo.csv.config"]
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -306,9 +306,52 @@ def test_stacked_validation_names_the_first_failing_index():
         DensityMatrix(np.stack([good, np.eye(2)])[None])
     with pytest.raises(ValueError, match=r"completeness within 1e-12 at stack index \(1,\)"):
         KrausChannel([np.stack([np.eye(2), 2.0 * np.eye(2)])])
-    with pytest.raises(ValueError, match="single state"):
-        measure(tensor_dm(DensityMatrix(np.stack([good, good])), ket("u")), (0,))
+    # a branch state of the entry at stack index 1 fails validation once it is
+    # renormalized: its outcome-1 block diag(6e-11, -5e-11) has probability 1e-11,
+    # above the cut, and divides to diag(6, -5); the error names stack index and outcome
+    bad = np.diag([0.5, 0.5 - 1e-11, 6e-11, -5e-11])
+    with pytest.raises(ValueError, match=r"eigenvalue -[45]\.\d* below .* at stack index \(1, 1\)"):
+        measure(DensityMatrix(np.stack([np.eye(4) / 4.0, bad])), (0,))
     assert DensityMatrix(np.stack([good, good])).purity().tolist() == [0.5, 0.5]
+
+
+def _assert_branches_equal(stacked, single):
+    assert len(stacked) == len(single)
+    for a, b in zip(stacked, single):
+        assert type(a.probability) is float and a.probability == b.probability
+        assert np.signbit(a.probability) == np.signbit(b.probability)
+        assert (a.state is None) == (b.state is None)
+        if a.state is not None:
+            assert a.state.n == b.state.n
+            bits = [np.ascontiguousarray(m).view(np.uint64) for m in (a.state.mat, b.state.mat)]
+            assert np.array_equal(*bits)
+            for flag in ("c_contiguous", "f_contiguous", "writeable"):
+                assert getattr(a.state.mat.flags, flag) == getattr(b.state.mat.flags, flag)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2)])
+def test_stacked_measure_equals_single_measure_bit_for_bit(shape):
+    # random 3-qubit states, every second one with qubit 0 up and qubit 1 down:
+    # each stack index gives the branches its state alone gives, probabilities,
+    # cut flags, bits and memory order
+    rng = np.random.default_rng(37)
+    size = math.prod(shape)
+    states = [
+        tensor_dm(ket("ud"), random_density(1, rng)) if i % 2 else random_density(3, rng)
+        for i in range(size)
+    ]
+    stacked = DensityMatrix(np.stack([rho.mat for rho in states]).reshape(shape + (8, 8)))
+    for targets in ((0,), (1,), (2, 0), (1, 2)):
+        result = measure(stacked, targets)
+        flat = result if len(shape) == 1 else [branches for row in result for branches in row]
+        assert len(result) == shape[0] and len(flat) == size
+        for branches, rho in zip(flat, states):
+            _assert_branches_equal(branches, measure(rho, targets))
+        # every target set cuts the branches of the odd stack indices that
+        # need qubit 0 down or qubit 1 up, and no branch of an even one
+        assert [any(b.state is None for b in branches) for branches in flat] == [
+            i % 2 == 1 for i in range(size)
+        ]
 
 
 def _on_support(block, support) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flyspin.metrics import BellLabel, bell_fidelity, concurrence
-from flyspin.qcore import apply_unitary, ket
+from flyspin.qcore import DensityMatrix, apply_unitary, ket
 from flyspin.scattering import (
     FullScatterParams,
     _gate_angle,
@@ -143,6 +143,10 @@ def test_pure_triplet_transmitted_weight():
     prob, conditional = herald_transmission(full_scatter(ket("uu"), p))
     assert prob == pytest.approx(0.3, abs=1e-12)
     assert_allclose(conditional.mat, ket("uu").mat, atol=1e-12)
+    # measure takes stacks, the herald one state
+    stacked = DensityMatrix(np.stack([full_scatter(ket("uu"), p).mat] * 2))
+    with pytest.raises(ValueError, match=r"takes a single state, got a stack of \(2,\)"):
+        herald_transmission(stacked)
 
 
 def test_singlet_resonance_heralds_bell_pair_at_half():
