@@ -8,11 +8,8 @@ checkout's ``BENCHMARK.json``. Errors: a run that exited nonzero or has no
 result, ``failed`` above 0, ``correct: false`` (with the run's
 ``checks``), output digests that differ between OLD and NEW in any
 batch that both ran, and a workload or traced run in only one file.
-It then prints the NEW/OLD ratio of each op's scaled time in the
-``"micro"`` timings of ``bench/micro.py``. Those have no bounds, so a
-ratio is never an error; an op, or the timings, in one file only is a
-printed note. Exits 1 if any breach or error was found, else 0. Uses only
-the standard library.
+Exits 1 if any breach or error was found, else 0. Uses only the standard
+library.
 """
 
 from __future__ import annotations
@@ -46,28 +43,13 @@ def breached(old: float, new: float, better: str, bound: float) -> bool:
     return new < old * (1.0 - bound) if better == "higher" else new > old * (1.0 + bound)
 
 
-def print_micro(old: dict | None, new: dict | None) -> None:
-    """The NEW/OLD ratio of each op's scaled time; an op in one record only is a note."""
-    if old is None or new is None:
-        if old or new:
-            print(f"NOTE micro timings in {'OLD' if old else 'NEW'} only")
-        return
-    a, b = old["ops"], new["ops"]
-    for op in sorted(a.keys() & b.keys()):
-        x, y = a[op]["scaled_s"], b[op]["scaled_s"]
-        print(f"micro  {op:26} {x * 1e6:12.1f} -> {y * 1e6:12.1f} us   x{y / x:.3f} (lower is better)")
-    for op in sorted(a.keys() ^ b.keys()):
-        print(f"NOTE micro {op}: in {'OLD' if op in a else 'NEW'} only")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     args = parser.parse_args()
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    records = [json.loads(path.read_text()) for path in (args.old, args.new)]
-    old, new = (runs_by_key(record) for record in records)
+    old, new = (runs_by_key(json.loads(path.read_text())) for path in (args.old, args.new))
 
     problems = []
     for label, runs in (("OLD", old), ("NEW", new)):
@@ -99,7 +81,6 @@ def main() -> int:
             )
     for key in sorted(old.keys() ^ new.keys()):
         problems.append(f"{key[0]} trace={key[1]}: in {'OLD' if key in old else 'NEW'} only")
-    print_micro(*(record.get("micro") for record in records))
     for problem in problems:
         print(f"ERROR {problem}")
     return 1 if problems else 0

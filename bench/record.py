@@ -10,10 +10,8 @@ parsed report and result of every run: each report line before the last
 is ``key: <JSON>`` (a line that does not parse is kept as text), the last
 line is the JSON result. It also keeps the command, the run length, the
 exit code, the wall time and whether ``src/flyspin`` had a valid bytecode
-cache, since without one ``setup_s`` includes the compile. Last it runs
-``bench/micro.py`` on the checkout and keeps its op timings under
-``"micro"``. Uses only the standard library; run ``bench/compare.py OLD
-NEW`` on two such files.
+cache, since without one ``setup_s`` includes the compile. Uses only the
+standard library; run ``bench/compare.py OLD NEW`` on two such files.
 """
 
 from __future__ import annotations
@@ -109,13 +107,9 @@ def main() -> int:
             result = run["result"] or {}
             verdict = {k: result.get(k) for k in ("correct", "attempted", "failed")}
             print(f"{workload} trace={trace}: exit {run['exit_code']}, {verdict}", flush=True)
-    micro = subprocess.run([sys.executable, str(HERE / "micro.py"), "--root", str(root)],
-                           capture_output=True, text=True)
-    print(f"micro: exit {micro.returncode}", flush=True)
-    bench = {"seconds": seconds, "seed": args.seed, "runs": runs,
-             "micro": json.loads(micro.stdout) if micro.returncode == 0 else None}
+    bench = {"seconds": seconds, "seed": args.seed, "runs": runs}
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
-    return 0 if all(r["exit_code"] == 0 and r["result"] for r in runs) and bench["micro"] else 1
+    return 0 if all(r["exit_code"] == 0 and r["result"] for r in runs) else 1
 
 
 if __name__ == "__main__":

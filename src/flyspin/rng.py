@@ -112,29 +112,34 @@ def _philox(seed: int, keys: np.ndarray, out: np.ndarray) -> None:
 
     ``out`` has shape (n, 2). Rounds 1 to 8 each read one set of four words
     and write the next into a second set. Words 0 and 1 of round 10 read
-    only words 1 and 2 of round 9, so round 9 makes only those two,
-    lo(M1 c2) and hi(M0 c0) ^ c3 ^ k1, and round 10 only hi and lo of
-    M1 c2 and one xor pair.
+    only words 1 and 2 of round 9, so round 9 writes only those two,
+    lo(M1 c2) as a plain product and hi(M0 c0) ^ c3 ^ k1 (whose
+    ``_mulhilo`` still makes lo(M0 c0), left unread), and round 10 only
+    hi and lo of M1 c2 and one xor pair.
     """
     n = len(keys)
     hi0, hi1, k1, *scratch = np.empty((6, n), dtype=np.uint64)
     words, nxt = np.zeros((4, n), dtype=np.uint64), np.empty((4, n), dtype=np.uint64)
     words[0] = 1
-    for r in range(_ROUNDS - 1):
+    for r in range(_ROUNDS - 2):
         # the key gets (W0, W1) added before rounds 2 to 10
         k0 = np.uint64((seed + r * _W0) % _U64)
         np.add(keys, np.uint64(r * _W1 % _U64), out=k1)
         c0, c1, c2, c3 = words
         _mulhilo(_M0, c0, hi0, nxt[3], scratch)
-        np.bitwise_xor(hi0, c3, out=nxt[2])
-        np.bitwise_xor(nxt[2], k1, out=nxt[2])
-        if r == _ROUNDS - 2:  # round 9: word 1 is a plain product, word 3 goes unread
-            np.multiply(c2, np.uint64(_M1), out=nxt[1])
-            break
         _mulhilo(_M1, c2, hi1, nxt[1], scratch)
         np.bitwise_xor(hi1, c1, out=nxt[0])
         np.bitwise_xor(nxt[0], k0, out=nxt[0])
+        np.bitwise_xor(hi0, c3, out=nxt[2])
+        np.bitwise_xor(nxt[2], k1, out=nxt[2])
         words, nxt = nxt, words
+    # round 9: word 1 is lo(M1 c2) and word 2 is hi(M0 c0) ^ c3 ^ k1
+    c0, _, c2, c3 = words
+    np.add(keys, np.uint64((_ROUNDS - 2) * _W1 % _U64), out=k1)
+    _mulhilo(_M0, c0, hi0, nxt[3], scratch)
+    np.bitwise_xor(hi0, c3, out=nxt[2])
+    np.bitwise_xor(nxt[2], k1, out=nxt[2])
+    np.multiply(c2, np.uint64(_M1), out=nxt[1])
     # round 10: word 0 is hi(M1 c2) ^ c1 ^ k0 and word 1 is lo(M1 c2)
     _mulhilo(_M1, nxt[2], hi1, out[:, 1], scratch)
     np.bitwise_xor(hi1, nxt[1], out=out[:, 0])

@@ -613,8 +613,11 @@ def test_born_sample_rejects_bad_weights():
 
 def test_parity_rejects_wrong_sized_ancillas():
     rho = generate_resource(OPT1, OPT2)
-    with pytest.raises(ValueError, match="two qubits"):
-        parity_tree(rho, ket("u"))
+    plus_plus = DensityMatrix(np.full((4, 4), 0.25, dtype=complex))
+    stacked = DensityMatrix(np.stack([plus_plus.mat] * 2))
+    for ancillas in (ket("u"), ket("udd"), stacked):
+        with pytest.raises(ValueError, match="ancilla register must be one state of two qubits"):
+            parity_tree(rho, ancillas)
 
 
 # --- entanglement pumping ------------------------------------------------------
