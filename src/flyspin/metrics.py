@@ -8,9 +8,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import PAULI_Y, DensityMatrix, _per_state
+from .qcore import DensityMatrix, _per_state
 
-_SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
+# Y x Y has one entry a row, (Y x Y)[i, 3 - i] = s_i with s = (-1, 1, 1, -1),
+# so (Y x Y) m (Y x Y) is s_i s_j m[3 - i, 3 - j]
+_SPIN_FLIP_SIGN = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 _EIG_CLAMP = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -51,7 +53,7 @@ def concurrence(rho: DensityMatrix):
     """
     _require_two_qubits(rho)
     m = rho.mat
-    rho_tilde = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
+    rho_tilde = _SPIN_FLIP_SIGN * m.conj()[..., ::-1, ::-1]
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
     sqrt_rho = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -252,7 +252,11 @@ class ParityTree:
         Round one draws outcome ``i = searchsorted(cdf1, u[..., 0],
         side="right")`` on the normalized cumulative Born weights of
         ``first``, which is what ``Generator.choice(4, p=p)`` draws from the
-        same uniform, so a cut branch is never drawn. Round two, drawn the
+        same uniform, so a cut branch is never drawn. The four entries are
+        nondecreasing, so ``i`` is the count of entries at most ``u[..., 0]``,
+        taken as four less the count of entries above it: a ``u[..., 0]`` of
+        1 or more, or a NaN, reads as 4, as in ``searchsorted``, and raises
+        ``IndexError``. Round two, drawn the
         same way from ``u[..., 1]`` on ``second[i]``'s weights, succeeds
         exactly when it draws the complement outcome c = 3 - i, that is when
         ``u[..., 1]`` lies in [cdf2_i[c - 1], cdf2_i[c]) with cdf2_i[-1] read
@@ -260,8 +264,10 @@ class ParityTree:
         weights are checked, drawn or not.
         """
         u = np.asarray(u, dtype=float)
-        first = np.searchsorted(_cdf(self.first), u[..., 0], side="right")
-        u2 = u[..., 1]
+        if u.shape[-1:] != (2,):
+            raise ValueError(f"uniforms must have shape (..., 2), got {u.shape}")
+        u1, u2 = u[..., 0], u[..., 1]
+        first = 4 - sum(u1 < c for c in _cdf(self.first))
         # interval of outcome 3 - i, the complement of outcome i; a cut round one keeps [0, 0)
         lo, hi = np.zeros(4), np.zeros(4)
         for i, branches in enumerate(self.second):

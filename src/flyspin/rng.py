@@ -25,8 +25,10 @@ which numpy's Philox state setter reads faster than numpy arrays.
 place a keyed Philox generator is built.
 
 The bulk pass runs the Philox rounds in place on arrays made once per
-chunk of ``_CHUNK`` trials, keys included, and its last two rounds make
-only what words 0 and 1 read. Its temporaries are 136 bytes per trial,
+chunk of ``_CHUNK`` trials, keys included. Round 1 gives every trial the
+same words but its key, so the pass writes round 2 directly, with one
+vector product of the keys, and its last two rounds make only what words
+0 and 1 read. Its temporaries are 136 bytes per trial,
 2.2 MB for a full chunk, at any trial count. They are local to the call:
 the module holds no state between calls, only constants.
 
@@ -110,18 +112,28 @@ def _mulhilo(
 def _philox(seed: int, keys: np.ndarray, out: np.ndarray) -> None:
     """Write words 0 and 1 of Philox-4x64-10 of the counter (1, 0, 0, 0) under keys (seed, keys).
 
-    ``out`` has shape (n, 2). Rounds 1 to 8 each read one set of four words
-    and write the next into a second set. Words 0 and 1 of round 10 read
-    only words 1 and 2 of round 9, so round 9 writes only those two,
-    lo(M1 c2) as a plain product and hi(M0 c0) ^ c3 ^ k1 (whose
-    ``_mulhilo`` still makes lo(M0 c0), left unread), and round 10 only
-    hi and lo of M1 c2 and one xor pair.
+    ``out`` has shape (n, 2). Round 1 maps the counter to (seed, 0, key,
+    M0) for every key, so round 2 multiplies only the keys as a vector:
+    it is (hi(M1 key) ^ (seed + W0), lo(M1 key), (key + W1) ^ hi(M0 seed)
+    ^ M0, lo(M0 seed)), with the seed's product taken once in Python ints.
+    Rounds 3 to 8 each read one set of four words and write the next into
+    a second set. Words 0 and 1 of round 10 read only words 1 and 2 of
+    round 9, so round 9 writes only those two, lo(M1 c2) as a plain
+    product and hi(M0 c0) ^ c3 ^ k1 (whose ``_mulhilo`` still makes
+    lo(M0 c0), left unread), and round 10 only hi and lo of M1 c2 and one
+    xor pair.
     """
     n = len(keys)
     hi0, hi1, k1, *scratch = np.empty((6, n), dtype=np.uint64)
-    words, nxt = np.zeros((4, n), dtype=np.uint64), np.empty((4, n), dtype=np.uint64)
-    words[0] = 1
-    for r in range(_ROUNDS - 2):
+    words, nxt = np.empty((4, n), dtype=np.uint64), np.empty((4, n), dtype=np.uint64)
+    # rounds 1 and 2
+    m0_seed = _M0 * seed
+    _mulhilo(_M1, keys, hi1, words[1], scratch)
+    np.bitwise_xor(hi1, np.uint64((seed + _W0) % _U64), out=words[0])
+    np.add(keys, np.uint64(_W1), out=words[2])
+    np.bitwise_xor(words[2], np.uint64((m0_seed >> 64) ^ _M0), out=words[2])
+    words[3] = m0_seed % _U64
+    for r in range(2, _ROUNDS - 2):
         # the key gets (W0, W1) added before rounds 2 to 10
         k0 = np.uint64((seed + r * _W0) % _U64)
         np.add(keys, np.uint64(r * _W1 % _U64), out=k1)

@@ -576,6 +576,43 @@ def test_success_interval_ends_are_half_open():
     assert checked == 14
 
 
+def _tree_with_cut_first_round():
+    """A tree whose round-one outcomes 0 and 2 are cut, so its CDF is [0, 0.5, 0.5, 1]."""
+    tiny = ZERO_PROBABILITY_ATOL / 2
+    second = _branches((0.1, 0.2, 0.3, 0.4))
+    return ParityTree(_branches((tiny, 0.5, tiny, 0.5), cut=(0, 2)), ((), second, (), second), 0.0)
+
+
+@pytest.mark.parametrize("cut", [True, False])
+def test_round_one_count_draw_at_the_cdf_entries(cut):
+    # the count of CDF entries at most u[0] is searchsorted(side="right"), also
+    # at ties: put u[0] on each entry (the cut tree repeats some), one float
+    # below it and at 0.0, for a single row and for a stack of them
+    tree = _tree_with_cut_first_round() if cut else parity_tree(generate_resource(*SAMPLED_TREES["noisy"]))
+    cdf1 = _cdf(tree.first)
+    assert (len(set(cdf1.tolist())) < 4) is cut
+    u1 = np.unique(np.concatenate(([0.0], cdf1, np.nextafter(cdf1, 0.0))))
+    u1 = u1[u1 < 1.0]  # a uniform never reaches 1
+    rows = np.array([[a, b] for a in u1 for b in (0.0, 0.3, 0.7, np.nextafter(1.0, 0.0))])
+    drawn = np.searchsorted(cdf1, rows[:, 0], side="right")
+    assert set(drawn.tolist()) == {i for i, b in enumerate(tree.first) if b.state is not None}
+    flags = [_choice_success(tree, u) for u in rows]
+    for u, i, success in zip(rows, drawn.tolist(), flags):
+        assert _choice_draw(tree.first, u[0]) == i
+        assert bool(tree.sample_success(u)) is success, u
+    assert tree.sample_success(rows).tolist() == flags
+    assert tree.sample_success(rows.reshape(-1, 2, 2)).tolist() == np.reshape(flags, (-1, 2)).tolist()
+    assert any(flags) and not all(flags)
+
+
+def test_born_sample_refuses_rows_that_are_not_pairs():
+    tree = parity_tree(generate_resource(0.3, 1.2, NoiseParams(eps_z=0.05)))
+    # five uniforms were read as one row of their first two, and a third column ignored
+    for u in (np.array([0.1, 0.2, 0.3, 0.4, 0.5]), np.full((4, 3), 0.25), np.float64(0.5)):
+        with pytest.raises(ValueError, match=re.escape(f"uniforms must have shape (..., 2), got {u.shape}")):
+            tree.sample_success(u)
+
+
 def _branches(probs, cut=()):
     """One round of branches with these probabilities; the indices in ``cut`` are cut."""
     kept = DensityMatrix(np.eye(4) / 4)

@@ -84,6 +84,17 @@ def test_bulk_uniforms_cross_the_chunk_size():
     assert trial_uniforms(1, 0).shape == (0, 2)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_philox_pass_on_keys_with_high_bits_set(seed):
+    # round 2 multiplies the key words themselves, and trial_uniforms only
+    # reaches keys below its trial count, so call the pass on high keys directly
+    keys = [2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    out = np.empty((len(keys), 2), dtype=np.uint64)
+    rng_module._philox(seed, np.array(keys, dtype=np.uint64), out)
+    for key, words in zip(keys, out.tolist()):
+        assert words == _draw(trial_rng(seed, key))[:2], (seed, key)
+
+
 def test_bulk_uniforms_range_checks():
     for args in [
         (2**64, 1),
